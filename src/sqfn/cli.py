@@ -8,7 +8,8 @@ reports from different configurations can never be merged silently.
 Outputs: a JSON-lines report (one header line carrying the timestamp,
 then one line per record), a CSV summary (tag, value, bound, passed,
 config_hash, runtime_s) and gnuplot-ready two-column .dat files for the
-growth fits.  Exit status: 0 all passed, 1 some check failed, 2 usage.
+growth fits.  runtime_s is the elapsed time of the check that produced
+the record.  Exit status: 0 all passed, 1 some check failed, 2 usage.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from .decomp import cz_decomposition, whitney
 from .errors import SqfnError, UsageError
 from .grid import Grid, GridFunction, lp_norm, to_csv
 from .kernelbounds import constant_variation, sweep
-from .multipliers import kappa, psi_vanishing, square_symbol
-from .squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
+from .multipliers import kappa, square_symbol
+from .squarefuncs import TimeGrid
 from .verify import (band_limited_family, check_growth_in_ap,
                      check_growth_in_p, check_lp_range,
                      check_pointwise_domination, check_sharp_composite,
@@ -65,7 +65,6 @@ _DEFAULTS = {
     "params.lam": "0.25",
     "params.q": "2",
     "params.masks": "50",
-    "run.workers": "1",
     "output.directory": "sqfn-out",
 }
 
@@ -166,12 +165,11 @@ def _run_plancherel(cfg: dict) -> list:
                                    int(cfg["family.count"]), capture=capture)
     fam_fine = band_limited_family(op, psi, ident_times, int(cfg["family.seed"]),
                                    int(cfg["family.count"]))
-    cone = ConeQuadrature(op.grid, cone_times)
-    rs = [lp_norm(area_integral("s_h", f, op, cone), 2) / lp_norm(f, 2)
-          for f in fam_cone.members]
+    s_h = square_function_operator("s_h", op, cone_times)
+    rs = [lp_norm(s_h(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
     kap = kappa(psi)
-    rg = [lp_norm(g_function("g_h", f, op, ident_times), 2) / lp_norm(f, 2)
-          for f in fam_fine.members]
+    g_h = square_function_operator("g_h", op, ident_times)
+    rg = [lp_norm(g_h(f), 2) / lp_norm(f, 2) for f in fam_fine.members]
     ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * constants.AREA_PLANCHEREL_RTOL
     ok_g = max(abs(v - kap) for v in rg) <= kap * constants.IDENTITY_RTOL
     return [
@@ -509,6 +507,9 @@ def _output_dir(cfg: dict) -> str:
 
 def run(cfg: dict) -> int:
     tags = [t.strip() for t in cfg["checks.enabled"].split(",") if t.strip()]
+    if not tags:
+        raise UsageError("no check to run: name one with --check, or list "
+                         "them in checks.enabled")
     for tag in tags:
         if tag not in _CHECKS:
             raise UsageError(
@@ -517,26 +518,17 @@ def run(cfg: dict) -> int:
     digest = config_hash(cfg)
     out = _output_dir(cfg)
     os.makedirs(out, exist_ok=True)
-    workers = max(1, int(cfg["run.workers"]))
-
-    def job(tag):
+    all_records = []
+    for tag in tags:
         start = time.perf_counter()
         records = _CHECKS[tag]["runner"](cfg)
         elapsed = time.perf_counter() - start
-        return [dict(rec, runtime_s=elapsed / len(records)) for rec in records]
-
-    if workers == 1:
-        results = [job(tag) for tag in tags]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, tags))
-
-    all_records = [rec for group in results for rec in group]
+        all_records += [dict(rec, runtime_s=elapsed) for rec in records]
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     with open(os.path.join(out, "report.jsonl"), "w") as fh:
         fh.write(json.dumps({"config_hash": digest, "timestamp": stamp}) + "\n")
         for rec in all_records:
-            body = {k: v for k, v in rec.items() if k not in ("runtime_s", "dat")}
+            body = {k: v for k, v in rec.items() if k != "dat"}
             body["config_hash"] = digest
             fh.write(json.dumps(body, sort_keys=True) + "\n")
     with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import csv
 import io
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridMismatchError, NonFiniteError, ParameterError
-
-_MAGIC = b"SQFN"
-_VERSION = 1
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -112,13 +108,6 @@ class GridFunction:
     def zeros(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_callable(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, fn(*grid.coords()))
-
-    def real_values(self) -> np.ndarray:
-        return self.values.real
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)
@@ -195,14 +184,10 @@ def weighted_superlevel_measure(f: GridFunction, w: Weight, level: float) -> flo
 
 
 # ---------------------------------------------------------------------------
-# Serialization: column-oriented CSV and a compact binary dump.
+# Serialization: column-oriented CSV.
 #
-# CSV layout: one comment line "# dim=<d> N=<n> R=<r>", then a header row
+# Layout: one comment line "# dim=<d> N=<n> R=<r>", then a header row
 # with the index coordinate columns followed by re, im.
-#
-# Binary layout (all little-endian): magic b"SQFN", version byte,
-# dim byte, uint32 N, float64 R, then the N^dim samples as interleaved
-# (re, im) float64 pairs in lexicographic order.
 # ---------------------------------------------------------------------------
 
 
@@ -241,27 +226,4 @@ def from_csv(text: str) -> GridFunction:
         else:
             k = int(row[0]) * n + int(row[1])
         values[k] = float(row[-2]) + 1j * float(row[-1])
-    return GridFunction(grid, values.reshape(grid.shape))
-
-
-def to_binary(f: GridFunction) -> bytes:
-    g = f.grid
-    head = _MAGIC + struct.pack("<BBId", _VERSION, g.dim, g.points_per_axis, g.half_width)
-    flat = np.empty(2 * g.size, dtype="<f8")
-    flat[0::2] = f.values.reshape(-1).real
-    flat[1::2] = f.values.reshape(-1).imag
-    return head + flat.tobytes()
-
-
-def from_binary(data: bytes) -> GridFunction:
-    if data[:4] != _MAGIC:
-        raise ParameterError("bad magic bytes in binary dump")
-    version, dim, n, r = struct.unpack("<BBId", data[4 : 4 + 14])
-    if version != _VERSION:
-        raise ParameterError(f"unsupported dump version {version}")
-    grid = Grid(dim, n, r)
-    flat = np.frombuffer(data[4 + 14 :], dtype="<f8")
-    if flat.size != 2 * grid.size:
-        raise ParameterError("binary dump size does not match grid")
-    values = flat[0::2] + 1j * flat[1::2]
     return GridFunction(grid, values.reshape(grid.shape))

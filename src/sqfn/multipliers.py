@@ -197,11 +197,3 @@ def kappa(psi: MultiplierProfile) -> float:
         val, _ = quad(integrand, a, b, epsabs=constants.KAPPA_ATOL / 20, limit=400)
         total += val
     return float(np.sqrt(total))
-
-
-def f_class_bound(psi: MultiplierProfile, s: float, z_grid=None) -> float:
-    """sup over a log grid of |psi(z)| (1+z^(2s)) / z^s — finite iff psi is in the class."""
-    if z_grid is None:
-        z_grid = np.logspace(-8, 8, 2001)
-    vals = np.abs(psi(z_grid)) * (1.0 + z_grid ** (2 * s)) / z_grid**s
-    return float(np.max(vals))

@@ -9,9 +9,10 @@ Two concrete non-negative self-adjoint operators are provided:
   with eigenvalues 2k+1.
 
 Both expose F(sqrt(L)) for arbitrary scalar profiles, heat and Poisson
-semigroups (the latter also via subordination quadrature), gradients of
-semigroup flows, the even wave propagator cos(t sqrt(L)), and dense
-kernel matrices for kernel-bound fits.
+semigroups (the latter also via subordination quadrature), gradients,
+the even wave propagator cos(t sqrt(L)), and dense kernel matrices for
+kernel-bound fits.  forward / inverse / inverse_gradient expose the
+transform pair, so a square function can transform f once per call.
 """
 
 from __future__ import annotations
@@ -56,13 +57,12 @@ class KernelMatrix:
         return float(np.max(np.abs(self.entries - self.entries.T)))
 
 
-def _check_profile_values(vals: np.ndarray, tag: str):
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError(f"profile {tag!r} evaluated to NaN/Inf on the spectrum")
-
-
 class SpectralOperator:
-    """Common functional-calculus interface of the model operators."""
+    """Common functional-calculus interface of the model operators.
+
+    Subclasses also give the transform pair: forward(f) -> coefficients,
+    inverse(coeffs) -> samples, inverse_gradient(coeffs) -> gradient samples.
+    """
 
     grid: Grid
     gradient_bound_available: bool = False
@@ -94,6 +94,14 @@ class SpectralOperator:
     def t_max(self) -> float:
         """Largest trustworthy time scale, R^2/4."""
         return self.grid.half_width**2 / 4.0
+
+    def profile_values(self, profile) -> np.ndarray:
+        """F(sqrt(L)) at every spectral coefficient; NaN/Inf is an error."""
+        vals = np.asarray(profile(self._spectrum), dtype=np.complex128)
+        if not np.all(np.isfinite(vals)):
+            tag = getattr(profile, "tag", "profile")
+            raise NonFiniteError(f"profile {tag!r} evaluated to NaN/Inf on the spectrum")
+        return vals
 
     def _guard_budget(self, budget_mb: float):
         need = self.grid.size**2 * 16 / 2**20
@@ -139,20 +147,6 @@ class SpectralOperator:
             )
         return self.apply_function(lambda s: subordinated(s, 64), f)
 
-    def grad_semigroup(self, t: float, f: GridFunction, flow: str = "heat") -> tuple:
-        """Gradient of the heat flow e^{-t^2 L} f or Poisson flow e^{-t sqrt(L)} f."""
-        if not (t > 0):
-            raise ParameterError(f"flow time must be positive, got {t}")
-        if not self.gradient_bound_available:
-            raise CapabilityError("this operator does not expose gradients")
-        if flow == "heat":
-            u = self.apply_function(lambda s: np.exp(-(t * s) ** 2), f)
-        elif flow == "poisson":
-            u = self.apply_function(lambda s: np.exp(-t * s), f)
-        else:
-            raise ParameterError(f"unknown flow {flow!r}")
-        return self.gradient(u)
-
     def wave_cosine(self, t: float, f: GridFunction) -> GridFunction:
         """cos(t sqrt(L)) f — the even wave propagator."""
         if t < 0:
@@ -172,33 +166,36 @@ class LaplacianTorus(SpectralOperator):
         xi = np.pi * k / r
         if grid.dim == 1:
             self._xi_axes = (xi,)
-            self._xi_mag = np.abs(xi)
+            self._spectrum = np.abs(xi)
         else:
             gx, gy = np.meshgrid(xi, xi, indexing="ij")
             self._xi_axes = (gx, gy)
-            self._xi_mag = np.hypot(gx, gy)
+            self._spectrum = np.hypot(gx, gy)
 
     def spectral_nodes(self) -> np.ndarray:
-        return np.unique(self._xi_mag.reshape(-1))
+        return np.unique(self._spectrum.reshape(-1))
+
+    def forward(self, f: GridFunction) -> np.ndarray:
+        require_same_grid(self, f)
+        return np.fft.fftn(f.values)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.fft.ifftn(coeffs)
+
+    def inverse_gradient(self, coeffs: np.ndarray) -> tuple:
+        return tuple(np.fft.ifftn(1j * xi * coeffs) for xi in self._xi_axes)
 
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
-        require_same_grid(self, f)
-        vals = np.asarray(profile(self._xi_mag), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
-        out = np.fft.ifftn(vals * np.fft.fftn(f.values))
-        return GridFunction(self.grid, out)
+        vals = self.profile_values(profile)
+        return GridFunction(self.grid, self.inverse(vals * self.forward(f)))
 
     def gradient(self, f: GridFunction) -> tuple:
-        require_same_grid(self, f)
-        fh = np.fft.fftn(f.values)
-        return tuple(
-            GridFunction(self.grid, np.fft.ifftn(1j * xi * fh)) for xi in self._xi_axes
-        )
+        return tuple(GridFunction(self.grid, c)
+                     for c in self.inverse_gradient(self.forward(f)))
 
     def kernel_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
         self._guard_budget(budget_mb)
-        vals = np.asarray(profile(self._xi_mag), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
+        vals = self.profile_values(profile)
         # Kernel column at y = 0; the operator is a circulant so every
         # other column is a periodic shift of it.
         col = np.fft.ifftn(vals) / self.grid.cell_volume
@@ -231,8 +228,7 @@ class LaplacianTorus(SpectralOperator):
         if oversample < 1:
             raise ParameterError("oversample must be >= 1")
         n = self.grid.points_per_axis
-        vals = np.asarray(profile(self._xi_mag), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
+        vals = self.profile_values(profile)
         if gradient:
             vals = 1j * self._xi_axes[0] * vals
         m = n * oversample
@@ -255,8 +251,7 @@ class LaplacianTorus(SpectralOperator):
         if self.grid.dim != 1:
             raise CapabilityError("gradient kernel matrices are 1-D only")
         self._guard_budget(budget_mb)
-        vals = np.asarray(profile(self._xi_mag), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
+        vals = self.profile_values(profile)
         col = np.fft.ifftn(1j * self._xi_axes[0] * vals) / self.grid.cell_volume
         n = self.grid.points_per_axis
         idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
@@ -304,14 +299,14 @@ class HermiteOscillator1D(SpectralOperator):
             )
         self._basis = basis
         k = np.arange(truncation)
-        self._sqrt_lam = np.sqrt(2.0 * k + 1.0)
+        self._spectrum = np.sqrt(2.0 * k + 1.0)
         # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}
         deriv = -np.sqrt((k + 1) / 2.0) * basis[:, 1 : truncation + 1]
         deriv[:, 1:] += np.sqrt(k[1:] / 2.0) * basis[:, : truncation - 1]
         self._basis_deriv = deriv
 
     def spectral_nodes(self) -> np.ndarray:
-        return self._sqrt_lam
+        return self._spectrum
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """Eigen-coefficients of f, rejecting unresolved spectral tails."""
@@ -341,11 +336,21 @@ class HermiteOscillator1D(SpectralOperator):
             raise ParameterError("coefficient vector length must equal the truncation")
         return GridFunction(self.grid, self._basis[:, : self.truncation] @ coeffs)
 
+    def forward(self, f: GridFunction) -> np.ndarray:
+        return self.coefficients(f)
+
+    def inverse(self, coeffs: np.ndarray) -> np.ndarray:
+        return self._basis[:, : self.truncation] @ coeffs
+
+    def inverse_gradient(self, coeffs: np.ndarray) -> tuple:
+        """Differentiates the re-projected synthesis, as gradient() of it
+        would: the sampled basis is orthonormal only to its Gram defect."""
+        c = self._basis[:, : self.truncation].T @ self.inverse(coeffs) * self.grid.spacing
+        return (self._basis_deriv @ c,)
+
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
         c = self.coefficients(f)
-        vals = np.asarray(profile(self._sqrt_lam), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
-        return GridFunction(self.grid, self._basis[:, : self.truncation] @ (vals * c))
+        return GridFunction(self.grid, self.inverse(self.profile_values(profile) * c))
 
     def gradient(self, f: GridFunction) -> tuple:
         c = self.coefficients(f)
@@ -353,8 +358,7 @@ class HermiteOscillator1D(SpectralOperator):
 
     def kernel_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
         self._guard_budget(budget_mb)
-        vals = np.asarray(profile(self._sqrt_lam), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
+        vals = self.profile_values(profile)
         b = self._basis[:, : self.truncation]
         entries = (b * vals) @ b.T
         if np.max(np.abs(entries.imag)) < 1e-13 * max(np.max(np.abs(entries.real)), 1e-300):
@@ -365,8 +369,7 @@ class HermiteOscillator1D(SpectralOperator):
 
     def kernel_gradient_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
         self._guard_budget(budget_mb)
-        vals = np.asarray(profile(self._sqrt_lam), dtype=np.complex128)
-        _check_profile_values(vals, getattr(profile, "tag", "profile"))
+        vals = self.profile_values(profile)
         entries = (self._basis_deriv * vals) @ self._basis[:, : self.truncation].T
         if np.max(np.abs(entries.imag)) < 1e-13 * max(np.max(np.abs(entries.real)), 1e-300):
             entries = entries.real
@@ -440,16 +443,3 @@ def fit_gaussian_bound(entries: np.ndarray, distances: np.ndarray, scale: float,
     window = region & (d2 <= 40.0)
     ratios = mags[window] / (prefactor * np.exp(-d2[window] / c))
     return float(np.max(ratios)), float(c)
-
-
-def heat_kernel_fit(op: SpectralOperator, t: float, order: int = 0,
-                    budget_mb: float = 512.0):
-    """Gaussian fit for the kernel of (tL)^order e^{-tL}; returns (C, c).
-
-    order = 0 checks the on-diagonal bound, order >= 1 the time
-    derivatives t^k d^k/dt^k e^{-tL} up to constants.
-    """
-    if order < 0:
-        raise ParameterError("order must be >= 0")
-    km = op.kernel_matrix(lambda s: (t * s**2) ** order * np.exp(-t * s**2), budget_mb)
-    return fit_gaussian_bound(km.entries, km.distances, t, t ** (-op.dim / 2.0))

@@ -1,11 +1,14 @@
 """Square functions: cone area integrals, g-functions and g*.
 
-All time integrals dt/t are geometric Riemann sums on a TimeGrid; all
-space integrals over cones/weights are circular convolutions evaluated
-with the FFT, slice by slice in t.  Four area integrals are provided
-(heat/Poisson, horizontal/vertical), their pointwise g-function
-analogues, and the dominating g*-function with weight
-(t/(t+|x-y|))^(n*mu).
+Each is one shape, a Riemann sum in dt/t over a geometric TimeGrid:
+Sf = (sum_j (|phi(t_j sqrt(L)) f|^2 * K_j) log(ratio))^(1/2).  phi is
+z^2 e^{-z^2} or z e^{-z} (horizontal heat/Poisson kinds), the bare
+semigroup with density t^2 |grad .|^2 (vertical kinds), or psi (g*).
+K_j is a delta (g-functions), the ball {|y| < t_j} over t_j^n (area
+integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
+``SquareFunction`` says this once: built once, it tabulates phi on (time
+node x spectrum) and the kernel FFTs; applied, it transforms f once and
+accumulates one time slice after another.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import CapabilityError, ParameterError, ResolutionError
 from .grid import Grid, GridFunction, require_same_grid
-from .multipliers import MultiplierProfile
+from .multipliers import MultiplierProfile, square_symbol
 from .spectral import SpectralOperator
 
 AREA_KINDS = ("s_h", "s_p", "S_H", "S_P")
@@ -24,6 +27,9 @@ G_KINDS = ("g_h", "g_p", "G_H", "G_P")
 
 _ALIASES = {"sh": "s_h", "sp": "s_p", "SH": "S_H", "SP": "S_P",
             "gh": "g_h", "gp": "g_p", "GH": "G_H", "GP": "G_P"}
+
+# square_symbol keys by position in AREA_KINDS / G_KINDS (last two vertical)
+_SYMBOL_KEYS = ("s_h", "s_p", "S_H-scalar", "S_P-scalar")
 
 
 def _canon(kind: str, allowed) -> str:
@@ -83,9 +89,7 @@ class TimeGrid:
 class ConeQuadrature:
     """Cached FFT masks of the balls {|y| < t} for cone integrals."""
 
-    def __init__(self, grid: Grid, times: TimeGrid, aperture: float = 1.0):
-        if aperture != 1.0:
-            raise ParameterError("only unit aperture is supported")
+    def __init__(self, grid: Grid, times: TimeGrid):
         times.check_budget(grid)
         if times.t_min < grid.spacing:
             raise ResolutionError(
@@ -94,41 +98,69 @@ class ConeQuadrature:
             )
         self.grid = grid
         self.times = times
-        self.aperture = aperture
-        self._mask_ffts = {}
-
-    def mask_fft(self, j: int) -> np.ndarray:
-        if j not in self._mask_ffts:
-            t = float(self.times.nodes[j])
-            mask = (self.grid.distance_from_origin() < t).astype(float)
-            self._mask_ffts[j] = np.fft.fftn(mask)
-        return self._mask_ffts[j]
+        dist = grid.distance_from_origin()
+        self.mask_ffts = [np.fft.fftn((dist < t).astype(float))
+                          for t in map(float, times.nodes)]
 
 
-def _ball_average_field(op: SpectralOperator, f: GridFunction, kind: str,
-                        cone: ConeQuadrature):
-    """Accumulate the cone integral for one of the four area kinds."""
-    g = op.grid
-    n = g.dim
-    dt = cone.times.log_weight
-    acc = np.zeros(g.shape)
-    for j, t in enumerate(cone.times.nodes):
-        t = float(t)
-        if kind == "s_h":
-            u = op.apply_function(lambda s: (t * s) ** 2 * np.exp(-((t * s) ** 2)), f)
-            dens = np.abs(u.values) ** 2
-        elif kind == "s_p":
-            u = op.apply_function(lambda s: (t * s) * np.exp(-(t * s)), f)
-            dens = np.abs(u.values) ** 2
-        elif kind == "S_H":
-            comps = op.grad_semigroup(t, f, "heat")
-            dens = t**2 * sum(np.abs(c.values) ** 2 for c in comps)
-        else:  # S_P
-            comps = op.grad_semigroup(t, f, "poisson")
-            dens = t**2 * sum(np.abs(c.values) ** 2 for c in comps)
-        conv = np.fft.ifftn(np.fft.fftn(dens) * cone.mask_fft(j)).real
-        acc += conv * (g.cell_volume * dt / t**n)
-    return np.sqrt(np.maximum(acc, 0.0))
+class SquareFunction:
+    """(sum_j (|phi(t_j sqrt(L)) f|^2 * K_j) log(ratio))^(1/2) with phi = symbol.
+
+    vertical: the density is t_j^2 |grad phi(t_j sqrt(L)) f|^2 instead.
+    kernels: the FFT of K_j per node, or None for a delta.
+    """
+
+    def __init__(self, op: SpectralOperator, times: TimeGrid,
+                 symbol: MultiplierProfile, vertical: bool = False, kernels=None):
+        self.op = op
+        self.vertical = vertical
+        self.nodes = [float(t) for t in times.nodes]
+        # row by row: one FourierBump call on all T x N points fills its 4096-row workspace
+        self.table = [op.profile_values(symbol.scaled(t)).real.copy()
+                      for t in self.nodes]
+        self.kernels = None if kernels is None else list(kernels)
+        g, dt = op.grid, times.log_weight
+        self.weights = [dt if kernels is None else g.cell_volume * dt / t**g.dim
+                        for t in self.nodes]
+
+    def __call__(self, f: GridFunction) -> GridFunction:
+        op = self.op
+        coeffs = op.forward(f)
+        acc = np.zeros(op.grid.shape)
+        for j, t in enumerate(self.nodes):
+            part = self.table[j] * coeffs
+            if self.vertical:
+                dens = t**2 * sum(np.abs(c) ** 2 for c in op.inverse_gradient(part))
+            else:
+                dens = np.abs(op.inverse(part)) ** 2
+            if self.kernels is not None:
+                dens = np.fft.ifftn(np.fft.fftn(dens) * self.kernels[j]).real
+            acc += dens * self.weights[j]
+        return GridFunction(op.grid, np.sqrt(np.maximum(acc, 0.0)))
+
+
+def _kind_operator(kind: str, op: SpectralOperator, times: TimeGrid,
+                   kernels=None) -> SquareFunction:
+    """The SquareFunction of a canonical area or g-function kind."""
+    i = AREA_KINDS.index(kind) if kind in AREA_KINDS else G_KINDS.index(kind)
+    vertical = i >= 2
+    if vertical and not op.gradient_bound_available:
+        raise CapabilityError(f"{kind} needs spatial gradients, which this operator lacks")
+    return SquareFunction(op, times, square_symbol(_SYMBOL_KEYS[i]), vertical, kernels)
+
+
+def area_operator(kind: str, op: SpectralOperator, cone: ConeQuadrature) -> SquareFunction:
+    """The area integral of the given kind, ready to apply to many f."""
+    kind = _canon(kind, AREA_KINDS)
+    require_same_grid(op, cone)
+    return _kind_operator(kind, op, cone.times, cone.mask_ffts)
+
+
+def g_operator(kind: str, op: SpectralOperator, times: TimeGrid) -> SquareFunction:
+    """The g-function of the given kind, ready to apply to many f."""
+    kind = _canon(kind, G_KINDS)
+    times.check_budget(op.grid)
+    return _kind_operator(kind, op, times)
 
 
 def area_integral(kind: str, f: GridFunction, op: SpectralOperator,
@@ -139,12 +171,7 @@ def area_integral(kind: str, f: GridFunction, op: SpectralOperator,
     Poisson, z e^{-z}), S_H / S_P (vertical: t * gradient of the heat or
     Poisson flow).
     """
-    kind = _canon(kind, AREA_KINDS)
-    require_same_grid(op, f)
-    require_same_grid(op, cone)
-    if kind in ("S_H", "S_P") and not op.gradient_bound_available:
-        raise CapabilityError(f"{kind} needs spatial gradients, which this operator lacks")
-    return GridFunction(op.grid, _ball_average_field(op, f, kind, cone))
+    return area_operator(kind, op, cone)(f)
 
 
 @dataclass(frozen=True)
@@ -159,24 +186,20 @@ class GStarParams:
             raise ParameterError(f"mu must exceed 1, got {self.mu}")
 
 
+def g_star_operator(op: SpectralOperator, params: GStarParams,
+                    times: TimeGrid) -> SquareFunction:
+    """g*_{mu,psi}, ready to apply to many f."""
+    times.check_budget(op.grid)
+    dist = op.grid.distance_from_origin()
+    power = op.dim * params.mu
+    return SquareFunction(op, times, params.psi, kernels=(
+        np.fft.fftn((t / (t + dist)) ** power) for t in map(float, times.nodes)))
+
+
 def g_star(f: GridFunction, op: SpectralOperator, params: GStarParams,
            times: TimeGrid) -> GridFunction:
     """g*_{mu,psi}: the cone replaced by the weight (t/(t+|x-y|))^(n*mu)."""
-    require_same_grid(op, f)
-    times.check_budget(op.grid)
-    g = op.grid
-    n = g.dim
-    dist = g.distance_from_origin()
-    dt = times.log_weight
-    acc = np.zeros(g.shape)
-    for t in times.nodes:
-        t = float(t)
-        u = op.apply_function(params.psi.scaled(t), f)
-        dens = np.abs(u.values) ** 2
-        w_kernel = (t / (t + dist)) ** (n * params.mu)
-        conv = np.fft.ifftn(np.fft.fftn(dens) * np.fft.fftn(w_kernel)).real
-        acc += conv * (g.cell_volume * dt / t**n)
-    return GridFunction(g, np.sqrt(np.maximum(acc, 0.0)))
+    return g_star_operator(op, params, times)(f)
 
 
 def g_function(kind: str, f: GridFunction, op: SpectralOperator,
@@ -186,38 +209,4 @@ def g_function(kind: str, f: GridFunction, op: SpectralOperator,
     g_h, g_p are the horizontal heat/Poisson versions; G_H, G_P the
     vertical ones with the factor t|grad|.
     """
-    kind = _canon(kind, G_KINDS)
-    require_same_grid(op, f)
-    times.check_budget(op.grid)
-    if kind in ("G_H", "G_P") and not op.gradient_bound_available:
-        raise CapabilityError(f"{kind} needs spatial gradients, which this operator lacks")
-    dt = times.log_weight
-    acc = np.zeros(op.grid.shape)
-    for t in times.nodes:
-        t = float(t)
-        if kind == "g_h":
-            u = op.apply_function(lambda s: (t * s) ** 2 * np.exp(-((t * s) ** 2)), f)
-            acc += np.abs(u.values) ** 2 * dt
-        elif kind == "g_p":
-            u = op.apply_function(lambda s: (t * s) * np.exp(-(t * s)), f)
-            acc += np.abs(u.values) ** 2 * dt
-        elif kind == "G_H":
-            comps = op.grad_semigroup(t, f, "heat")
-            acc += t**2 * sum(np.abs(c.values) ** 2 for c in comps) * dt
-        else:  # G_P
-            comps = op.grad_semigroup(t, f, "poisson")
-            acc += t**2 * sum(np.abs(c.values) ** 2 for c in comps) * dt
-    return GridFunction(op.grid, np.sqrt(acc))
-
-
-def generic_square_function(psi: MultiplierProfile, f: GridFunction,
-                            op: SpectralOperator, times: TimeGrid) -> GridFunction:
-    """g-function with an arbitrary profile: (sum_j |psi(t_j sqrt(L))f|^2 dt)^(1/2)."""
-    require_same_grid(op, f)
-    times.check_budget(op.grid)
-    dt = times.log_weight
-    acc = np.zeros(op.grid.shape)
-    for t in times.nodes:
-        u = op.apply_function(psi.scaled(float(t)), f)
-        acc += np.abs(u.values) ** 2 * dt
-    return GridFunction(op.grid, np.sqrt(acc))
+    return g_operator(kind, op, times)(f)

@@ -17,10 +17,11 @@ from . import constants
 from .errors import BandError, ParameterError, SingularWeightError
 from .grid import (Grid, GridFunction, Weight, lp_norm, weighted_lp_norm,
                    weighted_superlevel_measure)
-from .multipliers import MultiplierProfile, kappa
+from .multipliers import MultiplierProfile, kappa, psi_vanishing
 from .spectral import HermiteOscillator1D, LaplacianTorus, SpectralOperator
-from .squarefuncs import (AREA_KINDS, ConeQuadrature, GStarParams, TimeGrid,
-                          area_integral, g_function, g_star)
+from .squarefuncs import (AREA_KINDS, G_KINDS, ConeQuadrature, GStarParams,
+                          SquareFunction, TimeGrid, area_operator,
+                          g_operator, g_star_operator)
 from .weights import CubeFamily, local_sharp_maximal, maximal
 
 
@@ -267,19 +268,14 @@ def power_weight_family(grid: Grid, p: float, count: int = 6) -> list:
 def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
                              mu: float = 3.5,
                              psi: MultiplierProfile | None = None):
-    """A callable GridFunction -> GridFunction for a named square function."""
+    """A callable GridFunction -> GridFunction (a SquareFunction, tabulated here)."""
     if kind in AREA_KINDS or kind in ("sh", "sp", "SH", "SP"):
-        cone = ConeQuadrature(op.grid, times)
-        return lambda f: area_integral(kind, f, op, cone)
-    if kind in ("g_h", "g_p", "G_H", "G_P", "gh", "gp", "GH", "GP"):
-        return lambda f: g_function(kind, f, op, times)
+        return area_operator(kind, op, ConeQuadrature(op.grid, times))
+    if kind in G_KINDS or kind in ("gh", "gp", "GH", "GP"):
+        return g_operator(kind, op, times)
     if kind == "g_star":
-        if psi is None:
-            from .multipliers import psi_vanishing
-
-            psi = psi_vanishing(op.dim)
-        params = GStarParams(mu, psi)
-        return lambda f: g_star(f, op, params, times)
+        psi = psi if psi is not None else psi_vanishing(op.dim)
+        return g_star_operator(op, GStarParams(mu, psi), times)
     raise ParameterError(f"unknown square-function kind {kind!r}")
 
 
@@ -293,18 +289,14 @@ def check_spectral_identity(op: SpectralOperator, psi: MultiplierProfile,
                             config_hash: str = "adhoc") -> RatioReport:
     """Discretized (int ||psi(t sqrt(L)) f||_2^2 dt/t)^(1/2) versus kappa ||f||_2."""
     kap = kappa(psi)
-    dt = times.log_weight
+    g_psi = SquareFunction(op, times, psi)
     ratios, skipped = [], 0
     for f in family.members:
         denom = lp_norm(f, 2)
         if denom == 0.0:
             skipped += 1
             continue
-        acc = 0.0
-        for t in times.nodes:
-            u = op.apply_function(psi.scaled(float(t)), f)
-            acc += lp_norm(u, 2) ** 2 * dt
-        ratios.append(np.sqrt(acc) / (kap * denom))
+        ratios.append(lp_norm(g_psi(f), 2) / (kap * denom))
     witness = int(np.argmax(ratios)) if ratios else -1
     return RatioReport("spectral_identity", tuple(ratios), witness,
                        config_hash, skipped)
@@ -316,7 +308,9 @@ def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
     For 1 < p <= 2 the majorant is int |f|^p Mw; for p > 2 it is
     int |f|^p (Mw)^{p/2} w^{-(p/2 - 1)}.  check_weighted_l2_mw and
     check_lp_range at p = 2 both call this, so they agree bit for bit.
+    T runs once per member; the ratios stay in (weight, member) order.
     """
+    images = [T(f) for f in family.members]
     ratios, skipped = [], 0
     for w in weights:
         mw = maximal(w.base).values.real
@@ -329,12 +323,12 @@ def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
         else:
             majorant = mw
         vol = w.grid.cell_volume
-        for f in family.members:
+        for f, tf in zip(family.members, images):
             denom = float(np.sum(np.abs(f.values) ** p * majorant)) * vol
             if denom == 0.0:
                 skipped += 1
                 continue
-            num = float(np.sum(np.abs(T(f).values) ** p * w.values)) * vol
+            num = float(np.sum(np.abs(tf.values) ** p * w.values)) * vol
             ratios.append(num / denom)
     return ratios, skipped
 
@@ -351,15 +345,15 @@ def check_weighted_l2_mw(T, family: TestFamily, weights: list,
 def check_weak_1_1(T, family: TestFamily, weights: list, levels: int = 6,
                    config_hash: str = "adhoc") -> RatioReport:
     """lambda * w{Tf > lambda} versus int |f| Mw, over a level scan."""
+    images = [T(f) for f in family.members]
     ratios, skipped = [], 0
     for w in weights:
         mw = Weight(maximal(w.base))
-        for f in family.members:
+        for f, tf in zip(family.members, images):
             denom = weighted_lp_norm(f, mw, 1)
             if denom == 0.0:
                 skipped += 1
                 continue
-            tf = T(f)
             top = float(np.max(np.abs(tf.values)))
             if top == 0.0:
                 skipped += 1
@@ -443,14 +437,15 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float,
     if not (p >= 1):
         raise ParameterError(f"p must be >= 1, got {p}")
     norm_p = 2.0 if p == 1 else p
+    images = [T(f) for f in family.members]
     xs, ys = [], []
     for w in weights:
         ap = ap_constant(w, p).constant
         best = 0.0
-        for f in family.members:
+        for f, tf in zip(family.members, images):
             denom = weighted_lp_norm(f, w, norm_p)
             if denom > 0:
-                best = max(best, weighted_lp_norm(T(f), w, norm_p) / denom)
+                best = max(best, weighted_lp_norm(tf, w, norm_p) / denom)
         xs.append(ap)
         ys.append(best)
     xs, ys = np.array(xs), np.array(ys)

@@ -82,37 +82,6 @@ def maximal(f: GridFunction, family: CubeFamily | None = None) -> GridFunction:
     return GridFunction(f.grid, best)
 
 
-def weighted_centered_maximal(f: GridFunction, w: Weight) -> GridFunction:
-    """Centered weighted maximal: sup_t (int_{B(x,t)} |f| w) / (int_{B(x,t)} w).
-
-    Balls are centered odd windows with dyadically growing radii; a ball
-    with zero w-mass is skipped.  The largest ball covers the domain, so
-    the sup is defined everywhere.
-    """
-    require_same_grid(f, w.base)
-    g = f.grid
-    num_f = np.abs(f.values) * w.values
-    best = np.zeros(g.shape)
-    radius = 1
-    n = g.points_per_axis
-    while True:
-        width = min(2 * radius - 1, n)
-        num = _centered_window_sums(num_f, width)
-        den = _centered_window_sums(w.values, width)
-        ok = den > 0
-        np.maximum(best, np.where(ok, num / np.where(ok, den, 1.0), 0.0), out=best)
-        if width >= n:
-            break
-        radius *= 2
-    return GridFunction(g, best)
-
-
-def _centered_window_sums(a: np.ndarray, width: int) -> np.ndarray:
-    half = (width - 1) // 2
-    sums = _window_sums(a, width)
-    return np.roll(sums, half, axis=tuple(range(a.ndim)))
-
-
 @dataclass(frozen=True)
 class ApReport:
     """A_p constant together with the extremizing cube."""
@@ -221,24 +190,6 @@ def rubio_de_francia(phi: GridFunction, q: float, maximal_norm: float | None = N
     a1 = float(np.max(mv[positive] / total[positive])) if positive.any() else np.inf
     ratio = size / max(lp_norm(phi, q), 1e-300)
     return RdFCertificate(v, q, ratio, a1, maximal_norm, tail)
-
-
-def weighted_rearrangement(f: GridFunction, w: Weight, t: float) -> float:
-    """Decreasing w-rearrangement f*_w(t) = inf{a >= 0 : w{|f| > a} <= t}."""
-    require_same_grid(f, w.base)
-    total = float(np.sum(w.values)) * f.grid.cell_volume
-    if not (0 < t < total):
-        raise ParameterError(f"t must lie in (0, {total:g}), got {t}")
-    mags = np.abs(f.values).reshape(-1)
-    mass = w.values.reshape(-1) * f.grid.cell_volume
-    if float(np.sum(mass[mags > 0])) <= t:
-        return 0.0
-    levels = np.unique(mags)[::-1]
-    # mass strictly above each level, in decreasing level order
-    group_mass = np.array([float(np.sum(mass[mags == u])) for u in levels])
-    strict_above = np.concatenate([[0.0], np.cumsum(group_mass)[:-1]])
-    feasible = strict_above <= t
-    return float(levels[feasible][-1])
 
 
 def local_sharp_maximal(f: GridFunction, lam: float,

@@ -85,15 +85,47 @@ def test_run_writes_reports(tmp_path, capsys, monkeypatch):
 
 
 def test_run_jsonl_body_is_config_stable(tmp_path, monkeypatch):
-    """Identical configurations produce byte-identical record lines."""
+    """Identical configurations produce identical records; only the
+    measured runtime_s may differ."""
     bodies = []
     for sub in ("a", "b"):
         monkeypatch.setenv("SQFN_OUT", str(tmp_path / sub))
         assert main(["run", "--check", "finite_propagation",
                      "--set", "operator.n=128"]) == 0
         lines = (tmp_path / sub / "report.jsonl").read_text().splitlines()
-        bodies.append(lines[1:])
+        records = [json.loads(line) for line in lines[1:]]
+        for rec in records:
+            assert rec.pop("runtime_s") > 0
+        bodies.append(records)
     assert bodies[0] == bodies[1]
+
+
+def test_runtime_s_is_the_check_time_of_each_record(tmp_path, monkeypatch):
+    """Every record of a check carries the check's whole elapsed time,
+    in report.jsonl and in summary.csv alike."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
+    assert main(["run", "--check", "finite_propagation", "--check", "plancherel",
+                 "--set", "operator.n=128", "--set", "family.count=4"]) == 0
+    lines = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
+    runtime = {}
+    for line in lines[1:]:
+        rec = json.loads(line)
+        runtime[rec["tag"]] = rec["runtime_s"]
+    assert set(runtime) == {"finite_propagation", "plancherel_s_h", "plancherel_g_h"}
+    assert runtime["plancherel_s_h"] == runtime["plancherel_g_h"] > 0
+    rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1:]
+    csv_runtime = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
+    for tag, seconds in runtime.items():
+        assert csv_runtime[tag] == pytest.approx(seconds, abs=5e-4)
+
+
+def test_bare_run_is_usage_error(tmp_path, capsys, monkeypatch):
+    """No --check and an empty checks.enabled: exit 2, no report."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
+    assert main(["run"]) == 2
+    err = capsys.readouterr().err
+    assert "--check" in err and "checks.enabled" in err
+    assert not (tmp_path / "out" / "report.jsonl").exists()
 
 
 def test_run_growth_writes_dat(tmp_path, monkeypatch):

@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfn.errors import GridMismatchError, ParameterError
-from sqfn.grid import (Grid, GridFunction, Weight, from_binary, from_csv,
-                       lp_norm, to_binary, to_csv, weighted_lp_norm,
-                       weighted_superlevel_measure)
+from sqfn.grid import (Grid, GridFunction, Weight, from_csv, lp_norm, to_csv,
+                       weighted_lp_norm, weighted_superlevel_measure)
 
 
 def test_grid_validation():
@@ -90,15 +89,6 @@ def test_csv_roundtrip():
     back = from_csv(to_csv(f))
     assert back.grid == g
     np.testing.assert_array_equal(back.values, f.values)
-
-
-def test_binary_roundtrip_exact():
-    g = Grid(2, 16, 1.0)
-    rng = np.random.default_rng(2)
-    f = GridFunction(g, rng.standard_normal((16, 16)) * 1e-7)
-    back = from_binary(to_binary(f))
-    assert back.grid == g
-    assert np.array_equal(back.values, f.values)
 
 
 @given(st.integers(3, 6), st.floats(0.5, 4.0))

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from sqfn.errors import DecayClassError, ParameterError
 from sqfn.multipliers import (BumpProfile, FourierBump, MultiplierProfile,
-                              clenshaw_curtis, f_class_bound, kappa, phi_hat,
+                              clenshaw_curtis, kappa, phi_hat,
                               psi_vanishing, square_symbol)
 
 
@@ -74,12 +74,6 @@ def test_psi_vanishing_vanishing_order():
     assert psi(1e9) == 0.0  # beyond the bump transform's validity, exactly zero
     with pytest.raises(ParameterError):
         psi_vanishing(3)
-
-
-def test_f_class_bound_finite_for_members():
-    assert f_class_bound(square_symbol("s_h"), 1.0) < np.inf
-    psi = psi_vanishing(1)
-    assert np.isfinite(f_class_bound(psi, 2.0))
 
 
 def test_scaled_profile():

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqfn.errors import ParameterError, ResolutionError
 from sqfn.grid import Grid, GridFunction, lp_norm
-from sqfn.multipliers import psi_vanishing, square_symbol
-from sqfn.spectral import LaplacianTorus
+from sqfn.multipliers import psi_vanishing
+from sqfn.spectral import HermiteOscillator1D, LaplacianTorus
 from sqfn.squarefuncs import (ConeQuadrature, GStarParams, TimeGrid,
-                              area_integral, g_function, g_star,
-                              generic_square_function)
+                              area_integral, g_function, g_star)
+from sqfn.verify import square_function_operator
 
 
 @pytest.fixture(scope="module")
@@ -42,12 +44,6 @@ def test_cone_needs_resolved_times(torus):
         ConeQuadrature(g, TimeGrid(g.spacing / 4, 2.0, 3))
 
 
-def test_cone_rejects_nonunit_aperture(torus):
-    g = torus.grid
-    with pytest.raises(ParameterError):
-        ConeQuadrature(g, TimeGrid(g.spacing, 2.0, 3), aperture=2.0)
-
-
 def test_budget_guard(torus):
     g = torus.grid
     big = TimeGrid(g.half_width**2, 2.0, 3)  # beyond R^2/4
@@ -71,16 +67,6 @@ def test_g_function_single_mode_oracle(torus):
                         * times.log_weight)
     expected = np.sqrt(expected_sq) * np.abs(f.values.real)
     np.testing.assert_allclose(out, expected, atol=1e-10)
-
-
-def test_generic_square_function_matches_g_h(torus):
-    g = torus.grid
-    rng = np.random.default_rng(0)
-    f = GridFunction(g, rng.standard_normal(g.shape))
-    times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0)
-    a = g_function("g_h", f, torus, times)
-    b = generic_square_function(square_symbol("s_h"), f, torus, times)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-12)
 
 
 def test_area_integral_l2_contraction_identity(torus):
@@ -147,3 +133,80 @@ def test_area_integral_2d_runs():
     cone = ConeQuadrature(g, times)
     out = area_integral("s_h", f, op, cone)
     assert np.all(np.isfinite(out.values.real))
+
+
+# ---------------------------------------------------------------------------
+# The per-t loop as a brute-force oracle of the tabulate-once core
+# ---------------------------------------------------------------------------
+
+ORACLE_KINDS = ("s_h", "s_p", "S_H", "S_P", "g_h", "g_p", "G_H", "G_P", "g_star")
+ORACLE_MU = 3.5
+ORACLE_OPS = (
+    LaplacianTorus(Grid(1, 16, 1.0)),
+    LaplacianTorus(Grid(1, 32, 1.0)),
+    LaplacianTorus(Grid(2, 16, 1.0)),
+    HermiteOscillator1D(Grid(1, 128, 12.0), 32),
+)
+ORACLE_PSI = {1: psi_vanishing(1), 2: psi_vanishing(2)}
+
+
+def _per_t_loop(kind, f, op, times):
+    """The square function one time node at a time, from apply_function
+    and gradient, with its own ball and g* kernels."""
+    g = op.grid
+    n = g.dim
+    dist = g.distance_from_origin()
+    dt = times.log_weight
+    acc = np.zeros(g.shape)
+    for t in map(float, times.nodes):
+        if kind == "g_star":
+            profile = ORACLE_PSI[n].scaled(t)
+        elif kind in ("s_h", "g_h"):
+            profile = lambda s: (t * s) ** 2 * np.exp(-((t * s) ** 2))
+        elif kind in ("s_p", "g_p"):
+            profile = lambda s: (t * s) * np.exp(-(t * s))
+        elif kind in ("S_H", "G_H"):
+            profile = lambda s: np.exp(-((t * s) ** 2))
+        else:
+            profile = lambda s: np.exp(-t * s)
+        u = op.apply_function(profile, f)
+        if kind[0] in "SG":
+            dens = t**2 * sum(np.abs(c.values) ** 2 for c in op.gradient(u))
+        else:
+            dens = np.abs(u.values) ** 2
+        if kind[0] in "sS":
+            kernel = (dist < t).astype(float)
+        elif kind == "g_star":
+            kernel = (t / (t + dist)) ** (n * ORACLE_MU)
+        else:
+            acc += dens * dt
+            continue
+        conv = np.fft.ifftn(np.fft.fftn(dens) * np.fft.fftn(kernel)).real
+        acc += conv * g.cell_volume * dt / t**n
+    return np.sqrt(np.maximum(acc, 0.0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), offset=st.floats(0.0, 0.99),
+       ratio=st.floats(1.1, 2.0), count=st.integers(1, 4))
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_square_functions_match_per_t_loop(seed, offset, ratio, count):
+    """Every kind on every operator agrees with the per-t loop to 1e-12."""
+    rng = np.random.default_rng(seed)
+    for op in ORACLE_OPS:
+        g = op.grid
+        if isinstance(op, HermiteOscillator1D):
+            f = op.synthesize(rng.standard_normal(op.truncation))
+        else:
+            f = GridFunction(g, rng.standard_normal(g.shape))
+        t_min = g.spacing * (1.0 + offset)
+        fits = 1 + int(np.floor(np.log(op.t_max / t_min) / np.log(ratio)))
+        times = TimeGrid(t_min, ratio, min(count, fits))
+        for kind in ORACLE_KINDS:
+            T = square_function_operator(kind, op, times, mu=ORACLE_MU,
+                                         psi=ORACLE_PSI[g.dim])
+            want = _per_t_loop(kind, f, op, times)
+            got = T(f).values
+            assert np.max(np.abs(got.imag)) == 0.0
+            assert np.max(np.abs(got.real - want)) <= 1e-12 * np.max(want), (
+                kind, g, times)
+

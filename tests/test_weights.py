@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfn.errors import ParameterError, SingularWeightError
+from sqfn.errors import SingularWeightError
 from sqfn.grid import Grid, GridFunction, Weight
 from sqfn.weights import (ap_constant, empirical_maximal_norm,
-                          local_sharp_maximal, maximal, rubio_de_francia,
-                          weighted_centered_maximal, weighted_rearrangement)
+                          local_sharp_maximal, maximal, rubio_de_francia)
 
 
 def _brute_maximal_1d(vals, n):
@@ -115,31 +114,6 @@ def test_a1_constant_controls_mw():
     c = ap_constant(w, 1.0).constant
     mw = maximal(w.base).values.real
     assert np.all(mw <= c * w.values + 1e-10)
-
-
-def test_weighted_centered_maximal_flat_weight():
-    g = Grid(1, 64, 1.0)
-    rng = np.random.default_rng(5)
-    f = GridFunction(g, rng.standard_normal(64))
-    out = weighted_centered_maximal(f, Weight.ones(g)).values.real
-    # dominated by the (uncentered dyadic) maximal function within a
-    # fixed geometric factor, and dominates the global mean
-    assert np.all(out >= np.mean(np.abs(f.values)) - 1e-12)
-    assert np.all(out <= 3.0 * maximal(f).values.real + 1e-12)
-
-
-def test_rearrangement_two_level_example():
-    g = Grid(1, 8, 1.0)
-    vals = np.array([3.0, 3.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
-    f = GridFunction(g, vals)
-    w = Weight.ones(g)
-    h = g.spacing
-    # w{|f| > 1} = 2h, w{|f| > 0} = 5h
-    assert weighted_rearrangement(f, w, 1.9 * h) == 3.0
-    assert weighted_rearrangement(f, w, 2.1 * h) == 1.0
-    assert weighted_rearrangement(f, w, 5.1 * h) == 0.0
-    with pytest.raises(ParameterError):
-        weighted_rearrangement(f, w, -1.0)
 
 
 def test_local_sharp_maximal_brute_force():
