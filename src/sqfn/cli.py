@@ -1,15 +1,18 @@
 """Command-line entry point: config parsing, check orchestration, reports.
 
 Configuration is a plain-text ``key = value`` file with ``[section]``
-headers.  Unknown keys are rejected with the offending line number.  A
-stable digest of the canonicalized config stamps every output file, so
-reports from different configurations can never be merged silently.
+headers.  Unknown keys, and numeric keys whose value does not parse, are
+rejected with the offending line number.  A stable digest of the
+canonicalized config stamps every output file, so reports from different
+configurations can never be merged silently.
 
 Outputs: a JSON-lines report (one header line carrying the timestamp,
 then one line per record), a CSV summary (tag, value, bound, passed,
 config_hash, runtime_s) and gnuplot-ready two-column .dat files for the
 growth fits.  runtime_s is the elapsed time of the check that produced
-the record.  Exit status: 0 all passed, 1 some check failed, 2 usage.
+the record; a sup-ratio record also carries its witness, skipped and
+excluded_fraction (see ``_record``).  Exit status: 0 all passed, 1 some
+check failed, 2 usage.
 """
 
 from __future__ import annotations
@@ -32,14 +35,14 @@ from .grid import Grid, GridFunction, lp_norm, to_csv
 from .kernelbounds import constant_variation, sweep
 from .multipliers import kappa, square_symbol
 from .squarefuncs import TimeGrid
-from .verify import (band_limited_family, check_growth_in_ap,
+from .verify import (GrowthFit, band_limited_family, check_growth_in_ap,
                      check_growth_in_p, check_lp_range,
                      check_pointwise_domination, check_sharp_composite,
                      check_sharp_maximal_domination, check_spectral_identity,
                      check_weak_1_1, check_weighted_l2_mw, default_operator,
                      mixed_family, power_weight_family, resolved_family,
                      square_function_operator, weight_suite)
-from .weights import rubio_de_francia
+from .weights import empirical_maximal_norm, rubio_de_francia
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -69,6 +72,35 @@ _DEFAULTS = {
 }
 
 
+def _floats(text: str) -> list:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+# What each numeric key must parse as; the other keys are free text.
+_INT, _FLOAT = ("an int", int), ("a float", float)
+_AUTO = ("a float or auto", lambda text: text == "auto" or float(text))
+_LIST = ("a comma-separated float list", _floats)
+_TYPES = {
+    "operator.dim": _INT, "operator.n": _INT, "operator.r": _AUTO,
+    "operator.truncation": _INT, "family.seed": _INT, "family.count": _INT,
+    "times.t_min": _AUTO, "times.t_max": _AUTO, "times.per_octave": _INT,
+    "params.mu": _FLOAT, "params.p_list": _LIST, "params.growth_p_list": _LIST,
+    "params.ap_p_list": _LIST, "params.lam": _FLOAT, "params.q": _FLOAT,
+    "params.masks": _INT,
+}
+
+
+def _check_type(full: str, value: str, where: str) -> str:
+    """The value, unchanged, if it parses as its key's type; else a UsageError."""
+    if full in _TYPES:
+        name, parse = _TYPES[full]
+        try:
+            parse(value)
+        except ValueError:
+            raise UsageError(f"{where}{full} must be {name}, got {value!r}") from None
+    return value
+
+
 def parse_config(path: str | None, overrides: dict | None = None) -> dict:
     """Read a key = value config file into a flat section.key mapping."""
     cfg = dict(_DEFAULTS)
@@ -94,21 +126,17 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
             full = f"{section}.{key}"
             if full not in _DEFAULTS:
                 raise UsageError(f"{path}:{lineno}: unknown key {full!r}")
-            cfg[full] = value
+            cfg[full] = _check_type(full, value, f"{path}:{lineno}: ")
     for full, value in (overrides or {}).items():
         if full not in _DEFAULTS:
             raise UsageError(f"unknown config key {full!r}")
-        cfg[full] = str(value)
+        cfg[full] = _check_type(full, str(value), "")
     return cfg
 
 
 def config_hash(cfg: dict) -> str:
     canonical = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-def _floats(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
 
 
 def _build_operator(cfg: dict):
@@ -293,49 +321,57 @@ def _run_whitney_cz(cfg: dict) -> list:
              "passed": bool(passed)}]
 
 
-def _square_ops(cfg: dict, op, times: TimeGrid) -> dict:
-    kinds = [k.strip() for k in cfg["params.kinds"].split(",") if k.strip()]
-    mu = float(cfg["params.mu"])
-    return {k: square_function_operator(k, op, times, mu=mu) for k in kinds}
+def _record(rep, **fields) -> dict:
+    """The record of a RatioReport or a GrowthFit; fields override or add.
+
+    A ratio record's bound is inf: it passes when its sup is finite.
+    witness indexes the report's ratios, the one where the sup sits.
+    """
+    if isinstance(rep, GrowthFit):
+        rec = {"tag": rep.tag, "value": rep.fitted_exponent,
+               "bound": rep.exponent_bound + rep.slack, "passed": rep.passed,
+               "dat": (rep.x_values, rep.y_values)}
+    else:
+        rec = {"tag": rep.inequality_tag, "value": rep.sup_ratio,
+               "bound": float("inf"), "passed": bool(np.isfinite(rep.sup_ratio)),
+               "witness": rep.witness, "skipped": rep.skipped,
+               "excluded_fraction": rep.excluded_fraction}
+    rec.update(fields)
+    return rec
+
+
+def _setup(cfg: dict, count: int | None = None,
+           shapes: tuple = ("band", "bump", "spike", "packet")) -> tuple:
+    """(operator, cone time grid, resolved family, weight suite) of a config.
+
+    The family has family.count members unless count says otherwise; the
+    weights use the seed family.seed + 100.
+    """
+    op = _build_operator(cfg)
+    seed = int(cfg["family.seed"])
+    count = int(cfg["family.count"]) if count is None else count
+    fam = resolved_family(op, seed, count, shapes=shapes)
+    return op, _time_grid(cfg, op, "cone"), fam, weight_suite(op.grid, seed + 100)
 
 
 def _run_weighted_l2_mw(cfg: dict) -> list:
-    op = _build_operator(cfg)
-    times = _time_grid(cfg, op, "cone")
-    fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
-    ws = weight_suite(op.grid, int(cfg["family.seed"]) + 100)
-    records = []
-    for kind, T in _square_ops(cfg, op, times).items():
-        rep = check_weighted_l2_mw(T, fam, ws, tag=f"weighted_l2_mw_{kind}")
-        records.append({"tag": rep.inequality_tag, "value": rep.sup_ratio,
-                        "bound": float("inf"),
-                        "passed": bool(np.isfinite(rep.sup_ratio))})
-    return records
+    op, times, fam, ws = _setup(cfg)
+    kinds = [k.strip() for k in cfg["params.kinds"].split(",") if k.strip()]
+    mu = float(cfg["params.mu"])
+    return [_record(check_weighted_l2_mw(square_function_operator(k, op, times, mu=mu),
+                                         fam, ws, tag=f"weighted_l2_mw_{k}"))
+            for k in kinds]
 
 
 def _run_weak_lp(cfg: dict) -> list:
-    op = _build_operator(cfg)
-    times = _time_grid(cfg, op, "cone")
-    fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
-    ws = weight_suite(op.grid, int(cfg["family.seed"]) + 100)
+    op, times, fam, ws = _setup(cfg)
     T = square_function_operator("s_h", op, times)
-    records = []
-    rep = check_weak_1_1(T, fam, ws)
-    records.append({"tag": "weak_1_1", "value": rep.sup_ratio,
-                    "bound": float("inf"),
-                    "passed": bool(np.isfinite(rep.sup_ratio))})
-    for p in _floats(cfg["params.p_list"]):
-        rep = check_lp_range(T, fam, ws, p)
-        records.append({"tag": rep.inequality_tag, "value": rep.sup_ratio,
-                        "bound": float("inf"),
-                        "passed": bool(np.isfinite(rep.sup_ratio))})
-    return records
+    return [_record(check_weak_1_1(T, fam, ws))] + [
+        _record(check_lp_range(T, fam, ws, p)) for p in _floats(cfg["params.p_list"])]
 
 
 def _run_pointwise_domination(cfg: dict) -> list:
-    op = _build_operator(cfg)
-    times = _time_grid(cfg, op, "cone")
-    fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
+    op, times, fam, _ = _setup(cfg)
     gstar = square_function_operator("g_star", op, times, mu=float(cfg["params.mu"]))
     records = []
     for kind in ("s_h", "s_p", "S_H", "S_P"):
@@ -343,49 +379,29 @@ def _run_pointwise_domination(cfg: dict) -> list:
         rep = check_pointwise_domination(T, gstar, fam)
         ok = (np.isfinite(rep.sup_ratio)
               and rep.excluded_fraction < constants.DOMINATION_EXCLUSION_MAX)
-        records.append({"tag": f"pointwise_domination_{kind}",
-                        "value": rep.sup_ratio,
-                        "excluded_fraction": rep.excluded_fraction,
-                        "bound": float("inf"), "passed": bool(ok)})
+        records.append(_record(rep, tag=f"pointwise_domination_{kind}", passed=bool(ok)))
     return records
 
 
 def _run_growth_in_p(cfg: dict) -> list:
-    op = _build_operator(cfg)
-    times = _time_grid(cfg, op, "cone")
-    fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
+    op, times, fam, _ = _setup(cfg)
     T = square_function_operator("s_h", op, times)
-    fit = check_growth_in_p(T, fam, _floats(cfg["params.growth_p_list"]))
-    return [{"tag": fit.tag, "value": fit.fitted_exponent,
-             "bound": fit.exponent_bound + fit.slack, "passed": bool(fit.passed),
-             "dat": (fit.x_values, fit.y_values)}]
+    return [_record(check_growth_in_p(T, fam, _floats(cfg["params.growth_p_list"])))]
 
 
 def _run_growth_in_ap(cfg: dict) -> list:
-    op = _build_operator(cfg)
-    times = _time_grid(cfg, op, "cone")
-    fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
+    op, times, fam, _ = _setup(cfg)
     T = square_function_operator("s_h", op, times)
-    records = []
-    for p in _floats(cfg["params.ap_p_list"]):
-        weights = power_weight_family(op.grid, p)
-        fit = check_growth_in_ap(T, fam, weights, p)
-        records.append({"tag": fit.tag, "value": fit.fitted_exponent,
-                        "bound": fit.exponent_bound + fit.slack,
-                        "passed": bool(fit.passed),
-                        "dat": (fit.x_values, fit.y_values)})
-    return records
+    return [_record(check_growth_in_ap(T, fam, power_weight_family(op.grid, p), p))
+            for p in _floats(cfg["params.ap_p_list"])]
 
 
 def _run_rubio_de_francia(cfg: dict) -> list:
     op = _build_operator(cfg)
     q = float(cfg["params.q"])
-    records = []
     base_seed = int(cfg["family.seed"])
     worst = 0.0
     all_ok = True
-    from .weights import empirical_maximal_norm
-
     mnorm = empirical_maximal_norm(op.grid, q)
     for s in range(base_seed, base_seed + 10):
         rng = np.random.default_rng(s)
@@ -396,28 +412,17 @@ def _run_rubio_de_francia(cfg: dict) -> list:
               and cert.a1_ratio <= 2.0 * cert.maximal_norm)
         worst = max(worst, cert.norm_ratio)
         all_ok = all_ok and ok
-    records.append({"tag": "rubio_de_francia", "value": worst, "bound": 2.0,
-                    "passed": bool(all_ok)})
-    return records
+    return [{"tag": "rubio_de_francia", "value": worst, "bound": 2.0,
+             "passed": bool(all_ok)}]
 
 
 def _run_sharp_maximal(cfg: dict) -> list:
-    op = _build_operator(cfg)
-    times = _time_grid(cfg, op, "cone")
-    fam = resolved_family(op, int(cfg["family.seed"]),
-                       min(int(cfg["family.count"]), 10),
-                       shapes=("band", "bump", "packet"))
-    ws = weight_suite(op.grid, int(cfg["family.seed"]) + 100)[:3]
+    op, times, fam, ws = _setup(cfg, min(int(cfg["family.count"]), 10),
+                                ("band", "bump", "packet"))
     gstar = square_function_operator("g_star", op, times, mu=float(cfg["params.mu"]))
     lam = float(cfg["params.lam"])
-    rep = check_sharp_maximal_domination(gstar, fam, lam)
-    comp = check_sharp_composite(fam, ws, 4.0, lam)
-    return [
-        {"tag": "sharp_maximal_domination", "value": rep.sup_ratio,
-         "bound": float("inf"), "passed": bool(np.isfinite(rep.sup_ratio))},
-        {"tag": comp.inequality_tag, "value": comp.sup_ratio,
-         "bound": float("inf"), "passed": bool(np.isfinite(comp.sup_ratio))},
-    ]
+    return [_record(check_sharp_maximal_domination(gstar, fam, lam)),
+            _record(check_sharp_composite(fam, ws[:3], 4.0, lam))]
 
 
 _CHECKS = {

@@ -51,3 +51,6 @@ SUBORDINATION_RTOL = 1e-6
 
 # Absolute error target for the kappa quadrature.
 KAPPA_ATOL = 1e-10
+
+# Largest dense kernel matrix, in MiB (complex entries), a fit may build.
+KERNEL_MATRIX_BUDGET_MB = 512.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParameterError
-from .multipliers import BumpProfile, FourierBump, MultiplierProfile, psi_vanishing
+from .multipliers import BumpProfile, FourierBump, psi_vanishing
 from .spectral import SpectralOperator, fit_gaussian_bound
 
 
@@ -55,30 +55,20 @@ def _sup_fit(entries, distances, envelope):
     return float(np.max(mags[region] / env[region]))
 
 
-def _kernel_samples(op: SpectralOperator, profile, budget_mb: float,
-                    gradient: bool = False):
+def _kernel_samples(op: SpectralOperator, profile, gradient: bool = False):
     """Flat (distances, values) kernel samples, oversampled when possible."""
     if op.grid.dim == 1 and hasattr(op, "kernel_profile"):
         return op.kernel_profile(profile, gradient=gradient)
-    km = (op.kernel_gradient_matrix(profile, budget_mb) if gradient
-          else op.kernel_matrix(profile, budget_mb))
+    km = op.kernel_gradient_matrix(profile) if gradient else op.kernel_matrix(profile)
     return km.distances.reshape(-1), km.entries.reshape(-1)
 
 
-def compact_support_record(op: SpectralOperator, t: float, kappa: int,
-                           bump: BumpProfile | None = None,
-                           budget_mb: float = 512.0) -> dict:
-    """One record of the compact-support kernel sweep."""
+def compact_support_record(op: SpectralOperator, t: float, kappa: int) -> dict:
+    """One record of the compact-support kernel sweep (bump of radius 1)."""
     if kappa not in (0, 1, 2):
         raise ParameterError(f"kappa must be 0, 1 or 2, got {kappa}")
-    if bump is None:
-        bump = BumpProfile(1.0)
-    if bump.support_radius > 1.0:
-        raise ParameterError("the support bump must be supported inside (-1, 1)")
-    phi = FourierBump(bump)
-    dist, vals = _kernel_samples(
-        op, lambda s: (t * s) ** (2 * kappa) * phi(t * s), budget_mb
-    )
+    phi = FourierBump(BumpProfile(1.0))
+    dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * phi(t * s))
     mags = np.abs(vals)
     halo = t + 4.0 * op.grid.spacing
     outside = dist > halo
@@ -95,21 +85,14 @@ def compact_support_record(op: SpectralOperator, t: float, kappa: int,
     }
 
 
-def smoothed_difference_record(op: SpectralOperator, t: float, r: float,
-                               psi: MultiplierProfile | None = None,
-                               bump: BumpProfile | None = None,
-                               budget_mb: float = 512.0) -> dict:
-    """One record of the smoothed-difference kernel sweep."""
+def smoothed_difference_record(op: SpectralOperator, t: float, r: float) -> dict:
+    """One record of the smoothed-difference kernel sweep (Psi = psi_vanishing,
+    Phi the transform of the radius-1/10 bump)."""
     if not (t > 0 and r > 0):
         raise ParameterError("t and r must be positive")
-    if psi is None:
-        psi = psi_vanishing(op.dim)
-    if bump is None:
-        bump = BumpProfile(0.1)
-    phi = FourierBump(bump)
-    dist, vals = _kernel_samples(
-        op, lambda s: psi(t * s) * (1.0 - phi(r * s)), budget_mb
-    )
+    psi = psi_vanishing(op.dim)
+    phi = FourierBump(BumpProfile(0.1))
+    dist, vals = _kernel_samples(op, lambda s: psi(t * s) * (1.0 - phi(r * s)))
     n = op.dim
     c_fit = _sup_fit(
         vals,
@@ -130,14 +113,11 @@ def smoothed_difference_record(op: SpectralOperator, t: float, r: float,
     }
 
 
-def poisson_decay_record(op: SpectralOperator, t: float, kappa: int,
-                         budget_mb: float = 512.0) -> dict:
+def poisson_decay_record(op: SpectralOperator, t: float, kappa: int) -> dict:
     """One record of the Poisson polynomial-decay kernel sweep."""
     if kappa < 0:
         raise ParameterError("kappa must be >= 0")
-    dist, vals = _kernel_samples(
-        op, lambda s: (t * s) ** (2 * kappa) * np.exp(-t * s), budget_mb
-    )
+    dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * np.exp(-t * s))
     n = op.dim
     power = n + 2 * kappa + 1
     c_fit = _sup_fit(
@@ -156,8 +136,7 @@ def poisson_decay_record(op: SpectralOperator, t: float, kappa: int,
     }
 
 
-def gradient_heat_record(op: SpectralOperator, t: float, kappa: int = 0,
-                         budget_mb: float = 512.0) -> dict:
+def gradient_heat_record(op: SpectralOperator, t: float, kappa: int = 0) -> dict:
     """One record of the gradient heat-kernel Gaussian sweep.
 
     Fits |grad_x K| <= C t^{-(n+1)} exp(-d^2 / (c t^2)) for the kernel of
@@ -166,8 +145,7 @@ def gradient_heat_record(op: SpectralOperator, t: float, kappa: int = 0,
     if kappa < 0:
         raise ParameterError("kappa must be >= 0")
     dist, vals = _kernel_samples(
-        op, lambda s: (t * s) ** (2 * kappa) * np.exp(-((t * s) ** 2)),
-        budget_mb, gradient=True,
+        op, lambda s: (t * s) ** (2 * kappa) * np.exp(-((t * s) ** 2)), gradient=True
     )
     n = op.dim
     C, c = fit_gaussian_bound(vals, dist, t**2, t ** (-(n + 1)))
@@ -183,21 +161,19 @@ def gradient_heat_record(op: SpectralOperator, t: float, kappa: int = 0,
 
 
 def sweep(op: SpectralOperator, lemma: str, t_values, *, kappa: int = 0,
-          r_over_t: float = 1.0, budget_mb: float = 512.0) -> list:
+          r_over_t: float = 1.0) -> list:
     """Run one lemma's sweep over a time grid; returns the record list."""
     records = []
     for t in t_values:
         t = float(t)
         if lemma == "compact_support":
-            records.append(compact_support_record(op, t, kappa, budget_mb=budget_mb))
+            records.append(compact_support_record(op, t, kappa))
         elif lemma == "smoothed_difference":
-            records.append(
-                smoothed_difference_record(op, t, r_over_t * t, budget_mb=budget_mb)
-            )
+            records.append(smoothed_difference_record(op, t, r_over_t * t))
         elif lemma == "poisson_decay":
-            records.append(poisson_decay_record(op, t, kappa, budget_mb=budget_mb))
+            records.append(poisson_decay_record(op, t, kappa))
         elif lemma == "gradient_heat":
-            records.append(gradient_heat_record(op, t, kappa, budget_mb=budget_mb))
+            records.append(gradient_heat_record(op, t, kappa))
         else:
             raise ParameterError(f"unknown kernel lemma {lemma!r}")
     return records

@@ -17,8 +17,6 @@ from scipy.integrate import quad
 from . import constants
 from .errors import DecayClassError, ParameterError
 
-DECAY_CLASSES = ("compact_fourier_support", "schwartz", "f_class")
-
 
 def clenshaw_curtis(n: int):
     """Clenshaw-Curtis nodes and weights on [-1, 1] with n intervals (n even)."""
@@ -37,6 +35,14 @@ def clenshaw_curtis(n: int):
     return x, w
 
 
+# The one rule every bump and bump transform integrates with, built once
+# at import and read-only, since every caller shares it.
+_CC_INTERVALS = 2000
+_CC_NODES, _CC_WEIGHTS = clenshaw_curtis(_CC_INTERVALS)
+_CC_NODES.flags.writeable = False
+_CC_WEIGHTS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class BumpProfile:
     """The standard smooth bump c_a * exp(-1/(1-(s/a)^2)) on (-a, a).
@@ -47,15 +53,12 @@ class BumpProfile:
     """
 
     support_radius: float = 0.1
-    quadrature_nodes: int = 2000
     normalization: float = field(init=False)
 
     def __post_init__(self):
         if not (self.support_radius > 0):
             raise ParameterError("support_radius must be positive")
-        x, w = clenshaw_curtis(self.quadrature_nodes)
-        raw = _raw_bump(x)
-        unit_mass = float(w @ raw)
+        unit_mass = float(_CC_WEIGHTS @ _raw_bump(_CC_NODES))
         object.__setattr__(self, "normalization", 1.0 / (self.support_radius * unit_mass))
 
     def __call__(self, s):
@@ -68,8 +71,8 @@ class BumpProfile:
 
     def integral(self) -> float:
         """Quadrature value of the total mass (should be 1 to 1e-10)."""
-        x, w = clenshaw_curtis(self.quadrature_nodes)
-        return float(self.support_radius * (w @ self(self.support_radius * x)))
+        a = self.support_radius
+        return float(a * (_CC_WEIGHTS @ self(a * _CC_NODES)))
 
 
 def _raw_bump(u):
@@ -86,11 +89,6 @@ class MultiplierProfile:
 
     tag: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    decay_class: str = "schwartz"
-
-    def __post_init__(self):
-        if self.decay_class not in DECAY_CLASSES:
-            raise ParameterError(f"unknown decay class {self.decay_class!r}")
 
     def __call__(self, s):
         return self.evaluator(np.asarray(s, dtype=float))
@@ -98,7 +96,7 @@ class MultiplierProfile:
     def scaled(self, t: float) -> "MultiplierProfile":
         """The dilated profile s -> profile(t*s)."""
         ev = self.evaluator
-        return MultiplierProfile(f"{self.tag}@{t:g}", lambda s: ev(t * s), self.decay_class)
+        return MultiplierProfile(f"{self.tag}@{t:g}", lambda s: ev(t * s))
 
 
 class FourierBump:
@@ -111,13 +109,12 @@ class FourierBump:
 
     def __init__(self, bump: BumpProfile):
         self.bump = bump
-        x, w = clenshaw_curtis(bump.quadrature_nodes)
         a = bump.support_radius
-        self._nodes = a * x
-        self._weights = a * w * bump(self._nodes)
-        # Frequencies above nodes/(2a) alias through the quadrature; the
-        # true transform is below double-precision there, so report 0.
-        self.valid_to = bump.quadrature_nodes / (2.0 * a)
+        self._nodes = a * _CC_NODES
+        self._weights = a * _CC_WEIGHTS * bump(self._nodes)
+        # Frequencies above intervals/(2a) alias through the quadrature;
+        # the true transform is below double-precision there, so report 0.
+        self.valid_to = _CC_INTERVALS / (2.0 * a)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -138,7 +135,7 @@ class FourierBump:
 
 def phi_hat(bump: BumpProfile) -> MultiplierProfile:
     """The multiplier profile Phi = Fourier transform of the bump."""
-    return MultiplierProfile("phi_hat", FourierBump(bump), "schwartz")
+    return MultiplierProfile("phi_hat", FourierBump(bump))
 
 
 def psi_vanishing(n: int, bump: BumpProfile | None = None) -> MultiplierProfile:
@@ -153,7 +150,7 @@ def psi_vanishing(n: int, bump: BumpProfile | None = None) -> MultiplierProfile:
     def ev(s):
         return s**power * phi(s) ** 3
 
-    return MultiplierProfile("psi_vanishing", ev, "f_class")
+    return MultiplierProfile("psi_vanishing", ev)
 
 
 _SQUARE_SYMBOLS = {
@@ -174,7 +171,7 @@ def square_symbol(kind: str) -> MultiplierProfile:
     if kind not in _SQUARE_SYMBOLS:
         raise ParameterError(f"unknown symbol kind {kind!r}; choose from {sorted(_SQUARE_SYMBOLS)}")
     tag, ev = _SQUARE_SYMBOLS[kind]
-    return MultiplierProfile(tag, ev, "f_class")
+    return MultiplierProfile(tag, ev)
 
 
 def kappa(psi: MultiplierProfile) -> float:

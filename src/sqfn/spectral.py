@@ -81,7 +81,7 @@ class SpectralOperator:
         """Spatial gradient of a spectrally resolved function."""
         raise NotImplementedError
 
-    def kernel_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
+    def kernel_matrix(self, profile) -> KernelMatrix:
         raise NotImplementedError
 
     # -- shared operations ---------------------------------------------------
@@ -103,12 +103,11 @@ class SpectralOperator:
             raise NonFiniteError(f"profile {tag!r} evaluated to NaN/Inf on the spectrum")
         return vals
 
-    def _guard_budget(self, budget_mb: float):
+    def _guard_budget(self):
         need = self.grid.size**2 * 16 / 2**20
-        if need > budget_mb:
-            raise ResourceError(
-                f"kernel matrix needs {need:.0f} MiB, budget is {budget_mb:.0f} MiB"
-            )
+        if need > constants.KERNEL_MATRIX_BUDGET_MB:
+            raise ResourceError(f"kernel matrix needs {need:.0f} MiB, budget is "
+                                f"{constants.KERNEL_MATRIX_BUDGET_MB:.0f} MiB")
 
     def heat_semigroup(self, t: float, f: GridFunction) -> GridFunction:
         """e^{-tL} f."""
@@ -193,8 +192,8 @@ class LaplacianTorus(SpectralOperator):
         return tuple(GridFunction(self.grid, c)
                      for c in self.inverse_gradient(self.forward(f)))
 
-    def kernel_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
-        self._guard_budget(budget_mb)
+    def kernel_matrix(self, profile) -> KernelMatrix:
+        self._guard_budget()
         vals = self.profile_values(profile)
         # Kernel column at y = 0; the operator is a circulant so every
         # other column is a periodic shift of it.
@@ -246,11 +245,11 @@ class LaplacianTorus(SpectralOperator):
             col = col.real
         return dist, col
 
-    def kernel_gradient_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
+    def kernel_gradient_matrix(self, profile) -> KernelMatrix:
         """Matrix of d/dx K(x, y) (1-D only), for gradient kernel-bound fits."""
         if self.grid.dim != 1:
             raise CapabilityError("gradient kernel matrices are 1-D only")
-        self._guard_budget(budget_mb)
+        self._guard_budget()
         vals = self.profile_values(profile)
         col = np.fft.ifftn(1j * self._xi_axes[0] * vals) / self.grid.cell_volume
         n = self.grid.points_per_axis
@@ -356,8 +355,8 @@ class HermiteOscillator1D(SpectralOperator):
         c = self.coefficients(f)
         return (GridFunction(self.grid, self._basis_deriv @ c),)
 
-    def kernel_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
-        self._guard_budget(budget_mb)
+    def kernel_matrix(self, profile) -> KernelMatrix:
+        self._guard_budget()
         vals = self.profile_values(profile)
         b = self._basis[:, : self.truncation]
         entries = (b * vals) @ b.T
@@ -367,8 +366,8 @@ class HermiteOscillator1D(SpectralOperator):
         dist = np.abs(x[:, None] - x[None, :])
         return KernelMatrix(self.grid, entries, dist)
 
-    def kernel_gradient_matrix(self, profile, budget_mb: float = 512.0) -> KernelMatrix:
-        self._guard_budget(budget_mb)
+    def kernel_gradient_matrix(self, profile) -> KernelMatrix:
+        self._guard_budget()
         vals = self.profile_values(profile)
         entries = (self._basis_deriv * vals) @ self._basis[:, : self.truncation].T
         if np.max(np.abs(entries.imag)) < 1e-13 * max(np.max(np.abs(entries.real)), 1e-300):

@@ -63,11 +63,6 @@ class TimeGrid:
         count = int(np.ceil(np.log2(t_max / t_min) * per_octave)) + 1
         return cls(t_min, ratio, count)
 
-    @classmethod
-    def default_for(cls, grid: Grid, per_octave: int = 8) -> "TimeGrid":
-        """The standard grid from 2h up to the operator budget R^2/4."""
-        return cls.geometric(2.0 * grid.spacing, grid.half_width**2 / 4.0, per_octave)
-
     @property
     def nodes(self) -> np.ndarray:
         return self.t_min * self.ratio ** np.arange(self.count)

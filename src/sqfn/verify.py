@@ -1,8 +1,9 @@
 """The inequality harness: measured ratios, fitted exponents, reports.
 
 Every check turns one inequality into either a RatioReport (a supremum
-of measured ratios over a test family, with the witness recorded) or a
-GrowthFit (a log-log slope compared against a declared exponent bound).
+of measured ratios over a test family, with the index of the ratio that
+attains it) or a GrowthFit (a log-log slope compared against a declared
+exponent bound).
 Empirical suprema over finite families are lower bounds on true
 operator norms, so every pass criterion is one-sided.
 """
@@ -22,7 +23,7 @@ from .spectral import HermiteOscillator1D, LaplacianTorus, SpectralOperator
 from .squarefuncs import (AREA_KINDS, G_KINDS, ConeQuadrature, GStarParams,
                           SquareFunction, TimeGrid, area_operator,
                           g_operator, g_star_operator)
-from .weights import CubeFamily, local_sharp_maximal, maximal
+from .weights import local_sharp_maximal, maximal
 
 
 # ---------------------------------------------------------------------------
@@ -34,14 +35,17 @@ from .weights import CubeFamily, local_sharp_maximal, maximal
 class RatioReport:
     inequality_tag: str
     ratios: tuple
-    witness: int
-    config_hash: str = "adhoc"
     skipped: int = 0
     excluded_fraction: float = 0.0
 
     @property
     def sup_ratio(self) -> float:
         return max(self.ratios) if self.ratios else 0.0
+
+    @property
+    def witness(self) -> int:
+        """Index into ratios of the sup, or -1 when there are none."""
+        return int(np.argmax(self.ratios)) if self.ratios else -1
 
     def __post_init__(self):
         vals = np.asarray(self.ratios, dtype=float)
@@ -56,7 +60,6 @@ class GrowthFit:
     y_values: tuple
     exponent_bound: float
     slack: float
-    config_hash: str = "adhoc"
     fitted_exponent: float = field(init=False)
     passed: bool = field(init=False)
 
@@ -90,14 +93,6 @@ class TestFamily:
                 raise ParameterError("test families must not contain the zero function")
 
 
-def _laplacian_band(grid: Grid, max_mode: int) -> np.ndarray:
-    """Axis mode numbers 1..max_mode (positive side only)."""
-    n = grid.points_per_axis
-    if not (1 <= max_mode <= n // 2 - 1):
-        raise ParameterError("band edge outside the resolved spectrum")
-    return np.arange(1, max_mode + 1)
-
-
 def mixed_family(grid: Grid, seed: int, count: int = 20,
                  support_fraction: float = 1.0,
                  shapes: tuple = ("band", "bump", "spike", "packet")) -> TestFamily:
@@ -109,11 +104,13 @@ def mixed_family(grid: Grid, seed: int, count: int = 20,
     support_fraction < 1 confines every member to the middle part of the
     domain (needed by the non-periodic decomposition machinery).
     """
+    n = grid.points_per_axis
+    if n < 32:
+        raise ParameterError(f"mixed families need at least 32 points per axis, got {n}")
     rng = np.random.default_rng(seed)
     coords = grid.coords()
     r2 = sum(c**2 for c in coords)
     members = []
-    n = grid.points_per_axis
     for i in range(count):
         shape = shapes[i % len(shapes)]
         if shape == "band":
@@ -243,8 +240,8 @@ def weight_suite(grid: Grid, seed: int, count: int = 5) -> list:
     return suite[:count]
 
 
-def power_weight_family(grid: Grid, p: float, count: int = 6) -> list:
-    """Power weights |x|^a with A_p constants spanning at least a decade.
+def power_weight_family(grid: Grid, p: float) -> list:
+    """Six power weights |x|^a with A_p constants spanning at least a decade.
 
     The admissible exponent range is -1 < a < p - 1 (a <= 0 for the A_1
     endpoint); the family walks toward the singular ends, where the A_p
@@ -254,9 +251,9 @@ def power_weight_family(grid: Grid, p: float, count: int = 6) -> list:
         raise ParameterError("power-weight families are one-dimensional")
     x = np.abs(grid.coords()[0]) + grid.spacing / 64.0
     if p == 1:
-        exps = np.linspace(-0.95, 0.0, count)
+        exps = np.linspace(-0.95, 0.0, 6)
     else:
-        exps = np.linspace(-0.95, 0.95 * (p - 1.0), count)
+        exps = np.linspace(-0.95, 0.95 * (p - 1.0), 6)
     return [Weight(GridFunction(grid, x**a)) for a in exps]
 
 
@@ -266,16 +263,14 @@ def power_weight_family(grid: Grid, p: float, count: int = 6) -> list:
 
 
 def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
-                             mu: float = 3.5,
-                             psi: MultiplierProfile | None = None):
+                             mu: float = 3.5):
     """A callable GridFunction -> GridFunction (a SquareFunction, tabulated here)."""
     if kind in AREA_KINDS or kind in ("sh", "sp", "SH", "SP"):
         return area_operator(kind, op, ConeQuadrature(op.grid, times))
     if kind in G_KINDS or kind in ("gh", "gp", "GH", "GP"):
         return g_operator(kind, op, times)
     if kind == "g_star":
-        psi = psi if psi is not None else psi_vanishing(op.dim)
-        return g_star_operator(op, GStarParams(mu, psi), times)
+        return g_star_operator(op, GStarParams(mu, psi_vanishing(op.dim)), times)
     raise ParameterError(f"unknown square-function kind {kind!r}")
 
 
@@ -285,8 +280,7 @@ def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
 
 
 def check_spectral_identity(op: SpectralOperator, psi: MultiplierProfile,
-                            family: TestFamily, times: TimeGrid,
-                            config_hash: str = "adhoc") -> RatioReport:
+                            family: TestFamily, times: TimeGrid) -> RatioReport:
     """Discretized (int ||psi(t sqrt(L)) f||_2^2 dt/t)^(1/2) versus kappa ||f||_2."""
     kap = kappa(psi)
     g_psi = SquareFunction(op, times, psi)
@@ -297,9 +291,7 @@ def check_spectral_identity(op: SpectralOperator, psi: MultiplierProfile,
             skipped += 1
             continue
         ratios.append(lp_norm(g_psi(f), 2) / (kap * denom))
-    witness = int(np.argmax(ratios)) if ratios else -1
-    return RatioReport("spectral_identity", tuple(ratios), witness,
-                       config_hash, skipped)
+    return RatioReport("spectral_identity", tuple(ratios), skipped)
 
 
 def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
@@ -334,17 +326,15 @@ def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
 
 
 def check_weighted_l2_mw(T, family: TestFamily, weights: list,
-                         tag: str = "weighted_l2_mw",
-                         config_hash: str = "adhoc") -> RatioReport:
+                         tag: str = "weighted_l2_mw") -> RatioReport:
     """Ratios of int (Tf)^2 w against int |f|^2 Mw over all (f, w) pairs."""
     ratios, skipped = _weighted_power_ratios(T, family, weights, 2.0)
-    witness = int(np.argmax(ratios)) if ratios else -1
-    return RatioReport(tag, tuple(ratios), witness, config_hash, skipped)
+    return RatioReport(tag, tuple(ratios), skipped)
 
 
-def check_weak_1_1(T, family: TestFamily, weights: list, levels: int = 6,
-                   config_hash: str = "adhoc") -> RatioReport:
-    """lambda * w{Tf > lambda} versus int |f| Mw, over a level scan."""
+def check_weak_1_1(T, family: TestFamily, weights: list) -> RatioReport:
+    """lambda * w{Tf > lambda} versus int |f| Mw, over six levels lambda
+    from max Tf / 100 up to max Tf."""
     images = [T(f) for f in family.members]
     ratios, skipped = [], 0
     for w in weights:
@@ -358,15 +348,13 @@ def check_weak_1_1(T, family: TestFamily, weights: list, levels: int = 6,
             if top == 0.0:
                 skipped += 1
                 continue
-            for lam in np.geomspace(top / 100.0, top * 0.999, levels):
+            for lam in np.geomspace(top / 100.0, top * 0.999, 6):
                 measure = weighted_superlevel_measure(tf, w, float(lam))
                 ratios.append(float(lam) * measure / denom)
-    witness = int(np.argmax(ratios)) if ratios else -1
-    return RatioReport("weak_1_1", tuple(ratios), witness, config_hash, skipped)
+    return RatioReport("weak_1_1", tuple(ratios), skipped)
 
 
-def check_lp_range(T, family: TestFamily, weights: list, p: float,
-                   config_hash: str = "adhoc") -> RatioReport:
+def check_lp_range(T, family: TestFamily, weights: list, p: float) -> RatioReport:
     """int (Tf)^p w versus the p-dependent majorant of |f|^p.
 
     For 1 < p <= 2 the majorant is int |f|^p Mw; for p > 2 it is
@@ -375,13 +363,10 @@ def check_lp_range(T, family: TestFamily, weights: list, p: float,
     if not (p > 1):
         raise ParameterError(f"p must exceed 1, got {p}")
     ratios, skipped = _weighted_power_ratios(T, family, weights, p)
-    witness = int(np.argmax(ratios)) if ratios else -1
-    return RatioReport(f"lp_range_p{p:g}", tuple(ratios), witness,
-                       config_hash, skipped)
+    return RatioReport(f"lp_range_p{p:g}", tuple(ratios), skipped)
 
 
-def check_pointwise_domination(T, gstar, family: TestFamily,
-                               config_hash: str = "adhoc") -> RatioReport:
+def check_pointwise_domination(T, gstar, family: TestFamily) -> RatioReport:
     """max_x Tf(x) / g*f(x), excluding points where g* is at the noise floor."""
     ratios, skipped = [], 0
     excluded_total, points_total = 0, 0
@@ -396,14 +381,11 @@ def check_pointwise_domination(T, gstar, family: TestFamily,
         excluded_total += int(np.sum(~ok))
         points_total += gv.size
         ratios.append(float(np.max(tv[ok] / gv[ok])))
-    witness = int(np.argmax(ratios)) if ratios else -1
     fraction = excluded_total / points_total if points_total else 0.0
-    return RatioReport("pointwise_domination", tuple(ratios), witness,
-                       config_hash, skipped, excluded_fraction=fraction)
+    return RatioReport("pointwise_domination", tuple(ratios), skipped, fraction)
 
 
-def check_growth_in_p(T, family: TestFamily, p_list,
-                      config_hash: str = "adhoc") -> GrowthFit:
+def check_growth_in_p(T, family: TestFamily, p_list) -> GrowthFit:
     """Empirical ||T||_{p->p} lower bounds fitted against p^(1/2) growth."""
     p_list = list(p_list)
     if len(p_list) < 4 or min(p_list) < 2 or max(p_list) > 64:
@@ -420,11 +402,10 @@ def check_growth_in_p(T, family: TestFamily, p_list,
                 best = max(best, lp_norm(tf, p) / denom)
         norms.append(best)
     return GrowthFit("growth_in_p", tuple(p_list), tuple(norms), 0.5,
-                     constants.P_GROWTH_SLACK, config_hash)
+                     constants.P_GROWTH_SLACK)
 
 
-def check_growth_in_ap(T, family: TestFamily, weights: list, p: float,
-                       config_hash: str = "adhoc") -> GrowthFit:
+def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> GrowthFit:
     """Empirical weighted norms fitted against the A_p-constant exponent.
 
     For p > 1 the y-values are L^p_w operator-norm lower bounds and the
@@ -457,11 +438,10 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float,
         beta = max(0.5, 1.0 / (p - 1.0))
         bound = beta + 1.0 / (p - 1.0)
     return GrowthFit(f"growth_in_ap_p{p:g}", tuple(xs), tuple(ys), bound,
-                     constants.AP_GROWTH_SLACK, config_hash)
+                     constants.AP_GROWTH_SLACK)
 
 
-def check_sharp_maximal_domination(gstar, family: TestFamily, lam: float,
-                                   config_hash: str = "adhoc") -> RatioReport:
+def check_sharp_maximal_domination(gstar, family: TestFamily, lam: float) -> RatioReport:
     """max_x of M#_lam((g* f)^2) / (Mf)^2 over the family."""
     ratios, skipped = [], 0
     for f in family.members:
@@ -474,14 +454,11 @@ def check_sharp_maximal_domination(gstar, family: TestFamily, lam: float,
             continue
         ok = mf > 1e-14 * float(np.max(mf))
         ratios.append(float(np.max(sharp[ok] / mf[ok] ** 2)))
-    witness = int(np.argmax(ratios)) if ratios else -1
-    return RatioReport("sharp_maximal_domination", tuple(ratios), witness,
-                       config_hash, skipped)
+    return RatioReport("sharp_maximal_domination", tuple(ratios), skipped)
 
 
 def check_sharp_composite(family: TestFamily, weights: list, p: float,
-                          lam: float = 0.25,
-                          config_hash: str = "adhoc") -> RatioReport:
+                          lam: float = 0.25) -> RatioReport:
     """||Mf||_{L^p_w} against ||M# |f|^2||^{1/2}_{L^{p/2}_w} ||w||^gamma_{A_p},
     gamma = max{1/2, 1/(p-1)}."""
     from .weights import ap_constant
@@ -501,9 +478,7 @@ def check_sharp_composite(family: TestFamily, weights: list, p: float,
                 continue
             num = weighted_lp_norm(maximal(f), w, p)
             ratios.append(num / denom)
-    witness = int(np.argmax(ratios)) if ratios else -1
-    return RatioReport(f"sharp_composite_p{p:g}", tuple(ratios), witness,
-                       config_hash, skipped)
+    return RatioReport(f"sharp_composite_p{p:g}", tuple(ratios), skipped)
 
 
 def default_operator(name: str, grid: Grid, truncation: int = 128) -> SpectralOperator:

@@ -16,18 +16,12 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from . import constants
 from .errors import ConvergenceError, ParameterError, SingularWeightError
-from .grid import Grid, GridFunction, Weight, lp_norm, require_same_grid
+from .grid import Grid, GridFunction, Weight, lp_norm
 
 
-@dataclass(frozen=True)
-class CubeFamily:
-    """All periodic dyadic cubes of a grid: sides h*2^k, every position."""
-
-    grid: Grid
-
-    @property
-    def sides_in_cells(self) -> np.ndarray:
-        return 2 ** np.arange(int(np.log2(self.grid.points_per_axis)) + 1)
+def _dyadic_sides(grid: Grid) -> np.ndarray:
+    """Sides, in cells, of the grid's periodic dyadic cubes: 1, 2, 4, .., N."""
+    return 2 ** np.arange(int(np.log2(grid.points_per_axis)) + 1)
 
 
 def _wrapped_window_sums(a: np.ndarray, m: int, axis: int) -> np.ndarray:
@@ -70,13 +64,11 @@ def _leading_min(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def maximal(f: GridFunction, family: CubeFamily | None = None) -> GridFunction:
+def maximal(f: GridFunction) -> GridFunction:
     """Hardy-Littlewood maximal function: sup of |f|-averages over dyadic cubes."""
-    family = family or CubeFamily(f.grid)
-    require_same_grid(f, family)
     mags = np.abs(f.values)
     best = np.array(mags)  # the one-cell cube is |f| itself
-    for m in family.sides_in_cells[1:]:
+    for m in _dyadic_sides(f.grid)[1:]:
         means = _window_sums(mags, int(m)) / float(m) ** f.grid.dim
         best = np.maximum(best, _trailing_max(means, int(m)))
     return GridFunction(f.grid, best)
@@ -92,7 +84,7 @@ class ApReport:
     witness_start: tuple
 
 
-def ap_constant(w: Weight, p: float, family: CubeFamily | None = None) -> ApReport:
+def ap_constant(w: Weight, p: float) -> ApReport:
     """Muckenhoupt constant sup_Q (avg_Q w)(avg_Q w^{-1/(p-1)})^{p-1}.
 
     For p = 1 the dual factor degenerates to 1/(inf_Q w).  Weights with
@@ -100,8 +92,6 @@ def ap_constant(w: Weight, p: float, family: CubeFamily | None = None) -> ApRepo
     """
     if not (p >= 1):
         raise ParameterError(f"p must be >= 1, got {p}")
-    family = family or CubeFamily(w.grid)
-    require_same_grid(w.base, family)
     vals = w.values
     if np.min(vals) <= 0.0:
         raise SingularWeightError("A_p constants need a strictly positive weight")
@@ -112,8 +102,8 @@ def ap_constant(w: Weight, p: float, family: CubeFamily | None = None) -> ApRepo
             f"the dual weight w^(-1/(p-1)) overflows for p = {p}"
         )
     best = -np.inf
-    witness = (1, (0,) * dim)
-    for m in family.sides_in_cells:
+    best_cube = (1, (0,) * dim)
+    for m in _dyadic_sides(w.grid):
         m = int(m)
         mean_w = _window_sums(vals, m) / float(m) ** dim
         if p > 1:
@@ -123,32 +113,35 @@ def ap_constant(w: Weight, p: float, family: CubeFamily | None = None) -> ApRepo
         idx = int(np.argmax(field))
         if field.reshape(-1)[idx] > best:
             best = float(field.reshape(-1)[idx])
-            witness = (m, np.unravel_index(idx, field.shape))
-    side_cells, start = witness
+            best_cube = (m, np.unravel_index(idx, field.shape))
+    side_cells, start = best_cube
     return ApReport(p, best, side_cells * w.grid.spacing, tuple(int(i) for i in start))
 
 
-def empirical_maximal_norm(grid: Grid, q: float, trials: int = 32,
-                           seed: int = 7) -> float:
-    """Estimated ||M||_{L^q -> L^q} over random trials plus a spike, with margin.
+def empirical_maximal_norm(grid: Grid, q: float) -> float:
+    """Estimated ||M||_{L^q -> L^q} over 32 seeded random trials plus a
+    spike, with margin.
 
     The margin (x1.25) makes the estimate safe to use as the norm bound
     inside the Rubio de Francia series.
     """
     if not (q > 1):
         raise ParameterError(f"q must exceed 1, got {q}")
-    rng = np.random.default_rng(seed)
-    family = CubeFamily(grid)
+    rng = np.random.default_rng(7)
     best = 0.0
-    candidates = [np.abs(rng.standard_normal(grid.shape)) for _ in range(trials)]
+    candidates = [np.abs(rng.standard_normal(grid.shape)) for _ in range(32)]
     spike = np.zeros(grid.shape)
     spike[(0,) * grid.dim] = 1.0
     candidates.append(spike)
     for v in candidates:
         f = GridFunction(grid, v)
-        ratio = lp_norm(maximal(f, family), q) / max(lp_norm(f, q), 1e-300)
+        ratio = lp_norm(maximal(f), q) / max(lp_norm(f, q), 1e-300)
         best = max(best, ratio)
     return best * constants.MAXIMAL_NORM_MARGIN
+
+
+# Terms of the Rubio de Francia series; its tail must fall below 1e-8.
+_RDF_TERMS = 30
 
 
 @dataclass(frozen=True)
@@ -163,37 +156,35 @@ class RdFCertificate:
     tail: float
 
 
-def rubio_de_francia(phi: GridFunction, q: float, maximal_norm: float | None = None,
-                     terms: int = 30) -> RdFCertificate:
-    """v = sum_k M^k phi / (2||M||_q)^k, an A_1 majorant of |phi|."""
+def rubio_de_francia(phi: GridFunction, q: float,
+                     maximal_norm: float | None = None) -> RdFCertificate:
+    """v = sum_{k<30} M^k phi / (2||M||_q)^k, an A_1 majorant of |phi|."""
     if not (q > 1):
         raise ParameterError(f"q must exceed 1, got {q}")
     if maximal_norm is None:
         maximal_norm = empirical_maximal_norm(phi.grid, q)
     if not (maximal_norm > 0):
         raise ParameterError("maximal_norm must be positive")
-    family = CubeFamily(phi.grid)
     term = np.abs(phi.values)
     total = np.array(term)
-    for _ in range(terms - 1):
-        term = maximal(GridFunction(phi.grid, term), family).values.real / (2.0 * maximal_norm)
+    for _ in range(_RDF_TERMS - 1):
+        term = maximal(GridFunction(phi.grid, term)).values.real / (2.0 * maximal_norm)
         total += term
     tail = lp_norm(GridFunction(phi.grid, term), q)
     size = lp_norm(GridFunction(phi.grid, total), q)
     if tail > 1e-8 * max(size, 1e-300):
         raise ConvergenceError(
-            f"majorant series tail {tail:.2e} has not converged within {terms} terms"
+            f"majorant series tail {tail:.2e} has not converged within {_RDF_TERMS} terms"
         )
     v = Weight(GridFunction(phi.grid, total))
-    mv = maximal(v.base, family).values.real
+    mv = maximal(v.base).values.real
     positive = total > 0
     a1 = float(np.max(mv[positive] / total[positive])) if positive.any() else np.inf
     ratio = size / max(lp_norm(phi, q), 1e-300)
     return RdFCertificate(v, q, ratio, a1, maximal_norm, tail)
 
 
-def local_sharp_maximal(f: GridFunction, lam: float,
-                        family: CubeFamily | None = None) -> GridFunction:
+def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
     """Local sharp maximal M#_lam f: sup over cubes containing x of
     inf_c ((f - c) chi_Q)*(lam |Q|).
 
@@ -203,15 +194,13 @@ def local_sharp_maximal(f: GridFunction, lam: float,
     """
     if not (0 < lam < 1):
         raise ParameterError(f"lambda must lie in (0, 1), got {lam}")
-    family = family or CubeFamily(f.grid)
-    require_same_grid(f, family)
     if np.max(np.abs(f.values.imag)) != 0.0:
         raise ParameterError("the local sharp maximal function is defined for real inputs")
     vals = f.values.real
     g = f.grid
     dim = g.dim
     best = np.zeros(g.shape)
-    for m in family.sides_in_cells:
+    for m in _dyadic_sides(g):
         m = int(m)
         count = m**dim
         r = int(np.floor(lam * count))

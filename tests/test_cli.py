@@ -45,6 +45,29 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         parse_config(None, {"nope.nope": "1"})
 
 
+def test_parse_config_rejects_mistyped_numbers(tmp_path, capsys):
+    """A numeric key that does not parse is a usage error naming the key
+    (and the line, for a file); stored values stay the strings given."""
+    with pytest.raises(UsageError, match="operator.n must be an int, got 'abc'"):
+        parse_config(None, {"operator.n": "abc"})
+    with pytest.raises(UsageError, match="operator.r must be a float or auto"):
+        parse_config(None, {"operator.r": "wide"})
+    with pytest.raises(UsageError, match="params.p_list must be a comma-separated float list"):
+        parse_config(None, {"params.p_list": "1.5,two"})
+    with pytest.raises(UsageError, match="params.mu must be a float"):
+        parse_config(None, {"params.mu": "auto"})
+    path = tmp_path / "cfg"
+    path.write_text("[family]\nseed = 3\ncount = 2.5\n")
+    with pytest.raises(UsageError, match="cfg:3: family.count must be an int"):
+        parse_config(str(path))
+    cfg = parse_config(None, {"operator.r": "auto", "times.t_min": "0.01",
+                              "params.ap_p_list": "1, 2,3"})
+    assert (cfg["operator.r"], cfg["times.t_min"], cfg["params.ap_p_list"]) == (
+        "auto", "0.01", "1, 2,3")
+    assert main(["run", "--check", "plancherel", "--set", "operator.n=abc"]) == 2
+    assert "operator.n must be an int" in capsys.readouterr().err
+
+
 def test_config_hash_stable_and_sensitive():
     a = parse_config(None)
     b = parse_config(None, {"operator.n": "128"})
@@ -98,6 +121,22 @@ def test_run_jsonl_body_is_config_stable(tmp_path, monkeypatch):
             assert rec.pop("runtime_s") > 0
         bodies.append(records)
     assert bodies[0] == bodies[1]
+
+
+def test_ratio_records_carry_witness_and_skipped(tmp_path, monkeypatch):
+    """Every weighted_l2_mw record names the ratio where its sup sits, as
+    an index into the (weight, member) order, and its skipped count."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
+    assert main(["run", "--check", "weighted_l2_mw", "--set", "operator.n=64",
+                 "--set", "family.count=4", "--set", "params.kinds=s_h,g_star",
+                 "--set", "times.per_octave=4"]) == 0
+    lines = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines[1:]]
+    assert [r["tag"] for r in records] == ["weighted_l2_mw_s_h", "weighted_l2_mw_g_star"]
+    for rec in records:
+        assert 0 <= rec["witness"] < 4 * 5  # family x weight suite
+        assert rec["skipped"] == 0
+        assert rec["excluded_fraction"] == 0.0
 
 
 def test_runtime_s_is_the_check_time_of_each_record(tmp_path, monkeypatch):

@@ -7,7 +7,6 @@ from sqfn.kernelbounds import (_periodized, compact_support_record,
                                constant_variation, gradient_heat_record,
                                poisson_decay_record, smoothed_difference_record,
                                sweep)
-from sqfn.multipliers import BumpProfile
 from sqfn.spectral import LaplacianTorus
 
 
@@ -51,8 +50,6 @@ def test_gradient_heat_two_stage_fit(torus):
 def test_parameter_guards(torus):
     with pytest.raises(ParameterError):
         compact_support_record(torus, 0.8, 3)
-    with pytest.raises(ParameterError):
-        compact_support_record(torus, 0.8, 0, bump=BumpProfile(1.5))
     with pytest.raises(ParameterError):
         smoothed_difference_record(torus, -0.1, 0.5)
     with pytest.raises(ParameterError):

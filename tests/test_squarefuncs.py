@@ -202,8 +202,7 @@ def test_square_functions_match_per_t_loop(seed, offset, ratio, count):
         fits = 1 + int(np.floor(np.log(op.t_max / t_min) / np.log(ratio)))
         times = TimeGrid(t_min, ratio, min(count, fits))
         for kind in ORACLE_KINDS:
-            T = square_function_operator(kind, op, times, mu=ORACLE_MU,
-                                         psi=ORACLE_PSI[g.dim])
+            T = square_function_operator(kind, op, times, mu=ORACLE_MU)
             want = _per_t_loop(kind, f, op, times)
             got = T(f).values
             assert np.max(np.abs(got.imag)) == 0.0

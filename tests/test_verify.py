@@ -3,7 +3,7 @@ import pytest
 
 from sqfn.errors import BandError, ParameterError
 from sqfn.grid import Grid, GridFunction
-from sqfn.multipliers import psi_vanishing, square_symbol
+from sqfn.multipliers import square_symbol
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import TimeGrid
 from sqfn.verify import (GrowthFit, RatioReport, band_limited_family,
@@ -19,13 +19,16 @@ def torus():
 
 
 def test_ratio_report_invariants():
-    rep = RatioReport("demo", (0.5, 2.0, 1.0), 1)
+    rep = RatioReport("demo", (0.5, 2.0, 1.0))
     assert rep.sup_ratio == 2.0
-    assert RatioReport("empty", (), -1).sup_ratio == 0.0
+    assert rep.witness == 1
+    empty = RatioReport("empty", ())
+    assert empty.sup_ratio == 0.0
+    assert empty.witness == -1
     with pytest.raises(ParameterError):
-        RatioReport("bad", (1.0, np.inf), 1)
+        RatioReport("bad", (1.0, np.inf))
     with pytest.raises(ParameterError):
-        RatioReport("bad", (-0.5,), 0)
+        RatioReport("bad", (-0.5,))
 
 
 def test_growth_fit_recovers_planted_slope():
@@ -68,6 +71,16 @@ def test_mixed_family_rejects_zero_members():
     g = Grid(1, 64, 1.0)
     with pytest.raises(ParameterError):
         TestFamily(0, (GridFunction(g, np.zeros(64)),), "zeros")
+
+
+def test_mixed_family_rejects_small_grids():
+    """Below 32 points per axis the band and packet modes have no room:
+    a ParameterError, not numpy's low >= high."""
+    for grid in (Grid(1, 8, 1.0), Grid(1, 16, 1.0), Grid(2, 16, 1.0)):
+        with pytest.raises(ParameterError, match="32 points"):
+            mixed_family(grid, seed=0, count=4)
+    fam = mixed_family(Grid(1, 32, 1.0), seed=0, count=8)
+    assert len(fam.members) == 8
 
 
 def test_mixed_family_support_fraction():
@@ -147,7 +160,7 @@ def test_square_function_operator_kinds(torus):
     times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0, 6)
     f = mixed_family(g, seed=5, count=1).members[0]
     for kind in ("s_h", "s_p", "S_H", "S_P", "g_h", "g_star"):
-        T = square_function_operator(kind, torus, times, psi=psi_vanishing(1))
+        T = square_function_operator(kind, torus, times)
         out = T(f)
         assert np.all(np.isfinite(out.values.real))
     with pytest.raises(ParameterError):

@@ -159,7 +159,7 @@ def test_rubio_de_francia_certificate():
 
 def test_empirical_maximal_norm_exceeds_one():
     g = Grid(1, 64, 1.0)
-    assert empirical_maximal_norm(g, 2.0, trials=8) > 1.0
+    assert empirical_maximal_norm(g, 2.0) > 1.0
 
 
 @given(st.integers(0, 20))
