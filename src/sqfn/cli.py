@@ -30,7 +30,7 @@ import numpy as np
 
 from . import constants
 from .decomp import cz_decomposition, whitney
-from .errors import SqfnError, UsageError
+from .errors import ParameterError, SqfnError, UsageError
 from .grid import Grid, GridFunction, lp_norm, to_csv
 from .kernelbounds import constant_variation, sweep
 from .multipliers import kappa, square_symbol
@@ -161,8 +161,13 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
         t_min = h / 8.0 if role == "identity" else h
     if t_max == "auto":
         t_max = 4.0 if hermite else op.grid.half_width**2 / 4.0
-    return TimeGrid.geometric(float(t_min), float(t_max),
-                              int(cfg["times.per_octave"]))
+    t_min, t_max = float(t_min), float(t_max)
+    if not (0 < t_min < t_max):
+        raise ParameterError(
+            f"the {role} time grid needs 0 < t_min < t_max, got t_min = {t_min:g} "
+            f"and t_max = {t_max:g}; set times.t_min and times.t_max, or raise "
+            f"operator.n (auto t_min follows the spacing 2R/operator.n)")
+    return TimeGrid.geometric(t_min, t_max, int(cfg["times.per_octave"]))
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +221,11 @@ def _run_finite_propagation(cfg: dict) -> list:
     if cfg["operator.name"] == "laplacian":
         vals = np.zeros(g.shape)
         vals[(n // 2,) * g.dim] = 1.0
+        f = GridFunction(g, vals)
     else:
         # narrowest bump the eigenbasis can hold
         x = g.axis_coords()
-        bump = np.exp(-(x**2) / (2 * (1.5 * h) ** 2))
-        vals = op.synthesize(op._basis[:, : op.truncation].T @ bump * h).values
-    f = GridFunction(g, vals)
+        f = op.project(GridFunction(g, np.exp(-(x**2) / (2 * (1.5 * h) ** 2))))
     center = g.axis_coords()[n // 2]
     coords = g.coords()
     dist = np.sqrt(sum(g.periodic_delta(c - center) ** 2 for c in coords))

@@ -104,10 +104,6 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "GridFunction":
-        return cls(grid, np.zeros(grid.shape))
-
     def __add__(self, other: "GridFunction") -> "GridFunction":
         require_same_grid(self, other)
         return GridFunction(self.grid, self.values + other.values)

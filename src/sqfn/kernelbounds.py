@@ -24,8 +24,9 @@ from .multipliers import BumpProfile, FourierBump, psi_vanishing
 from .spectral import SpectralOperator, fit_gaussian_bound
 
 
-def _periodized(envelope, grid, images: int = 3):
-    """Wrap a decay envelope around the torus: sum over periodic images.
+def _periodized(envelope, grid):
+    """Wrap a decay envelope around the torus: sum over three periodic
+    images on each side.
 
     Polynomially decaying kernels pick up visible contributions from
     neighboring fundamental cells; the transferred bound on the torus is
@@ -35,7 +36,7 @@ def _periodized(envelope, grid, images: int = 3):
 
     def wrapped(d):
         total = np.zeros_like(np.asarray(d, dtype=float))
-        for j in range(-images, images + 1):
+        for j in range(-3, 4):
             total += envelope(np.abs(d + j * period))
         return total
 

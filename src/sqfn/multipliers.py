@@ -138,13 +138,12 @@ def phi_hat(bump: BumpProfile) -> MultiplierProfile:
     return MultiplierProfile("phi_hat", FourierBump(bump))
 
 
-def psi_vanishing(n: int, bump: BumpProfile | None = None) -> MultiplierProfile:
-    """The profile s^(2n+2) * Phi(s)^3 with order-(2n+2) vanishing at 0."""
+def psi_vanishing(n: int) -> MultiplierProfile:
+    """The profile s^(2n+2) * Phi(s)^3 with order-(2n+2) vanishing at 0,
+    Phi the transform of the radius-1/10 bump."""
     if n not in (1, 2):
         raise ParameterError(f"dimension must be 1 or 2, got {n}")
-    if bump is None:
-        bump = BumpProfile(0.1)
-    phi = FourierBump(bump)
+    phi = FourierBump(BumpProfile(0.1))
     power = 2 * n + 2
 
     def ev(s):

@@ -65,7 +65,6 @@ class SpectralOperator:
     """
 
     grid: Grid
-    gradient_bound_available: bool = False
 
     # -- subclass hooks ----------------------------------------------------
 
@@ -156,8 +155,6 @@ class SpectralOperator:
 class LaplacianTorus(SpectralOperator):
     """Minus the Laplacian on [-R, R)^dim, diagonal in the Fourier basis."""
 
-    gradient_bound_available = True
-
     def __init__(self, grid: Grid):
         self.grid = grid
         n, r = grid.points_per_axis, grid.half_width
@@ -193,13 +190,25 @@ class LaplacianTorus(SpectralOperator):
                      for c in self.inverse_gradient(self.forward(f)))
 
     def kernel_matrix(self, profile) -> KernelMatrix:
+        return self._kernel(profile, gradient=False)
+
+    def kernel_gradient_matrix(self, profile) -> KernelMatrix:
+        """Matrix of d/dx K(x, y) (1-D only), for gradient kernel-bound fits."""
+        return self._kernel(profile, gradient=True)
+
+    def _kernel(self, profile, gradient: bool) -> KernelMatrix:
+        if gradient and self.grid.dim != 1:
+            raise CapabilityError("gradient kernel matrices are 1-D only")
         self._guard_budget()
         vals = self.profile_values(profile)
         # Kernel column at y = 0; the operator is a circulant so every
         # other column is a periodic shift of it.
-        col = np.fft.ifftn(vals) / self.grid.cell_volume
-        if np.max(np.abs(col.imag)) < 1e-13 * max(np.max(np.abs(col.real)), 1e-300):
-            col = col.real
+        if gradient:
+            col = np.fft.ifftn(1j * self._xi_axes[0] * vals) / self.grid.cell_volume
+        else:
+            col = np.fft.ifftn(vals) / self.grid.cell_volume
+            if np.max(np.abs(col.imag)) < 1e-13 * max(np.max(np.abs(col.real)), 1e-300):
+                col = col.real
         n = self.grid.points_per_axis
         idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
         x = self.grid.axis_coords()
@@ -214,8 +223,8 @@ class LaplacianTorus(SpectralOperator):
             dist = dist.reshape(self.grid.size, self.grid.size)
         return KernelMatrix(self.grid, entries, dist)
 
-    def kernel_profile(self, profile, oversample: int = 16, gradient: bool = False):
-        """Kernel column K(d) on an oversampled distance grid (1-D only).
+    def kernel_profile(self, profile, gradient: bool = False):
+        """Kernel column K(d) on a 16-fold oversampled distance grid (1-D only).
 
         The kernel of any multiplier is a trigonometric polynomial in
         x - y, so zero-padded inverse FFT evaluates it exactly between
@@ -224,13 +233,11 @@ class LaplacianTorus(SpectralOperator):
         """
         if self.grid.dim != 1:
             raise CapabilityError("kernel profiles are 1-D only")
-        if oversample < 1:
-            raise ParameterError("oversample must be >= 1")
         n = self.grid.points_per_axis
         vals = self.profile_values(profile)
         if gradient:
             vals = 1j * self._xi_axes[0] * vals
-        m = n * oversample
+        m = n * 16
         spec = np.zeros(m, dtype=np.complex128)
         half = n // 2
         spec[:half] = vals[:half]
@@ -245,19 +252,6 @@ class LaplacianTorus(SpectralOperator):
             col = col.real
         return dist, col
 
-    def kernel_gradient_matrix(self, profile) -> KernelMatrix:
-        """Matrix of d/dx K(x, y) (1-D only), for gradient kernel-bound fits."""
-        if self.grid.dim != 1:
-            raise CapabilityError("gradient kernel matrices are 1-D only")
-        self._guard_budget()
-        vals = self.profile_values(profile)
-        col = np.fft.ifftn(1j * self._xi_axes[0] * vals) / self.grid.cell_volume
-        n = self.grid.points_per_axis
-        idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        x = self.grid.axis_coords()
-        dist = self.grid.periodic_delta(x[:, None] - x[None, :])
-        return KernelMatrix(self.grid, col[idx], dist)
-
 
 class HermiteOscillator1D(SpectralOperator):
     """The oscillator -d^2/dx^2 + x^2 on a wide interval, truncated at K.
@@ -268,8 +262,6 @@ class HermiteOscillator1D(SpectralOperator):
     the pinned tail fraction of energy outside the resolved band are
     rejected rather than silently truncated.
     """
-
-    gradient_bound_available = True
 
     def __init__(self, grid: Grid, truncation: int = 128):
         if grid.dim != 1:
@@ -289,14 +281,14 @@ class HermiteOscillator1D(SpectralOperator):
                 k / (k + 1.0)
             ) * basis[:, k - 1]
         h = grid.spacing
-        gram = basis[:, :truncation].T @ basis[:, :truncation] * h
+        self._band = band = basis[:, :truncation]  # the resolved modes
+        gram = band.T @ band * h
         defect = float(np.max(np.abs(gram - np.eye(truncation))))
         if defect > 1e-8:
             raise ResolutionError(
                 f"grid cannot hold {truncation} oscillator eigenfunctions "
                 f"orthonormally (defect {defect:.2e}); enlarge R and/or N"
             )
-        self._basis = basis
         k = np.arange(truncation)
         self._spectrum = np.sqrt(2.0 * k + 1.0)
         # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}
@@ -311,8 +303,8 @@ class HermiteOscillator1D(SpectralOperator):
         """Eigen-coefficients of f, rejecting unresolved spectral tails."""
         require_same_grid(self, f)
         v = f.values
-        c = self._basis[:, : self.truncation].T @ v * self.grid.spacing
-        resolved = self._basis[:, : self.truncation] @ c
+        c = self._band.T @ v * self.grid.spacing
+        resolved = self._band @ c
         total = float(np.sum(np.abs(v) ** 2))
         if total > 0:
             tail = float(np.sum(np.abs(v - resolved) ** 2)) / total
@@ -326,25 +318,25 @@ class HermiteOscillator1D(SpectralOperator):
     def project(self, f: GridFunction) -> GridFunction:
         """Orthogonal projection onto the resolved band (no tail check)."""
         require_same_grid(self, f)
-        c = self._basis[:, : self.truncation].T @ f.values * self.grid.spacing
-        return GridFunction(self.grid, self._basis[:, : self.truncation] @ c)
+        c = self._band.T @ f.values * self.grid.spacing
+        return GridFunction(self.grid, self._band @ c)
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         coeffs = np.asarray(coeffs)
         if coeffs.shape != (self.truncation,):
             raise ParameterError("coefficient vector length must equal the truncation")
-        return GridFunction(self.grid, self._basis[:, : self.truncation] @ coeffs)
+        return GridFunction(self.grid, self._band @ coeffs)
 
     def forward(self, f: GridFunction) -> np.ndarray:
         return self.coefficients(f)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._basis[:, : self.truncation] @ coeffs
+        return self._band @ coeffs
 
     def inverse_gradient(self, coeffs: np.ndarray) -> tuple:
         """Differentiates the re-projected synthesis, as gradient() of it
         would: the sampled basis is orthonormal only to its Gram defect."""
-        c = self._basis[:, : self.truncation].T @ self.inverse(coeffs) * self.grid.spacing
+        c = self._band.T @ self.inverse(coeffs) * self.grid.spacing
         return (self._basis_deriv @ c,)
 
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
@@ -356,20 +348,16 @@ class HermiteOscillator1D(SpectralOperator):
         return (GridFunction(self.grid, self._basis_deriv @ c),)
 
     def kernel_matrix(self, profile) -> KernelMatrix:
-        self._guard_budget()
-        vals = self.profile_values(profile)
-        b = self._basis[:, : self.truncation]
-        entries = (b * vals) @ b.T
-        if np.max(np.abs(entries.imag)) < 1e-13 * max(np.max(np.abs(entries.real)), 1e-300):
-            entries = entries.real
-        x = self.grid.axis_coords()
-        dist = np.abs(x[:, None] - x[None, :])
-        return KernelMatrix(self.grid, entries, dist)
+        return self._kernel(profile, gradient=False)
 
     def kernel_gradient_matrix(self, profile) -> KernelMatrix:
+        return self._kernel(profile, gradient=True)
+
+    def _kernel(self, profile, gradient: bool) -> KernelMatrix:
         self._guard_budget()
         vals = self.profile_values(profile)
-        entries = (self._basis_deriv * vals) @ self._basis[:, : self.truncation].T
+        left = self._basis_deriv if gradient else self._band
+        entries = (left * vals) @ self._band.T
         if np.max(np.abs(entries.imag)) < 1e-13 * max(np.max(np.abs(entries.real)), 1e-300):
             entries = entries.real
         x = self.grid.axis_coords()

@@ -8,7 +8,10 @@ K_j is a delta (g-functions), the ball {|y| < t_j} over t_j^n (area
 integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
 ``SquareFunction`` says this once: built once, it tabulates phi on (time
 node x spectrum) and the kernel FFTs; applied, it transforms f once and
-accumulates one time slice after another.
+accumulates one time slice after another.  Which phi, which density and
+which K_j each of the nine kinds takes is one table, ``_KINDS``, and
+``square_function_operator`` is the one factory that reads it;
+``area_integral``, ``g_function`` and ``g_star`` are one call into it.
 """
 
 from __future__ import annotations
@@ -17,26 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, ParameterError, ResolutionError
+from .errors import ParameterError, ResolutionError
 from .grid import Grid, GridFunction, require_same_grid
-from .multipliers import MultiplierProfile, square_symbol
+from .multipliers import MultiplierProfile, psi_vanishing, square_symbol
 from .spectral import SpectralOperator
-
-AREA_KINDS = ("s_h", "s_p", "S_H", "S_P")
-G_KINDS = ("g_h", "g_p", "G_H", "G_P")
-
-_ALIASES = {"sh": "s_h", "sp": "s_p", "SH": "S_H", "SP": "S_P",
-            "gh": "g_h", "gp": "g_p", "GH": "G_H", "GP": "G_P"}
-
-# square_symbol keys by position in AREA_KINDS / G_KINDS (last two vertical)
-_SYMBOL_KEYS = ("s_h", "s_p", "S_H-scalar", "S_P-scalar")
-
-
-def _canon(kind: str, allowed) -> str:
-    kind = _ALIASES.get(kind, kind)
-    if kind not in allowed:
-        raise ParameterError(f"unknown square-function kind {kind!r}; choose from {allowed}")
-    return kind
 
 
 @dataclass(frozen=True)
@@ -58,7 +45,7 @@ class TimeGrid:
     @classmethod
     def geometric(cls, t_min: float, t_max: float, per_octave: int = 8) -> "TimeGrid":
         if not (0 < t_min < t_max):
-            raise ParameterError("need 0 < t_min < t_max")
+            raise ParameterError(f"need 0 < t_min < t_max, got t_min = {t_min:g}, t_max = {t_max:g}")
         ratio = 2.0 ** (1.0 / per_octave)
         count = int(np.ceil(np.log2(t_max / t_min) * per_octave)) + 1
         return cls(t_min, ratio, count)
@@ -113,7 +100,7 @@ class SquareFunction:
         # row by row: one FourierBump call on all T x N points fills its 4096-row workspace
         self.table = [op.profile_values(symbol.scaled(t)).real.copy()
                       for t in self.nodes]
-        self.kernels = None if kernels is None else list(kernels)
+        self.kernels = kernels
         g, dt = op.grid, times.log_weight
         self.weights = [dt if kernels is None else g.cell_volume * dt / t**g.dim
                         for t in self.nodes]
@@ -134,28 +121,58 @@ class SquareFunction:
         return GridFunction(op.grid, np.sqrt(np.maximum(acc, 0.0)))
 
 
-def _kind_operator(kind: str, op: SpectralOperator, times: TimeGrid,
-                   kernels=None) -> SquareFunction:
-    """The SquareFunction of a canonical area or g-function kind."""
-    i = AREA_KINDS.index(kind) if kind in AREA_KINDS else G_KINDS.index(kind)
-    vertical = i >= 2
-    if vertical and not op.gradient_bound_available:
-        raise CapabilityError(f"{kind} needs spatial gradients, which this operator lacks")
-    return SquareFunction(op, times, square_symbol(_SYMBOL_KEYS[i]), vertical, kernels)
-
-
-def area_operator(kind: str, op: SpectralOperator, cone: ConeQuadrature) -> SquareFunction:
-    """The area integral of the given kind, ready to apply to many f."""
-    kind = _canon(kind, AREA_KINDS)
-    require_same_grid(op, cone)
-    return _kind_operator(kind, op, cone.times, cone.mask_ffts)
-
-
-def g_operator(kind: str, op: SpectralOperator, times: TimeGrid) -> SquareFunction:
-    """The g-function of the given kind, ready to apply to many f."""
-    kind = _canon(kind, G_KINDS)
+# The spatial kernel FFTs per time node, None for a delta; each checks its time grid.
+def _delta(op: SpectralOperator, times: TimeGrid, mu: float):
     times.check_budget(op.grid)
-    return _kind_operator(kind, op, times)
+    return None
+
+
+def _ball(op: SpectralOperator, times: TimeGrid, mu: float):
+    return ConeQuadrature(op.grid, times).mask_ffts
+
+
+def _g_star_weight(op: SpectralOperator, times: TimeGrid, mu: float):
+    if not (mu > 1):
+        raise ParameterError(f"mu must exceed 1, got {mu}")
+    times.check_budget(op.grid)
+    dist = op.grid.distance_from_origin()
+    return [np.fft.fftn((t / (t + dist)) ** (op.dim * mu)) for t in map(float, times.nodes)]
+
+
+# kind: (square_symbol key, vertical, spatial kernel per node); None is psi_vanishing
+_KINDS = {
+    "s_h": ("s_h", False, _ball), "s_p": ("s_p", False, _ball),
+    "S_H": ("S_H-scalar", True, _ball), "S_P": ("S_P-scalar", True, _ball),
+    "g_h": ("s_h", False, _delta), "g_p": ("s_p", False, _delta),
+    "G_H": ("S_H-scalar", True, _delta), "G_P": ("S_P-scalar", True, _delta),
+    "g_star": (None, False, _g_star_weight),
+}
+_ALIASES = {kind.replace("_", ""): kind for kind in _KINDS if kind != "g_star"}
+
+
+def _row(kind: str) -> tuple:
+    """The table row of a kind or of its alias without the underscore."""
+    row = _KINDS.get(_ALIASES.get(kind, kind))
+    if row is None:
+        raise ParameterError(f"unknown square-function kind {kind!r}; choose from {tuple(_KINDS)}")
+    return row
+
+
+def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
+                             mu: float = 3.5) -> SquareFunction:
+    """The square function of the given kind, tabulated once to apply to
+    many f; mu is g*'s only."""
+    key, vertical, kernel = _row(kind)
+    symbol = psi_vanishing(op.dim) if key is None else square_symbol(key)
+    return SquareFunction(op, times, symbol, vertical, kernel(op, times, mu))
+
+
+def _of_family(kind: str, kernel) -> str:
+    """kind, if its spatial kernel is the given one; else a ParameterError."""
+    if _row(kind)[2] is not kernel:
+        family = [k for k, row in _KINDS.items() if row[2] is kernel]
+        raise ParameterError(f"square-function kind {kind!r} is not one of {family}")
+    return kind
 
 
 def area_integral(kind: str, f: GridFunction, op: SpectralOperator,
@@ -166,35 +183,8 @@ def area_integral(kind: str, f: GridFunction, op: SpectralOperator,
     Poisson, z e^{-z}), S_H / S_P (vertical: t * gradient of the heat or
     Poisson flow).
     """
-    return area_operator(kind, op, cone)(f)
-
-
-@dataclass(frozen=True)
-class GStarParams:
-    """Parameters of the dominating square function g*_{mu, psi}."""
-
-    mu: float
-    psi: MultiplierProfile
-
-    def __post_init__(self):
-        if not (self.mu > 1):
-            raise ParameterError(f"mu must exceed 1, got {self.mu}")
-
-
-def g_star_operator(op: SpectralOperator, params: GStarParams,
-                    times: TimeGrid) -> SquareFunction:
-    """g*_{mu,psi}, ready to apply to many f."""
-    times.check_budget(op.grid)
-    dist = op.grid.distance_from_origin()
-    power = op.dim * params.mu
-    return SquareFunction(op, times, params.psi, kernels=(
-        np.fft.fftn((t / (t + dist)) ** power) for t in map(float, times.nodes)))
-
-
-def g_star(f: GridFunction, op: SpectralOperator, params: GStarParams,
-           times: TimeGrid) -> GridFunction:
-    """g*_{mu,psi}: the cone replaced by the weight (t/(t+|x-y|))^(n*mu)."""
-    return g_star_operator(op, params, times)(f)
+    require_same_grid(op, cone)
+    return square_function_operator(_of_family(kind, _ball), op, cone.times)(f)
 
 
 def g_function(kind: str, f: GridFunction, op: SpectralOperator,
@@ -204,4 +194,10 @@ def g_function(kind: str, f: GridFunction, op: SpectralOperator,
     g_h, g_p are the horizontal heat/Poisson versions; G_H, G_P the
     vertical ones with the factor t|grad|.
     """
-    return g_operator(kind, op, times)(f)
+    return square_function_operator(_of_family(kind, _delta), op, times)(f)
+
+
+def g_star(f: GridFunction, op: SpectralOperator, mu: float,
+           times: TimeGrid) -> GridFunction:
+    """g*_mu: the cone replaced by the weight (t/(t+|x-y|))^(n*mu), psi = psi_vanishing."""
+    return square_function_operator("g_star", op, times, mu)(f)

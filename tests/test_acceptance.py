@@ -115,7 +115,7 @@ def _propagation_leak(op, source_values, steps, radius):
 def _weighted_l2_suite(op, count=20):
     times = _cone_times(op)
     fam = resolved_family(op, SEED, count)
-    ws = weight_suite(op.grid, WEIGHT_SEED, 5)
+    ws = weight_suite(op.grid, WEIGHT_SEED)
     out = {}
     for kind in KINDS:
         T = square_function_operator(kind, op, times, mu=MU)
@@ -279,7 +279,7 @@ def test_weak_and_lp_bounds(torus_pair, cww_reports):
     for n, op in torus_pair.items():
         times = _cone_times(op)
         fam = resolved_family(op, SEED, 20)
-        ws = weight_suite(op.grid, WEIGHT_SEED, 5)
+        ws = weight_suite(op.grid, WEIGHT_SEED)
         T = square_function_operator("s_h", op, times)
         entries = {"weak_1_1": check_weak_1_1(T, fam, ws).sup_ratio}
         for p in (1.5, 2.0, 4.0):
@@ -376,7 +376,7 @@ def test_sharp_maximal_bounds(torus_pair):
     for n, op in torus_pair.items():
         times = _cone_times(op)
         fam = resolved_family(op, SEED, 10, shapes=("band", "bump", "packet"))
-        ws = weight_suite(op.grid, WEIGHT_SEED, 5)[:3]
+        ws = weight_suite(op.grid, WEIGHT_SEED)[:3]
         gstar = square_function_operator("g_star", op, times, mu=MU)
         dom = check_sharp_maximal_domination(gstar, fam, 0.25)
         comp = check_sharp_composite(fam, ws, 4.0, 0.25)

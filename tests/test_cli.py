@@ -181,6 +181,17 @@ def test_run_growth_writes_dat(tmp_path, monkeypatch):
     np.testing.assert_allclose(xs, [2, 4, 8, 16, 32])
 
 
+def test_empty_time_range_names_the_keys(tmp_path, capsys, monkeypatch):
+    """At N = 8 the cone grid's auto t_min (the spacing) reaches t_max =
+    R^2/4: an error (exit 1) giving both values and the keys that set them."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", "plancherel", "--set", "operator.n=8"]) == 1
+    err = capsys.readouterr().err
+    assert "t_min = 0.25 and t_max = 0.25" in err
+    for key in ("operator.n", "times.t_min", "times.t_max"):
+        assert key in err
+
+
 def test_run_unknown_check_is_usage_error(capsys):
     assert main(["run", "--check", "nope"]) == 2
     assert "unknown check" in capsys.readouterr().err

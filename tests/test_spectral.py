@@ -97,13 +97,13 @@ def test_kernel_matrix_applies_like_multiplier(torus):
 
 def test_kernel_profile_matches_matrix_column(torus):
     profile = lambda s: np.exp(-0.05 * s**2)
-    dist, col = torus.kernel_profile(profile, oversample=4)
+    dist, col = torus.kernel_profile(profile)
     km = torus.kernel_matrix(profile)
     n = torus.grid.points_per_axis
     coarse = np.asarray(km.entries)[0]
-    # every 4th oversampled value must reproduce the matrix column
-    np.testing.assert_allclose(col[::4].real, coarse.real, atol=1e-10)
-    assert dist.size == 4 * n
+    # every 16th oversampled value must reproduce the matrix column
+    np.testing.assert_allclose(col[::16].real, coarse.real, atol=1e-10)
+    assert dist.size == 16 * n
 
 
 def test_time_budget_guard(torus):

@@ -7,8 +7,8 @@ from sqfn.errors import ParameterError, ResolutionError
 from sqfn.grid import Grid, GridFunction, lp_norm
 from sqfn.multipliers import psi_vanishing
 from sqfn.spectral import HermiteOscillator1D, LaplacianTorus
-from sqfn.squarefuncs import (ConeQuadrature, GStarParams, TimeGrid,
-                              area_integral, g_function, g_star)
+from sqfn.squarefuncs import (ConeQuadrature, TimeGrid, area_integral,
+                              g_function, g_star)
 from sqfn.verify import square_function_operator
 
 
@@ -113,15 +113,17 @@ def test_g_star_dominates_shrinks_with_mu(torus):
     rng = np.random.default_rng(3)
     f = GridFunction(g, rng.standard_normal(g.shape))
     times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0)
-    psi = psi_vanishing(1)
-    lo = g_star(f, torus, GStarParams(3.5, psi), times).values.real
-    hi = g_star(f, torus, GStarParams(4.5, psi), times).values.real
+    lo = g_star(f, torus, 3.5, times).values.real
+    hi = g_star(f, torus, 4.5, times).values.real
     assert np.all(hi <= lo + 1e-12 * np.max(lo))
 
 
 def test_g_star_requires_mu_above_one(torus):
-    with pytest.raises(ParameterError):
-        GStarParams(0.5, psi_vanishing(1))
+    g = torus.grid
+    f = GridFunction(g, np.ones(g.shape))
+    times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0)
+    with pytest.raises(ParameterError, match="mu must exceed 1"):
+        g_star(f, torus, 0.5, times)
 
 
 def test_area_integral_2d_runs():

@@ -48,3 +48,12 @@ def test_counted_arguments_are_in_the_signatures(tracer):
     for key, names in COUNTED_ARGS.items():
         params = inspect.signature(getattr(owners[key], key[1])).parameters
         assert names <= set(params), (key, list(params))
+
+
+def test_cli_calls_the_factory_the_tracer_wraps():
+    """The tracer counts verify.sq_evals by replacing the one object bound
+    as verify.square_function_operator; the CLI must call that object."""
+    from sqfn import cli, squarefuncs, verify
+
+    assert verify.square_function_operator is squarefuncs.square_function_operator
+    assert cli.square_function_operator is verify.square_function_operator

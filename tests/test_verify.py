@@ -5,7 +5,7 @@ from sqfn.errors import BandError, ParameterError
 from sqfn.grid import Grid, GridFunction
 from sqfn.multipliers import square_symbol
 from sqfn.spectral import LaplacianTorus
-from sqfn.squarefuncs import TimeGrid
+from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
 from sqfn.verify import (GrowthFit, RatioReport, band_limited_family,
                          check_lp_range, check_spectral_identity,
                          check_weighted_l2_mw, default_operator, mixed_family,
@@ -140,7 +140,7 @@ def test_power_weight_family_spans_decade():
 def test_lp_range_p2_bit_identical_to_weighted_l2(torus):
     g = torus.grid
     fam = mixed_family(g, seed=7, count=8)
-    weights = weight_suite(g, seed=107, count=3)
+    weights = weight_suite(g, seed=107)[:3]
     times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0, 8)
     T = square_function_operator("s_h", torus, times)
     a = check_weighted_l2_mw(T, fam, weights)
@@ -152,19 +152,36 @@ def test_lp_range_rejects_p_one(torus):
     g = torus.grid
     fam = mixed_family(g, seed=0, count=4)
     with pytest.raises(ParameterError):
-        check_lp_range(lambda f: f, fam, weight_suite(g, 0, 1), 1.0)
+        check_lp_range(lambda f: f, fam, weight_suite(g, 0)[:1], 1.0)
 
 
 def test_square_function_operator_kinds(torus):
+    """All nine kinds build and run; each alias without the underscore is
+    its kind bit for bit; g* needs mu > 1; area_integral and g_function
+    reject the other family."""
     g = torus.grid
     times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0, 6)
     f = mixed_family(g, seed=5, count=1).members[0]
-    for kind in ("s_h", "s_p", "S_H", "S_P", "g_h", "g_star"):
-        T = square_function_operator(kind, torus, times)
-        out = T(f)
-        assert np.all(np.isfinite(out.values.real))
-    with pytest.raises(ParameterError):
-        square_function_operator("nope", torus, times)
+    area, pointwise = ("s_h", "s_p", "S_H", "S_P"), ("g_h", "g_p", "G_H", "G_P")
+    for kind in area + pointwise + ("g_star",):
+        out = square_function_operator(kind, torus, times)(f).values
+        assert np.all(np.isfinite(out.real)) and np.max(out.real) > 0, kind
+        if kind != "g_star":
+            alias = square_function_operator(kind.replace("_", ""), torus, times)(f)
+            assert np.array_equal(alias.values, out), kind
+    for bad in ("nope", "gstar", "S_H-scalar"):
+        with pytest.raises(ParameterError, match="unknown square-function kind"):
+            square_function_operator(bad, torus, times)
+    for mu in (1.0, 0.5, -2.0):
+        with pytest.raises(ParameterError, match="mu must exceed 1"):
+            square_function_operator("g_star", torus, times, mu=mu)
+    cone = ConeQuadrature(g, times)
+    for kind in pointwise + ("gh", "GP", "g_star"):
+        with pytest.raises(ParameterError, match="is not one of"):
+            area_integral(kind, f, torus, cone)
+    for kind in area + ("sh", "SP", "g_star"):
+        with pytest.raises(ParameterError, match="is not one of"):
+            g_function(kind, f, torus, times)
 
 
 def test_default_operator_names():
