@@ -162,12 +162,15 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
     if t_max == "auto":
         t_max = 4.0 if hermite else op.grid.half_width**2 / 4.0
     t_min, t_max = float(t_min), float(t_max)
+    per_octave = int(cfg["times.per_octave"])
+    if per_octave < 1:
+        raise ParameterError(f"times.per_octave must be >= 1, got {per_octave}")
     if not (0 < t_min < t_max):
         raise ParameterError(
             f"the {role} time grid needs 0 < t_min < t_max, got t_min = {t_min:g} "
             f"and t_max = {t_max:g}; set times.t_min and times.t_max, or raise "
             f"operator.n (auto t_min follows the spacing 2R/operator.n)")
-    return TimeGrid.geometric(t_min, t_max, int(cfg["times.per_octave"]))
+    return TimeGrid.geometric(t_min, t_max, per_octave)
 
 
 # ---------------------------------------------------------------------------
@@ -252,21 +255,19 @@ _SWEEP_GRIDS = {
 
 
 def _run_kernel_bounds(cfg: dict) -> list:
-    if cfg["operator.name"] != "laplacian":
-        raise UsageError("kernel-bound sweeps are defined for the torus Laplacian")
+    name, dim = cfg["operator.name"], int(cfg["operator.dim"])
+    if name != "laplacian" or dim != 1:
+        raise UsageError(f"check kernel_bounds needs the 1-D torus Laplacian, got "
+                         f"operator.name = {name}, operator.dim = {dim}")
     op = _build_operator(cfg)
     records = []
     for lemma, (t_lo, t_hi, variants) in _SWEEP_GRIDS.items():
         ts = np.geomspace(t_lo, t_hi, 5)
+        symbol = "rho" if lemma == "smoothed_difference" else "k"
         for v in variants:
-            if lemma == "smoothed_difference":
-                recs = sweep(op, lemma, ts, r_over_t=v)
-                label = f"{lemma}_rho{v:g}"
-            else:
-                recs = sweep(op, lemma, ts, kappa=int(v))
-                label = f"{lemma}_k{int(v)}"
+            recs = sweep(op, lemma, ts, v)
             var = constant_variation(recs)
-            rec = {"tag": label, "value": var,
+            rec = {"tag": f"{lemma}_{symbol}{v:g}", "value": var,
                    "bound": constants.KERNEL_FIT_VARIATION,
                    "passed": bool(var < constants.KERNEL_FIT_VARIATION)}
             if lemma == "compact_support" and v == 0:
@@ -514,16 +515,18 @@ def _output_dir(cfg: dict) -> str:
     return os.environ.get("SQFN_OUT", cfg["output.directory"])
 
 
+def _require_check(tag: str):
+    if tag not in _CHECKS:
+        raise UsageError(f"unknown check {tag!r}; available: {', '.join(sorted(_CHECKS))}")
+
+
 def run(cfg: dict) -> int:
     tags = [t.strip() for t in cfg["checks.enabled"].split(",") if t.strip()]
     if not tags:
         raise UsageError("no check to run: name one with --check, or list "
                          "them in checks.enabled")
     for tag in tags:
-        if tag not in _CHECKS:
-            raise UsageError(
-                f"unknown check {tag!r}; available: {', '.join(sorted(_CHECKS))}"
-            )
+        _require_check(tag)
     digest = config_hash(cfg)
     out = _output_dir(cfg)
     os.makedirs(out, exist_ok=True)
@@ -565,10 +568,7 @@ def run(cfg: dict) -> int:
 
 
 def describe(tag: str) -> int:
-    if tag not in _CHECKS:
-        print(f"unknown check {tag!r}; available: {', '.join(sorted(_CHECKS))}",
-              file=sys.stderr)
-        return 2
+    _require_check(tag)
     meta = _CHECKS[tag]
     print(f"check: {tag}")
     print(f"formula: {meta['formula']}")
@@ -580,9 +580,9 @@ def describe(tag: str) -> int:
 def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
     op = _build_operator(cfg)
     profile = square_symbol(symbol).scaled(t)
-    km = op.kernel_matrix(profile)
-    np.savetxt(path, np.asarray(km.entries, dtype=float), delimiter=",")
-    print(f"wrote {km.entries.shape[0]}x{km.entries.shape[1]} kernel to {path}")
+    _, entries = op.kernel_matrix(profile)
+    np.savetxt(path, np.asarray(entries, dtype=float), delimiter=",")
+    print(f"wrote {entries.shape[0]}x{entries.shape[1]} kernel to {path}")
     return 0
 
 

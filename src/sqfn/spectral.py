@@ -11,8 +11,9 @@ Two concrete non-negative self-adjoint operators are provided:
 Both expose F(sqrt(L)) for arbitrary scalar profiles, heat and Poisson
 semigroups (the latter also via subordination quadrature), gradients,
 the even wave propagator cos(t sqrt(L)), and dense kernel matrices for
-kernel-bound fits.  forward / inverse / inverse_gradient expose the
-transform pair, so a square function can transform f once per call.
+kernel-bound fits, returned as (distances, entries) like the torus's
+oversampled kernel_profile.  forward / inverse / inverse_gradient expose
+the transform pair, so a square function can transform f once per call.
 """
 
 from __future__ import annotations
@@ -31,30 +32,6 @@ from .errors import (
     SpectralTailError,
 )
 from .grid import Grid, GridFunction, require_same_grid
-
-
-class KernelMatrix:
-    """Dense integral kernel K(x, y) of an operator on the grid.
-
-    ``entries[i, j]`` is the kernel value between flattened grid points i
-    and j; ``op(f) ~ sum_j K(x, y_j) f(y_j) h^dim``.  ``distances`` holds
-    the matching point distances (torus metric for periodic models).
-    """
-
-    def __init__(self, grid: Grid, entries: np.ndarray, distances: np.ndarray):
-        self.grid = grid
-        self.entries = np.asarray(entries)
-        self.distances = np.asarray(distances)
-        if self.entries.shape != (grid.size, grid.size):
-            raise ParameterError("kernel matrix shape does not match grid")
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        require_same_grid(self, f)
-        out = self.entries @ f.values.reshape(-1) * self.grid.cell_volume
-        return GridFunction(self.grid, out.reshape(self.grid.shape))
-
-    def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.T)))
 
 
 class SpectralOperator:
@@ -80,7 +57,9 @@ class SpectralOperator:
         """Spatial gradient of a spectrally resolved function."""
         raise NotImplementedError
 
-    def kernel_matrix(self, profile) -> KernelMatrix:
+    def kernel_matrix(self, profile) -> tuple:
+        """(distances, entries): K between flattened grid points i and j,
+        so op(f) ~ entries @ f * h^dim, and their (torus) distances."""
         raise NotImplementedError
 
     # -- shared operations ---------------------------------------------------
@@ -189,14 +168,14 @@ class LaplacianTorus(SpectralOperator):
         return tuple(GridFunction(self.grid, c)
                      for c in self.inverse_gradient(self.forward(f)))
 
-    def kernel_matrix(self, profile) -> KernelMatrix:
+    def kernel_matrix(self, profile) -> tuple:
         return self._kernel(profile, gradient=False)
 
-    def kernel_gradient_matrix(self, profile) -> KernelMatrix:
+    def kernel_gradient_matrix(self, profile) -> tuple:
         """Matrix of d/dx K(x, y) (1-D only), for gradient kernel-bound fits."""
         return self._kernel(profile, gradient=True)
 
-    def _kernel(self, profile, gradient: bool) -> KernelMatrix:
+    def _kernel(self, profile, gradient: bool) -> tuple:
         if gradient and self.grid.dim != 1:
             raise CapabilityError("gradient kernel matrices are 1-D only")
         self._guard_budget()
@@ -221,7 +200,7 @@ class LaplacianTorus(SpectralOperator):
             entries = entries.reshape(self.grid.size, self.grid.size)
             dist = np.hypot(d_axis[:, None, :, None], d_axis[None, :, None, :])
             dist = dist.reshape(self.grid.size, self.grid.size)
-        return KernelMatrix(self.grid, entries, dist)
+        return dist, entries
 
     def kernel_profile(self, profile, gradient: bool = False):
         """Kernel column K(d) on a 16-fold oversampled distance grid (1-D only).
@@ -347,13 +326,13 @@ class HermiteOscillator1D(SpectralOperator):
         c = self.coefficients(f)
         return (GridFunction(self.grid, self._basis_deriv @ c),)
 
-    def kernel_matrix(self, profile) -> KernelMatrix:
+    def kernel_matrix(self, profile) -> tuple:
         return self._kernel(profile, gradient=False)
 
-    def kernel_gradient_matrix(self, profile) -> KernelMatrix:
+    def kernel_gradient_matrix(self, profile) -> tuple:
         return self._kernel(profile, gradient=True)
 
-    def _kernel(self, profile, gradient: bool) -> KernelMatrix:
+    def _kernel(self, profile, gradient: bool) -> tuple:
         self._guard_budget()
         vals = self.profile_values(profile)
         left = self._basis_deriv if gradient else self._band
@@ -362,7 +341,7 @@ class HermiteOscillator1D(SpectralOperator):
             entries = entries.real
         x = self.grid.axis_coords()
         dist = np.abs(x[:, None] - x[None, :])
-        return KernelMatrix(self.grid, entries, dist)
+        return dist, entries
 
     def mehler_heat_kernel(self, t: float) -> np.ndarray:
         """Closed-form heat kernel of the oscillator (independent oracle).

@@ -46,6 +46,8 @@ class TimeGrid:
     def geometric(cls, t_min: float, t_max: float, per_octave: int = 8) -> "TimeGrid":
         if not (0 < t_min < t_max):
             raise ParameterError(f"need 0 < t_min < t_max, got t_min = {t_min:g}, t_max = {t_max:g}")
+        if per_octave < 1:
+            raise ParameterError(f"per_octave must be >= 1, got {per_octave}")
         ratio = 2.0 ** (1.0 / per_octave)
         count = int(np.ceil(np.log2(t_max / t_min) * per_octave)) + 1
         return cls(t_min, ratio, count)

@@ -179,17 +179,16 @@ def test_kernel_bound_sweeps():
     start = time.perf_counter()
     op = LaplacianTorus(Grid(1, 128, 1.0))
     grids = {
-        "compact_support": (0.7, 0.93, [("kappa", 0), ("kappa", 1), ("kappa", 2)]),
-        "smoothed_difference": (0.45, 0.8, [("r_over_t", 0.5), ("r_over_t", 1.0),
-                                            ("r_over_t", 2.0)]),
-        "poisson_decay": (0.12, 0.3, [("kappa", 0), ("kappa", 1), ("kappa", 2)]),
-        "gradient_heat": (0.03, 0.078, [("kappa", 0), ("kappa", 1)]),
+        "compact_support": (0.7, 0.93, (0, 1, 2)),      # kappa
+        "smoothed_difference": (0.45, 0.8, (0.5, 1.0, 2.0)),  # r / t
+        "poisson_decay": (0.12, 0.3, (0, 1, 2)),        # kappa
+        "gradient_heat": (0.03, 0.078, (0, 1)),         # kappa
     }
     worst_var, worst_leak = 0.0, 0.0
     for lemma, (t_lo, t_hi, variants) in grids.items():
         ts = np.geomspace(t_lo, t_hi, 5)
-        for key, value in variants:
-            recs = sweep(op, lemma, ts, **{key: value})
+        for value in variants:
+            recs = sweep(op, lemma, ts, value)
             worst_var = max(worst_var, constant_variation(recs))
             if lemma == "compact_support" and value == 0:
                 worst_leak = max(worst_leak,

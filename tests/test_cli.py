@@ -84,6 +84,7 @@ def test_list_checks_and_describe(capsys):
     text = capsys.readouterr().out
     assert "formula:" in text and "tolerance:" in text
     assert main(["describe", "nope"]) == 2
+    assert "usage error: unknown check 'nope'" in capsys.readouterr().err
 
 
 def test_run_writes_reports(tmp_path, capsys, monkeypatch):
@@ -192,6 +193,16 @@ def test_empty_time_range_names_the_keys(tmp_path, capsys, monkeypatch):
         assert key in err
 
 
+@pytest.mark.parametrize("per_octave", ["0", "-1"])
+def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_octave):
+    """An error (exit 1) naming the key, not a ZeroDivisionError traceback."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", "spectral_identity",
+                 "--set", f"times.per_octave={per_octave}"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: times.per_octave must be >= 1, got {per_octave}" in err
+
+
 def test_run_unknown_check_is_usage_error(capsys):
     assert main(["run", "--check", "nope"]) == 2
     assert "unknown check" in capsys.readouterr().err
@@ -206,6 +217,21 @@ def test_kernel_bounds_rejects_hermite(capsys):
     assert main(["run", "--check", "kernel_bounds",
                  "--set", "operator.name=hermite"]) == 2
     assert "torus" in capsys.readouterr().err
+
+
+def test_kernel_bounds_rejects_2d_before_building_kernels(capsys, monkeypatch):
+    """In 2-D the check ends in a usage error (exit 2) naming the check,
+    the operator and the dim, before any kernel is built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("kernel_bounds built an operator or ran a sweep")
+
+    monkeypatch.setattr("sqfn.cli._build_operator", unreachable)
+    monkeypatch.setattr("sqfn.cli.sweep", unreachable)
+    assert main(["run", "--check", "kernel_bounds", "--set", "operator.dim=2",
+                 "--set", "operator.n=32"]) == 2
+    err = capsys.readouterr().err
+    for word in ("kernel_bounds", "operator.name = laplacian", "operator.dim = 2"):
+        assert word in err
 
 
 def test_dump_function(tmp_path, capsys):

@@ -3,10 +3,7 @@ import pytest
 
 from sqfn.errors import ParameterError
 from sqfn.grid import Grid
-from sqfn.kernelbounds import (_periodized, compact_support_record,
-                               constant_variation, gradient_heat_record,
-                               poisson_decay_record, smoothed_difference_record,
-                               sweep)
+from sqfn.kernelbounds import _periodized, constant_variation, sweep
 from sqfn.spectral import LaplacianTorus
 
 
@@ -15,51 +12,60 @@ def torus():
     return LaplacianTorus(Grid(1, 128, 1.0))
 
 
+def _record(op, lemma, t, variant):
+    """The record of a one-t sweep."""
+    (rec,) = sweep(op, lemma, [t], variant)
+    return rec
+
+
 def test_record_structure(torus):
-    rec = compact_support_record(torus, 0.8, 0)
+    rec = _record(torus, "compact_support", 0.8, 0)
     assert rec["lemma"] == "compact_support"
-    assert set(rec) == {"lemma", "t", "r", "kappa", "C_fit", "c_fit",
-                        "support_violation_mass"}
+    assert list(rec) == ["lemma", "t", "r", "kappa", "C_fit", "c_fit",
+                         "support_violation_mass"]
     assert rec["C_fit"] > 0
     assert rec["support_violation_mass"] >= 0
 
 
 def test_compact_support_mass_outside_halo(torus):
     # the wave-equation support theorem, seen through the kernel mass
-    rec = compact_support_record(torus, 0.8, 0)
+    rec = _record(torus, "compact_support", 0.8, 0)
     assert rec["support_violation_mass"] < 1e-6
 
 
 def test_smoothed_difference_constant_finite(torus):
-    rec = smoothed_difference_record(torus, 0.6, 0.6)
+    rec = _record(torus, "smoothed_difference", 0.6, 1.0)
     assert np.isfinite(rec["C_fit"]) and rec["C_fit"] > 0
     assert rec["r"] == pytest.approx(0.6)
+    assert rec["kappa"] is None
 
 
 def test_poisson_decay_constant_finite(torus):
-    rec = poisson_decay_record(torus, 0.2, 1)
+    rec = _record(torus, "poisson_decay", 0.2, 1)
     assert np.isfinite(rec["C_fit"]) and rec["C_fit"] > 0
 
 
 def test_gradient_heat_two_stage_fit(torus):
-    rec = gradient_heat_record(torus, 0.05, 0)
+    rec = _record(torus, "gradient_heat", 0.05, 0)
     assert np.isfinite(rec["C_fit"]) and rec["C_fit"] > 0
     assert rec["c_fit"] is not None and rec["c_fit"] > 0
 
 
 def test_parameter_guards(torus):
     with pytest.raises(ParameterError):
-        compact_support_record(torus, 0.8, 3)
+        sweep(torus, "compact_support", [0.8], 3)
     with pytest.raises(ParameterError):
-        smoothed_difference_record(torus, -0.1, 0.5)
+        sweep(torus, "smoothed_difference", [-0.1], 5.0)
     with pytest.raises(ParameterError):
-        poisson_decay_record(torus, 0.2, -1)
+        sweep(torus, "smoothed_difference", [0.1], 0.0)
     with pytest.raises(ParameterError):
-        sweep(torus, "nope", [0.5])
+        sweep(torus, "poisson_decay", [0.2], -1)
+    with pytest.raises(ParameterError):
+        sweep(torus, "nope", [0.5], 0)
 
 
 def test_sweep_and_variation(torus):
-    records = sweep(torus, "poisson_decay", np.geomspace(0.12, 0.3, 3), kappa=0)
+    records = sweep(torus, "poisson_decay", np.geomspace(0.12, 0.3, 3), 0)
     assert len(records) == 3
     var = constant_variation(records)
     assert 0.0 <= var < 0.2
@@ -88,5 +94,5 @@ def test_compact_support_all_kappa_fine_grid():
     finer grid every derivative order keeps its mass inside the halo."""
     op = LaplacianTorus(Grid(1, 1024, 1.0))
     for kappa in (0, 1, 2):
-        rec = compact_support_record(op, 0.8, kappa)
+        rec = _record(op, "compact_support", 0.8, kappa)
         assert rec["support_violation_mass"] < 1e-6

@@ -38,6 +38,12 @@ def test_time_grid_validation():
         TimeGrid.geometric(1.0, 0.5)
 
 
+@pytest.mark.parametrize("per_octave", [0, -1])
+def test_time_grid_geometric_rejects_per_octave_below_one(per_octave):
+    with pytest.raises(ParameterError, match="per_octave"):
+        TimeGrid.geometric(0.01, 1.0, per_octave)
+
+
 def test_cone_needs_resolved_times(torus):
     g = torus.grid
     with pytest.raises(ResolutionError):

@@ -116,27 +116,40 @@ def test_a1_constant_controls_mw():
     assert np.all(mw <= c * w.values + 1e-10)
 
 
-def test_local_sharp_maximal_brute_force():
-    n = 16
-    lam = 0.3
-    g = Grid(1, n, 1.0)
-    rng = np.random.default_rng(6)
-    vals = rng.standard_normal(n)
-    fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
-    best = np.zeros(n)
+def _local_sharp_oracle(vals, lam):
+    """M#_lam from its definition.  For each periodic dyadic cube Q (every
+    side 2^k, every position): the least (r+1)-th largest |v - c| over v
+    in Q, r = floor(lam |Q|), minimised over c in the pairwise midpoints of
+    Q's values (one of them is an optimal c); each point then takes the
+    largest value over the cubes that contain it."""
+    n, dim = vals.shape[0], vals.ndim
+    best = np.zeros(vals.shape)
+    memo = {}  # cubes holding the same values (every cube of side n) share one inf
     m = 1
     while m <= n:
-        r = int(np.floor(lam * m))
-        if r < m - 1:
-            for start in range(n):
-                window = np.sort(vals[np.arange(start, start + m) % n])
-                q = m - r
-                spreads = window[q - 1:] - window[: m - q + 1]
-                osc = 0.5 * spreads.min()
-                for x in range(start, start + m):
-                    best[x % n] = max(best[x % n], osc)
+        for start in itertools.product(range(n), repeat=dim):
+            cube = np.ix_(*(np.arange(s, s + m) % n for s in start))
+            v = vals[cube].reshape(-1)
+            key = np.sort(v).tobytes()
+            if key not in memo:
+                k = v.size - 1 - int(np.floor(lam * v.size))  # (r+1)-th largest
+                mids = 0.5 * (v[:, None] + v[None, :])[np.triu_indices(v.size)]
+                memo[key] = min(
+                    np.partition(np.abs(v[None, :] - c[:, None]), k, axis=1)[:, k].min()
+                    for c in np.array_split(mids, -(-mids.size // 4096)))
+            best[cube] = np.maximum(best[cube], memo[key])
         m *= 2
-    np.testing.assert_allclose(fast, best, atol=1e-12)
+    return best
+
+
+def test_local_sharp_maximal_brute_force():
+    rng = np.random.default_rng(6)
+    for dim, n, lam in itertools.product((1, 2), (8, 16), (0.25, 0.3)):
+        g = Grid(dim, n, 1.0)
+        vals = rng.standard_normal(g.shape)
+        fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
+        np.testing.assert_allclose(fast, _local_sharp_oracle(vals, lam), rtol=0,
+                                   atol=1e-12, err_msg=f"dim={dim} n={n} lam={lam}")
 
 
 def test_local_sharp_kills_constants():
