@@ -40,8 +40,8 @@ from .verify import (GrowthFit, band_limited_family, check_growth_in_ap,
                      check_pointwise_domination, check_sharp_composite,
                      check_sharp_maximal_domination, check_spectral_identity,
                      check_weak_1_1, check_weighted_l2_mw, default_operator,
-                     mixed_family, power_weight_family, resolved_family,
-                     square_function_operator, weight_suite)
+                     mixed_family, power_weight_family, propagation_leak,
+                     resolved_family, square_function_operator, weight_suite)
 from .weights import empirical_maximal_norm, rubio_de_francia
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,6 @@ def _run_plancherel(cfg: dict) -> list:
 def _run_finite_propagation(cfg: dict) -> list:
     op = _build_operator(cfg)
     g = op.grid
-    h = g.spacing
     n = g.points_per_axis
     if cfg["operator.name"] == "laplacian":
         vals = np.zeros(g.shape)
@@ -228,18 +227,9 @@ def _run_finite_propagation(cfg: dict) -> list:
     else:
         # narrowest bump the eigenbasis can hold
         x = g.axis_coords()
-        f = op.project(GridFunction(g, np.exp(-(x**2) / (2 * (1.5 * h) ** 2))))
-    center = g.axis_coords()[n // 2]
-    coords = g.coords()
-    dist = np.sqrt(sum(g.periodic_delta(c - center) ** 2 for c in coords))
+        f = op.project(GridFunction(g, np.exp(-(x**2) / (2 * (1.5 * g.spacing) ** 2))))
     steps = np.linspace(6, min(100, int(0.8 * n // 2)), 10).astype(int)
-    worst = 0.0
-    for m in steps:
-        t = float(m) * h
-        u = op.apply_function(lambda s: np.cos(t * s), f)
-        mags = np.abs(u.values)
-        leak = float(np.sum(mags[dist > t + constants.SUPPORT_HALO_CELLS * h]))
-        worst = max(worst, leak / float(np.sum(mags)))
+    worst = propagation_leak(op, f, steps, radius=0.0)
     return [{"tag": "finite_propagation", "value": worst,
              "bound": constants.SUPPORT_LEAK_TOL,
              "passed": bool(worst < constants.SUPPORT_LEAK_TOL)}]
@@ -289,14 +279,9 @@ def _run_whitney_cz(cfg: dict) -> list:
     for _ in range(masks):
         mask = np.zeros(g.shape, dtype=bool)
         for _ in range(rng.integers(1, 5)):
-            if g.dim == 1:
-                a = int(rng.integers(0, n))
-                b = int(rng.integers(1, n // 2))
-                mask[a : min(a + b, n)] = True
-            else:
-                a = rng.integers(0, n, size=2)
-                b = rng.integers(1, n // 2, size=2)
-                mask[a[0] : min(a[0] + b[0], n), a[1] : min(a[1] + b[1], n)] = True
+            a = rng.integers(0, n, size=g.dim)
+            b = rng.integers(1, n // 2, size=g.dim)
+            mask[tuple(slice(lo, min(lo + w, n)) for lo, w in zip(a, b))] = True
         if mask.all() or not mask.any():
             continue
         cover = whitney(g, mask)

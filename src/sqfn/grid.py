@@ -69,10 +69,7 @@ class Grid:
 
     def coords(self):
         """Coordinate arrays, one per axis, broadcast to the grid shape."""
-        x = self.axis_coords()
-        if self.dim == 1:
-            return (x,)
-        return tuple(np.meshgrid(x, x, indexing="ij"))
+        return tuple(np.meshgrid(*(self.axis_coords(),) * self.dim, indexing="ij"))
 
     def periodic_delta(self, offsets: np.ndarray) -> np.ndarray:
         """Reduce coordinate differences to the torus metric per axis."""
@@ -82,11 +79,7 @@ class Grid:
 
     def distance_from_origin(self) -> np.ndarray:
         """Torus distance of every grid point from the point 0 (grid-shaped)."""
-        d = self.periodic_delta(self.axis_coords())
-        if self.dim == 1:
-            return d
-        dx, dy = np.meshgrid(d, d, indexing="ij")
-        return np.hypot(dx, dy)
+        return np.hypot.reduce(self.periodic_delta(np.stack(self.coords())))
 
 
 @dataclass(frozen=True)
@@ -192,15 +185,9 @@ def to_csv(f: GridFunction) -> str:
     buf = io.StringIO()
     buf.write(f"# dim={g.dim} N={g.points_per_axis} R={g.half_width!r}\n")
     writer = csv.writer(buf)
-    idx_cols = ["i"] if g.dim == 1 else ["i", "j"]
-    writer.writerow(idx_cols + ["re", "im"])
-    flat = f.values.reshape(-1)
-    for k, v in enumerate(flat):
-        if g.dim == 1:
-            idx = [k]
-        else:
-            idx = [k // g.points_per_axis, k % g.points_per_axis]
-        writer.writerow(idx + [repr(float(v.real)), repr(float(v.imag))])
+    writer.writerow(["i", "j"][: g.dim] + ["re", "im"])
+    for idx, v in zip(np.ndindex(g.shape), f.values.reshape(-1)):
+        writer.writerow([*idx, repr(float(v.real)), repr(float(v.imag))])
     return buf.getvalue()
 
 
@@ -214,12 +201,7 @@ def from_csv(text: str) -> GridFunction:
     header, rows = rows[0], rows[1:]
     if header[-2:] != ["re", "im"]:
         raise ParameterError("CSV header must end with re, im columns")
-    values = np.zeros(grid.size, dtype=np.complex128)
-    n = grid.points_per_axis
+    values = np.zeros(grid.shape, dtype=np.complex128)
     for row in rows:
-        if grid.dim == 1:
-            k = int(row[0])
-        else:
-            k = int(row[0]) * n + int(row[1])
-        values[k] = float(row[-2]) + 1j * float(row[-1])
-    return GridFunction(grid, values.reshape(grid.shape))
+        values[tuple(map(int, row[: grid.dim]))] = float(row[-2]) + 1j * float(row[-1])
+    return GridFunction(grid, values)

@@ -128,6 +128,8 @@ def sweep(op: SpectralOperator, lemma: str, t_values, variant) -> list:
     key, valid, fit = _LEMMAS[lemma]
     if not valid(variant):
         raise ParameterError(f"{lemma}: invalid {key} {variant!r}")
+    if len(t_values) == 0:
+        raise ParameterError(f"{lemma}: the time grid is empty")
     records = []
     for t in t_values:
         t = float(t)
@@ -148,6 +150,8 @@ def sweep(op: SpectralOperator, lemma: str, t_values, variant) -> list:
 
 def constant_variation(records: list) -> float:
     """max/min - 1 of the fitted constants across a sweep."""
+    if not records:
+        raise ParameterError("constant_variation needs a sweep over a non-empty time grid")
     cs = np.array([rec["C_fit"] for rec in records], dtype=float)
     if not np.all(np.isfinite(cs)) or np.min(cs) <= 0:
         raise ParameterError("sweep produced non-finite or non-positive constants")

@@ -139,13 +139,8 @@ class LaplacianTorus(SpectralOperator):
         n, r = grid.points_per_axis, grid.half_width
         k = np.fft.fftfreq(n) * n
         xi = np.pi * k / r
-        if grid.dim == 1:
-            self._xi_axes = (xi,)
-            self._spectrum = np.abs(xi)
-        else:
-            gx, gy = np.meshgrid(xi, xi, indexing="ij")
-            self._xi_axes = (gx, gy)
-            self._spectrum = np.hypot(gx, gy)
+        self._xi_axes = tuple(np.meshgrid(*(xi,) * grid.dim, indexing="ij"))
+        self._spectrum = np.abs(np.hypot.reduce(self._xi_axes))
 
     def spectral_nodes(self) -> np.ndarray:
         return np.unique(self._spectrum.reshape(-1))

@@ -276,6 +276,22 @@ def check_spectral_identity(op: SpectralOperator, psi: MultiplierProfile,
     return RatioReport("spectral_identity", tuple(ratios), skipped)
 
 
+def propagation_leak(op: SpectralOperator, f: GridFunction, steps, radius: float) -> float:
+    """Worst share, over t = m h for m in steps, of |cos(t sqrt L) f| beyond
+    t + radius + SUPPORT_HALO_CELLS h of the origin, for f supported within
+    radius of it: finite propagation puts all of it in supp f + B(0, t)."""
+    g = op.grid
+    h = g.spacing
+    dist = g.distance_from_origin()
+    worst = 0.0
+    for m in steps:
+        t = float(m) * h
+        mags = np.abs(op.wave_cosine(t, f).values)
+        leak = float(np.sum(mags[dist > t + radius + constants.SUPPORT_HALO_CELLS * h]))
+        worst = max(worst, leak / float(np.sum(mags)))
+    return worst
+
+
 def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
     """Shared ratio loop: int |Tf|^p w over the p-dependent majorant of |f|^p.
 

@@ -24,8 +24,9 @@ from sqfn.verify import (band_limited_family, check_growth_in_ap,
                          check_sharp_maximal_domination,
                          check_spectral_identity, check_weak_1_1,
                          check_weighted_l2_mw, mixed_family,
-                         power_weight_family, resolved_family,
-                         square_function_operator, weight_suite)
+                         power_weight_family, propagation_leak,
+                         resolved_family, square_function_operator,
+                         weight_suite)
 from sqfn.weights import empirical_maximal_norm, rubio_de_francia
 
 KINDS = ("s_h", "s_p", "S_H", "S_P", "g_star")
@@ -73,15 +74,10 @@ def hermite_pair():
     return {n: HermiteOscillator1D(Grid(1, n, 22.5), 128) for n in (256, 512)}
 
 
-def _distance_from_center(g):
-    center = g.axis_coords()[g.points_per_axis // 2]
-    return g.periodic_delta(g.coords()[0] - center)
-
-
 def _source_radius(g, source_values, mass_tol):
-    """Least distance from the centre beyond which the sampled source holds
+    """Least distance from the origin beyond which the sampled source holds
     less than mass_tol of its L1 mass: the radius of its numerical support."""
-    dist = _distance_from_center(g)
+    dist = g.distance_from_origin()
     mags = np.abs(source_values)
     total = float(np.sum(mags))
     return float(next(r for r in np.unique(dist)
@@ -93,23 +89,6 @@ def _band_residual(op, source_values):
     f = GridFunction(op.grid, source_values)
     held = op.synthesize(op.coefficients(f)).values
     return float(np.sum(np.abs(source_values - held))) / float(np.sum(np.abs(source_values)))
-
-
-def _propagation_leak(op, source_values, steps, radius):
-    """Worst share of |cos(t sqrt L) f| farther than t + radius + 4h from the
-    centre, for f supported within radius of it (supp f + B(0, t))."""
-    g = op.grid
-    h = g.spacing
-    f = GridFunction(g, source_values)
-    dist = _distance_from_center(g)
-    worst = 0.0
-    for m in steps:
-        t = float(m) * h
-        u = op.apply_function(lambda s: np.cos(t * s), f)
-        mags = np.abs(u.values)
-        leak = float(np.sum(mags[dist > t + radius + 4.0 * h])) / float(np.sum(mags))
-        worst = max(worst, leak)
-    return worst
 
 
 def _weighted_l2_suite(op, count=20):
@@ -168,7 +147,7 @@ def test_finite_propagation_torus(torus256):
     spike = np.zeros(torus256.grid.shape)
     spike[n // 2] = 1.0
     steps = np.linspace(6, min(100, int(0.8 * n // 2)), 10).astype(int)
-    worst = _propagation_leak(torus256, spike, steps, radius=0.0)
+    worst = propagation_leak(torus256, GridFunction(torus256.grid, spike), steps, radius=0.0)
     _report("finite-propagation", worst < 1e-6,
             f"worst mass outside t + 4h is {worst:.3g}, required < 1e-6 "
             f"over {len(steps)} times",
@@ -455,7 +434,7 @@ def test_hermite_finite_propagation(hermite_pair):
         turning = float(np.max(op.spectral_nodes()))
         last = int((turning - radius - 4.0 * h) / h)
         steps = np.linspace(6, min(100, last), 10).astype(int)
-        leak = _propagation_leak(op, source, steps, radius)
+        leak = propagation_leak(op, GridFunction(g, source), steps, radius)
         worst = max(worst, leak)
         worst_residual = max(worst_residual, residual)
         parts.append(f"N={n}: r={radius / h:.0f}h, t<={steps[-1]}h, {leak:.3g}")

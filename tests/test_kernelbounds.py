@@ -62,6 +62,8 @@ def test_parameter_guards(torus):
         sweep(torus, "poisson_decay", [0.2], -1)
     with pytest.raises(ParameterError):
         sweep(torus, "nope", [0.5], 0)
+    with pytest.raises(ParameterError, match="time grid is empty"):
+        sweep(torus, "poisson_decay", [], 0)
 
 
 def test_sweep_and_variation(torus):
@@ -76,6 +78,8 @@ def test_constant_variation_rejects_bad_constants():
         constant_variation([{"C_fit": 1.0}, {"C_fit": np.inf}])
     with pytest.raises(ParameterError):
         constant_variation([{"C_fit": 1.0}, {"C_fit": 0.0}])
+    with pytest.raises(ParameterError, match="empty time grid"):
+        constant_variation([])
 
 
 def test_periodized_envelope_sums_images():

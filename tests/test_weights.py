@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfn import weights
 from sqfn.errors import SingularWeightError
 from sqfn.grid import Grid, GridFunction, Weight
 from sqfn.weights import (ap_constant, empirical_maximal_norm,
@@ -142,14 +143,20 @@ def _local_sharp_oracle(vals, lam):
     return best
 
 
-def test_local_sharp_maximal_brute_force():
+def test_local_sharp_maximal_brute_force(monkeypatch):
+    # A 7-entry chunk splits each scale's sort into many chunks, some of
+    # which end in the middle of a row of window starts.
+    chunks = (weights._SORT_CHUNK, 7)
     rng = np.random.default_rng(6)
     for dim, n, lam in itertools.product((1, 2), (8, 16), (0.25, 0.3)):
         g = Grid(dim, n, 1.0)
         vals = rng.standard_normal(g.shape)
-        fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
-        np.testing.assert_allclose(fast, _local_sharp_oracle(vals, lam), rtol=0,
-                                   atol=1e-12, err_msg=f"dim={dim} n={n} lam={lam}")
+        expected = _local_sharp_oracle(vals, lam)
+        for chunk in chunks:
+            monkeypatch.setattr(weights, "_SORT_CHUNK", chunk)
+            fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
+            np.testing.assert_allclose(fast, expected, rtol=0, atol=1e-12,
+                                       err_msg=f"dim={dim} n={n} lam={lam} chunk={chunk}")
 
 
 def test_local_sharp_kills_constants():
