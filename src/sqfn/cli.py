@@ -76,11 +76,12 @@ def _floats(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
-# What each numeric key must parse as; the other keys are free text.
+# What each numeric or named key must parse as; the other keys are free text.
 _INT, _FLOAT = ("an int", int), ("a float", float)
 _AUTO = ("a float or auto", lambda text: text == "auto" or float(text))
 _LIST = ("a comma-separated float list", _floats)
 _TYPES = {
+    "operator.name": ("laplacian or hermite", ("laplacian", "hermite").index),
     "operator.dim": _INT, "operator.n": _INT, "operator.r": _AUTO,
     "operator.truncation": _INT, "family.seed": _INT, "family.count": _INT,
     "times.t_min": _AUTO, "times.t_max": _AUTO, "times.per_octave": _INT,
@@ -154,13 +155,12 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
     """Per-role defaults: identity grids reach below the spacing, cone
     grids start at it; the oscillator's trust window is capped at 4."""
     h = op.grid.spacing
-    hermite = cfg["operator.name"] == "hermite"
     t_min = cfg["times.t_min"]
     t_max = cfg["times.t_max"]
     if t_min == "auto":
         t_min = h / 8.0 if role == "identity" else h
     if t_max == "auto":
-        t_max = 4.0 if hermite else op.grid.half_width**2 / 4.0
+        t_max = 4.0 if cfg["operator.name"] == "hermite" else op.t_max
     t_min, t_max = float(t_min), float(t_max)
     per_octave = int(cfg["times.per_octave"])
     if per_octave < 1:
@@ -170,7 +170,11 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
             f"the {role} time grid needs 0 < t_min < t_max, got t_min = {t_min:g} "
             f"and t_max = {t_max:g}; set times.t_min and times.t_max, or raise "
             f"operator.n (auto t_min follows the spacing 2R/operator.n)")
-    return TimeGrid.geometric(t_min, t_max, per_octave)
+    times = TimeGrid.geometric(t_min, t_max, per_octave)
+    if op.trusts(t_max) and not op.trusts(float(times.nodes[-1])):
+        # the node count rounds up past a t_max within the budget: drop that node
+        times = TimeGrid(times.t_min, times.ratio, times.count - 1)
+    return times
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +184,9 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
 
 def _run_spectral_identity(cfg: dict) -> list:
     op = _build_operator(cfg)
-    psi = square_symbol("s_h")
     times = _time_grid(cfg, op, "identity")
-    fam = band_limited_family(op, psi, times, int(cfg["family.seed"]),
-                              int(cfg["family.count"]))
-    rep = check_spectral_identity(op, psi, fam, times)
+    fam = band_limited_family(op, times, int(cfg["family.seed"]), int(cfg["family.count"]))
+    rep = check_spectral_identity(op, fam, times)
     lo, hi = min(rep.ratios), max(rep.ratios)
     ok = 1.0 - constants.IDENTITY_RTOL <= lo and hi <= 1.0 + constants.IDENTITY_RTOL
     return [{"tag": "spectral_identity", "value": hi, "low": lo,
@@ -193,17 +195,16 @@ def _run_spectral_identity(cfg: dict) -> list:
 
 def _run_plancherel(cfg: dict) -> list:
     op = _build_operator(cfg)
-    psi = square_symbol("s_h")
     ident_times = _time_grid(cfg, op, "identity")
     cone_times = _time_grid(cfg, op, "cone")
     capture = 0.97 if cfg["operator.name"] == "hermite" else 0.999
-    fam_cone = band_limited_family(op, psi, cone_times, int(cfg["family.seed"]),
+    fam_cone = band_limited_family(op, cone_times, int(cfg["family.seed"]),
                                    int(cfg["family.count"]), capture=capture)
-    fam_fine = band_limited_family(op, psi, ident_times, int(cfg["family.seed"]),
+    fam_fine = band_limited_family(op, ident_times, int(cfg["family.seed"]),
                                    int(cfg["family.count"]))
     s_h = square_function_operator("s_h", op, cone_times)
     rs = [lp_norm(s_h(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
-    kap = kappa(psi)
+    kap = kappa(square_symbol("s_h"))
     g_h = square_function_operator("g_h", op, ident_times)
     rg = [lp_norm(g_h(f), 2) / lp_norm(f, 2) for f in fam_fine.members]
     ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * constants.AREA_PLANCHEREL_RTOL
@@ -438,7 +439,7 @@ _CHECKS = {
         "runner": _run_kernel_bounds,
         "formula": "fitted constants of the four kernel bounds across tuned t (and r) log-grids",
         "tolerance": f"variation < {constants.KERNEL_FIT_VARIATION:.0%}; support mass < {constants.SUPPORT_LEAK_TOL:g}",
-        "keys": "operator.n, operator.r",
+        "keys": "operator.*",
     },
     "whitney_cz": {
         "runner": _run_whitney_cz,
@@ -450,31 +451,31 @@ _CHECKS = {
         "runner": _run_weighted_l2_mw,
         "formula": "int (Tf)^2 w <= C int |f|^2 Mw, T in the configured kinds",
         "tolerance": "sup ratio finite (2x resolution stability checked in the test suite)",
-        "keys": "operator.*, family.*, params.kinds, params.mu",
+        "keys": "operator.*, family.*, times.*, params.kinds, params.mu",
     },
     "weak_lp": {
         "runner": _run_weak_lp,
         "formula": "lambda w{s_h f > lambda} <= C int |f| Mw; int (s_h f)^p w against the p-majorant",
         "tolerance": "sup ratios finite; p = 2 identical to the weighted L2 formula",
-        "keys": "operator.*, family.*, params.p_list",
+        "keys": "operator.*, family.*, times.*, params.p_list",
     },
     "pointwise_domination": {
         "runner": _run_pointwise_domination,
         "formula": "Tf(x) <= C g*_mu f(x) with mu from params.mu",
         "tolerance": f"excluded fraction < {constants.DOMINATION_EXCLUSION_MAX:.0%}; sup finite",
-        "keys": "operator.*, family.*, params.mu",
+        "keys": "operator.*, family.*, times.*, params.mu",
     },
     "growth_in_p": {
         "runner": _run_growth_in_p,
         "formula": "log-log slope of empirical ||s_h||_p over params.growth_p_list",
         "tolerance": f"slope <= 0.5 + {constants.P_GROWTH_SLACK}",
-        "keys": "operator.*, family.*, params.growth_p_list",
+        "keys": "operator.*, family.*, times.*, params.growth_p_list",
     },
     "growth_in_ap": {
         "runner": _run_growth_in_ap,
         "formula": "weighted norms against the A_p constant; exponent beta_p + 1/(p-1), A_1 endpoint 1/2",
         "tolerance": f"slope <= bound + {constants.AP_GROWTH_SLACK}",
-        "keys": "operator.*, family.*, params.ap_p_list",
+        "keys": "operator.*, family.*, times.*, params.ap_p_list",
     },
     "rubio_de_francia": {
         "runner": _run_rubio_de_francia,
@@ -486,7 +487,7 @@ _CHECKS = {
         "runner": _run_sharp_maximal,
         "formula": "M#_lam((g* f)^2) <= C (Mf)^2 and the composite maximal bound with gamma = max{1/2, 1/(p-1)}",
         "tolerance": "sup ratios finite (2x resolution stability in the test suite)",
-        "keys": "operator.*, family.*, params.lam, params.mu",
+        "keys": "operator.*, family.*, times.*, params.lam, params.mu",
     },
 }
 

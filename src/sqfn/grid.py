@@ -201,7 +201,16 @@ def from_csv(text: str) -> GridFunction:
     header, rows = rows[0], rows[1:]
     if header[-2:] != ["re", "im"]:
         raise ParameterError("CSV header must end with re, im columns")
+    n, width = grid.points_per_axis, grid.dim + 2
+    if any(len(row) != width for row in rows):
+        raise ParameterError(f"CSV rows must have {width} columns")
+    idx = tuple(np.array([row[: grid.dim] for row in rows], dtype=int).reshape(-1, grid.dim).T)
+    if not all(np.all((0 <= i) & (i < n)) for i in idx):
+        raise ParameterError(f"CSV index outside [0, {n})")
+    count = np.zeros(grid.shape, dtype=int)
+    np.add.at(count, idx, 1)
+    if np.any(count != 1):
+        raise ParameterError("CSV must list every grid point exactly once")
     values = np.zeros(grid.shape, dtype=np.complex128)
-    for row in rows:
-        values[tuple(map(int, row[: grid.dim]))] = float(row[-2]) + 1j * float(row[-1])
+    values[idx] = [float(row[-2]) + 1j * float(row[-1]) for row in rows]
     return GridFunction(grid, values)

@@ -73,6 +73,10 @@ class SpectralOperator:
         """Largest trustworthy time scale, R^2/4."""
         return self.grid.half_width**2 / 4.0
 
+    def trusts(self, t: float) -> bool:
+        """Whether time t lies within t_max, up to a 1e-9 relative slack."""
+        return t <= self.t_max * (1.0 + 1e-9)
+
     def profile_values(self, profile) -> np.ndarray:
         """F(sqrt(L)) at every spectral coefficient; NaN/Inf is an error."""
         vals = np.asarray(profile(self._spectrum), dtype=np.complex128)

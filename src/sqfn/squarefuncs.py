@@ -10,8 +10,11 @@ integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
 node x spectrum) and the kernel FFTs; applied, it transforms f once and
 accumulates one time slice after another.  Which phi, which density and
 which K_j each of the nine kinds takes is one table, ``_KINDS``, and
-``square_function_operator`` is the one factory that reads it;
-``area_integral``, ``g_function`` and ``g_star`` are one call into it.
+``square_function_operator``, the one factory that reads it, is the only
+way to build a square function.  It refuses a time grid whose largest
+node passes the operator's trust budget t_max before it builds any
+kernel; ``area_integral``, ``g_function`` and ``g_star`` are one call
+into it.
 """
 
 from __future__ import annotations
@@ -61,20 +64,11 @@ class TimeGrid:
         """The dt/t weight of each node, log(ratio)."""
         return float(np.log(self.ratio))
 
-    def check_budget(self, grid: Grid):
-        budget = grid.half_width**2 / 4.0
-        top = float(self.nodes[-1])
-        if top > budget * (1.0 + 1e-9):
-            raise ParameterError(
-                f"largest time {top:g} exceeds the trust budget R^2/4 = {budget:g}"
-            )
-
 
 class ConeQuadrature:
-    """Cached FFT masks of the balls {|y| < t} for cone integrals."""
+    """The time grid of cone integrals on a grid; it must start at the spacing."""
 
     def __init__(self, grid: Grid, times: TimeGrid):
-        times.check_budget(grid)
         if times.t_min < grid.spacing:
             raise ResolutionError(
                 f"smallest time {times.t_min:g} is below the grid spacing "
@@ -82,9 +76,6 @@ class ConeQuadrature:
             )
         self.grid = grid
         self.times = times
-        dist = grid.distance_from_origin()
-        self.mask_ffts = [np.fft.fftn((dist < t).astype(float))
-                          for t in map(float, times.nodes)]
 
 
 class SquareFunction:
@@ -95,7 +86,7 @@ class SquareFunction:
     """
 
     def __init__(self, op: SpectralOperator, times: TimeGrid,
-                 symbol: MultiplierProfile, vertical: bool = False, kernels=None):
+                 symbol: MultiplierProfile, vertical: bool, kernels):
         self.op = op
         self.vertical = vertical
         self.nodes = [float(t) for t in times.nodes]
@@ -123,20 +114,20 @@ class SquareFunction:
         return GridFunction(op.grid, np.sqrt(np.maximum(acc, 0.0)))
 
 
-# The spatial kernel FFTs per time node, None for a delta; each checks its time grid.
+# The spatial kernel FFTs per time node, None for a delta.
 def _delta(op: SpectralOperator, times: TimeGrid, mu: float):
-    times.check_budget(op.grid)
     return None
 
 
 def _ball(op: SpectralOperator, times: TimeGrid, mu: float):
-    return ConeQuadrature(op.grid, times).mask_ffts
+    ConeQuadrature(op.grid, times)  # refuses cross-sections below the spacing
+    dist = op.grid.distance_from_origin()
+    return [np.fft.fftn((dist < t).astype(float)) for t in map(float, times.nodes)]
 
 
 def _g_star_weight(op: SpectralOperator, times: TimeGrid, mu: float):
     if not (mu > 1):
         raise ParameterError(f"mu must exceed 1, got {mu}")
-    times.check_budget(op.grid)
     dist = op.grid.distance_from_origin()
     return [np.fft.fftn((t / (t + dist)) ** (op.dim * mu)) for t in map(float, times.nodes)]
 
@@ -149,15 +140,13 @@ _KINDS = {
     "G_H": ("S_H-scalar", True, _delta), "G_P": ("S_P-scalar", True, _delta),
     "g_star": (None, False, _g_star_weight),
 }
-_ALIASES = {kind.replace("_", ""): kind for kind in _KINDS if kind != "g_star"}
 
 
 def _row(kind: str) -> tuple:
-    """The table row of a kind or of its alias without the underscore."""
-    row = _KINDS.get(_ALIASES.get(kind, kind))
-    if row is None:
+    """The table row of a kind."""
+    if kind not in _KINDS:
         raise ParameterError(f"unknown square-function kind {kind!r}; choose from {tuple(_KINDS)}")
-    return row
+    return _KINDS[kind]
 
 
 def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
@@ -165,6 +154,10 @@ def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
     """The square function of the given kind, tabulated once to apply to
     many f; mu is g*'s only."""
     key, vertical, kernel = _row(kind)
+    top = float(times.nodes[-1])
+    if not op.trusts(top):
+        raise ParameterError(
+            f"largest time {top:g} exceeds the trust budget R^2/4 = {op.t_max:g}")
     symbol = psi_vanishing(op.dim) if key is None else square_symbol(key)
     return SquareFunction(op, times, symbol, vertical, kernel(op, times, mu))
 

@@ -18,11 +18,10 @@ from . import constants
 from .errors import BandError, ParameterError, SingularWeightError
 from .grid import (Grid, GridFunction, Weight, lp_norm, weighted_lp_norm,
                    weighted_superlevel_measure)
-from .multipliers import MultiplierProfile, kappa
+from .multipliers import kappa, square_symbol
 from .spectral import HermiteOscillator1D, LaplacianTorus, SpectralOperator
-from .squarefuncs import SquareFunction, TimeGrid
-from .squarefuncs import square_function_operator  # noqa: F401  (the CLI calls it from here)
-from .weights import local_sharp_maximal, maximal
+from .squarefuncs import TimeGrid, square_function_operator
+from .weights import ap_constant, local_sharp_maximal, maximal
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +112,7 @@ def mixed_family(grid: Grid, seed: int, count: int = 20,
     for i in range(count):
         shape = shapes[i % len(shapes)]
         if shape == "band":
-            spec = np.zeros(grid.shape, dtype=np.complex128)
-            band = min(n // 8, 16)
-            for _ in range(6):
-                k = rng.integers(1, band, size=grid.dim)
-                amp = rng.standard_normal() + 1j * rng.standard_normal()
-                idx = tuple(k)
-                spec[idx] += amp
-                spec[tuple((-ki) % n for ki in k)] += np.conj(amp)
-            vals = np.fft.ifftn(spec).real
+            vals = _hermitian_noise(grid, rng, 1, min(n // 8, 16), 6)
         elif shape == "bump":
             width = grid.half_width * (0.04 + 0.2 * rng.random())
             center = [grid.half_width * (rng.random() - 0.5) for _ in range(grid.dim)]
@@ -168,21 +159,38 @@ def resolved_family(op: SpectralOperator, seed: int, count: int = 20,
     return TestFamily(seed, tuple(members), fam.description + "-projected")
 
 
-def band_limited_family(op: SpectralOperator, psi: MultiplierProfile,
-                        times: TimeGrid, seed: int, count: int = 20,
-                        capture: float = 0.999) -> TestFamily:
+def _hermitian_noise(grid: Grid, rng, lo: int, hi: int, terms: int) -> np.ndarray:
+    """The real samples of terms random modes k in [lo, hi)^dim, each with a
+    complex normal amplitude and its conjugate at -k."""
+    n = grid.points_per_axis
+    spec = np.zeros(grid.shape, dtype=np.complex128)
+    for _ in range(terms):
+        k = rng.integers(lo, hi, size=grid.dim)
+        amp = rng.standard_normal() + 1j * rng.standard_normal()
+        spec[tuple(k)] += amp
+        spec[tuple((-ki) % n for ki in k)] += np.conj(amp)
+    return np.fft.ifftn(spec).real
+
+
+def band_limited_family(op: SpectralOperator, times: TimeGrid, seed: int,
+                        count: int = 20, capture: float = 0.999) -> TestFamily:
     """Random combinations of modes whose dt/t mass the time grid captures.
 
-    For each spectral node s the grid captures
-    sum_j |psi(t_j s)|^2 log-weight; nodes below the capture threshold of
-    the exact kappa^2 are excluded, guaranteeing identity checks are not
-    polluted by unresolved scales.
+    A frequency s is captured when sum_j |psi(t_j s)|^2 log(ratio), psi the
+    g_h symbol z^2 e^{-z^2}, reaches capture * kappa^2, so identity checks
+    are not polluted by unresolved scales.  Torus mode components run from
+    the least captured m pi/R to the largest m whose diagonal is captured.
     """
-    kap2 = kappa(psi) ** 2
+    psi = square_symbol("s_h")
+    level = capture * kappa(psi) ** 2
+
+    def captured(s: np.ndarray) -> np.ndarray:
+        # time on the last, contiguous axis
+        mass = np.sum(np.abs(psi(s[:, None] * times.nodes)) ** 2, axis=-1)
+        return mass * times.log_weight >= level
+
     nodes = op.spectral_nodes()
-    t = times.nodes[:, None]
-    captured = np.sum(np.abs(psi(t * nodes[None, :])) ** 2, axis=0) * times.log_weight
-    good = (captured >= capture * kap2) & (nodes > 0)
+    good = captured(nodes) & (nodes > 0)
     if not good.any():
         raise BandError("no spectral node is captured by this time grid")
     rng = np.random.default_rng(seed)
@@ -196,31 +204,15 @@ def band_limited_family(op: SpectralOperator, psi: MultiplierProfile,
             members.append(op.synthesize(c))
     else:
         grid = op.grid
-        n = grid.points_per_axis
-        xi_unit = np.pi / grid.half_width
-        max_mode = 0
-        for m in range(1, n // 2):
-            s = xi_unit * m * np.sqrt(grid.dim)  # worst case diagonal mode
-            if np.sum(np.abs(psi(times.nodes * s)) ** 2) * times.log_weight \
-                    >= capture * kap2:
-                max_mode = m
-        lo_mode = 0
-        for m in range(1, n // 2):
-            s = xi_unit * m
-            if np.sum(np.abs(psi(times.nodes * s)) ** 2) * times.log_weight \
-                    >= capture * kap2:
-                lo_mode = m
-                break
-        if max_mode < lo_mode or lo_mode == 0:
+        modes = np.arange(1, grid.points_per_axis // 2)
+        xi = np.pi / grid.half_width * modes
+        lo = modes[captured(xi)]
+        hi = modes[captured(xi * np.sqrt(grid.dim))]
+        if not (lo.size and hi.size and lo[0] <= hi[-1]):
             raise BandError("time grid captures no torus mode to the required level")
         for _ in range(count):
-            spec = np.zeros(grid.shape, dtype=np.complex128)
-            for _ in range(8):
-                k = rng.integers(lo_mode, max_mode + 1, size=grid.dim)
-                amp = rng.standard_normal() + 1j * rng.standard_normal()
-                spec[tuple(k)] += amp
-                spec[tuple((-ki) % n for ki in k)] += np.conj(amp)
-            members.append(GridFunction(grid, np.fft.ifftn(spec).real))
+            vals = _hermitian_noise(grid, rng, int(lo[0]), int(hi[-1]) + 1, 8)
+            members.append(GridFunction(grid, vals))
     return TestFamily(seed, tuple(members), f"band-limited-{count}")
 
 
@@ -261,18 +253,19 @@ def power_weight_family(grid: Grid, p: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_spectral_identity(op: SpectralOperator, psi: MultiplierProfile,
-                            family: TestFamily, times: TimeGrid) -> RatioReport:
-    """Discretized (int ||psi(t sqrt(L)) f||_2^2 dt/t)^(1/2) versus kappa ||f||_2."""
-    kap = kappa(psi)
-    g_psi = SquareFunction(op, times, psi)
+def check_spectral_identity(op: SpectralOperator, family: TestFamily,
+                            times: TimeGrid) -> RatioReport:
+    """Discretized (int ||psi(t sqrt(L)) f||_2^2 dt/t)^(1/2) versus kappa ||f||_2,
+    psi(z) = z^2 e^{-z^2}: the L2 norm of the g-function g_h."""
+    kap = kappa(square_symbol("s_h"))
+    g_h = square_function_operator("g_h", op, times)
     ratios, skipped = [], 0
     for f in family.members:
         denom = lp_norm(f, 2)
         if denom == 0.0:
             skipped += 1
             continue
-        ratios.append(lp_norm(g_psi(f), 2) / (kap * denom))
+        ratios.append(lp_norm(g_h(f), 2) / (kap * denom))
     return RatioReport("spectral_identity", tuple(ratios), skipped)
 
 
@@ -411,8 +404,6 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> Growth
     endpoint p = 1 certifies the A_1 statement: L^2_w norms against the
     A_1 constant with exponent bound 1/2.
     """
-    from .weights import ap_constant
-
     if not (p >= 1):
         raise ParameterError(f"p must be >= 1, got {p}")
     norm_p = 2.0 if p == 1 else p
@@ -460,8 +451,6 @@ def check_sharp_composite(family: TestFamily, weights: list, p: float,
     """||Mf||_{L^p_w} against ||M# |f|^2||^{1/2}_{L^{p/2}_w} ||w||^gamma_{A_p},
     gamma = max{1/2, 1/(p-1)}.  M# |f|^2 and Mf run once per member; the
     ratios stay in (weight, member) order."""
-    from .weights import ap_constant
-
     if not (p > 2):
         raise ParameterError("the composite bound needs p > 2 (q = 2 scale)")
     gamma = max(0.5, 1.0 / (p - 1.0))

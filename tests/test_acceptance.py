@@ -109,10 +109,9 @@ def cww_reports(torus_pair):
 
 def test_spectral_identity_torus(torus256):
     start = time.perf_counter()
-    psi = square_symbol("s_h")
     times = _identity_times(torus256)
-    fam = band_limited_family(torus256, psi, times, SEED, 20)
-    rep = check_spectral_identity(torus256, psi, fam, times)
+    fam = band_limited_family(torus256, times, SEED, 20)
+    rep = check_spectral_identity(torus256, fam, times)
     lo, hi = min(rep.ratios), max(rep.ratios)
     ok = 0.98 <= lo and hi <= 1.02
     _report("spectral-identity", ok,
@@ -122,17 +121,16 @@ def test_spectral_identity_torus(torus256):
 
 def test_plancherel_ratios_torus(torus256):
     start = time.perf_counter()
-    psi = square_symbol("s_h")
     cone_times = _cone_times(torus256, per_octave=12)
-    fam_cone = band_limited_family(torus256, psi, cone_times, SEED, 20)
+    fam_cone = band_limited_family(torus256, cone_times, SEED, 20)
     cone = ConeQuadrature(torus256.grid, cone_times)
     rs = [lp_norm(area_integral("s_h", f, torus256, cone), 2) / lp_norm(f, 2)
           for f in fam_cone.members]
     ident_times = _identity_times(torus256)
-    fam_fine = band_limited_family(torus256, psi, ident_times, SEED, 20)
+    fam_fine = band_limited_family(torus256, ident_times, SEED, 20)
     rg = [lp_norm(g_function("g_h", f, torus256, ident_times), 2) / lp_norm(f, 2)
           for f in fam_fine.members]
-    kap = kappa(psi)
+    kap = kappa(square_symbol("s_h"))
     ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * 0.05
     ok_g = max(abs(v - kap) for v in rg) <= kap * 0.02
     _report("plancherel-ratios", ok_s and ok_g,
@@ -374,10 +372,9 @@ def test_sharp_maximal_bounds(torus_pair):
 def test_hermite_spectral_identity(hermite_pair):
     start = time.perf_counter()
     op = hermite_pair[256]
-    psi = square_symbol("s_h")
     times = _identity_times(op)
-    fam = band_limited_family(op, psi, times, SEED, 20)
-    rep = check_spectral_identity(op, psi, fam, times)
+    fam = band_limited_family(op, times, SEED, 20)
+    rep = check_spectral_identity(op, fam, times)
     lo, hi = min(rep.ratios), max(rep.ratios)
     ok = 0.98 <= lo and hi <= 1.02
     elapsed = time.perf_counter() - start
@@ -390,17 +387,16 @@ def test_hermite_spectral_identity(hermite_pair):
 def test_hermite_plancherel(hermite_pair):
     start = time.perf_counter()
     op = hermite_pair[256]
-    psi = square_symbol("s_h")
     cone_times = _cone_times(op, per_octave=12)
-    fam_cone = band_limited_family(op, psi, cone_times, SEED, 20, capture=0.97)
+    fam_cone = band_limited_family(op, cone_times, SEED, 20, capture=0.97)
     cone = ConeQuadrature(op.grid, cone_times)
     rs = [lp_norm(area_integral("s_h", f, op, cone), 2) / lp_norm(f, 2)
           for f in fam_cone.members]
     ident_times = _identity_times(op)
-    fam_fine = band_limited_family(op, psi, ident_times, SEED, 20)
+    fam_fine = band_limited_family(op, ident_times, SEED, 20)
     rg = [lp_norm(g_function("g_h", f, op, ident_times), 2) / lp_norm(f, 2)
           for f in fam_fine.members]
-    kap = kappa(psi)
+    kap = kappa(square_symbol("s_h"))
     ok = (max(abs(v - 0.5) for v in rs) <= 0.5 * 0.05
           and max(abs(v - kap) for v in rg) <= kap * 0.02)
     elapsed = time.perf_counter() - start

@@ -1,10 +1,11 @@
 import json
 import os
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
 
-from sqfn.cli import _CHECKS, config_hash, main, parse_config
+from sqfn.cli import _CHECKS, _build_operator, _time_grid, config_hash, main, parse_config
 from sqfn.errors import UsageError
 
 
@@ -66,6 +67,39 @@ def test_parse_config_rejects_mistyped_numbers(tmp_path, capsys):
         "auto", "0.01", "1, 2,3")
     assert main(["run", "--check", "plancherel", "--set", "operator.n=abc"]) == 2
     assert "operator.n must be an int" in capsys.readouterr().err
+
+
+def test_unknown_operator_name_is_usage_error(capsys, monkeypatch):
+    """operator.name is checked when the config is parsed, before a check runs."""
+    with pytest.raises(UsageError, match="operator.name must be laplacian or hermite, got 'nope'"):
+        parse_config(None, {"operator.name": "nope"})
+    monkeypatch.setattr("sqfn.cli._build_operator", None)
+    assert main(["run", "--check", "plancherel", "--set", "operator.name=nope"]) == 2
+    err = capsys.readouterr().err
+    for word in ("operator.name", "laplacian", "hermite"):
+        assert word in err
+
+
+class _RecordingConfig(dict):
+    """A config that records every key read from it."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def test_describe_lists_every_key_a_check_reads():
+    for tag, meta in _CHECKS.items():
+        cfg = _RecordingConfig(parse_config(None, {"operator.n": "128", "family.count": "8"}))
+        meta["runner"](cfg)
+        patterns = [part.strip() for part in meta["keys"].split(",")]
+        assert cfg.read, tag
+        for key in cfg.read:
+            assert any(fnmatch(key, pattern) for pattern in patterns), (tag, key)
 
 
 def test_config_hash_stable_and_sensitive():
@@ -191,6 +225,26 @@ def test_empty_time_range_names_the_keys(tmp_path, capsys, monkeypatch):
     assert "t_min = 0.25 and t_max = 0.25" in err
     for key in ("operator.n", "times.t_min", "times.t_max"):
         assert key in err
+
+
+@pytest.mark.parametrize("r", ["0.7", "1.5"])
+def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, monkeypatch, r):
+    """At R = 0.7 and 1.5, R N/8 and R N are not powers of two, so the rounded-up
+    node count would carry the auto grids past R^2/4; they end one node earlier."""
+    settings = {"operator.n": "64", "operator.r": r, "family.count": "4",
+                "params.kinds": "s_h", "times.per_octave": "4"}
+    cfg = parse_config(None, settings)
+    op = _build_operator(cfg)
+    for role in ("cone", "identity"):
+        assert _time_grid(cfg, op, role).nodes[-1] <= float(r) ** 2 / 4.0
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    args = ["run", "--check", "weighted_l2_mw", "--check", "spectral_identity"]
+    for key, value in settings.items():
+        args += ["--set", f"{key}={value}"]
+    assert main(args) in (0, 1)
+    out = capsys.readouterr().out
+    for tag in ("weighted_l2_mw_s_h", "spectral_identity"):
+        assert f"PASS {tag}:" in out or f"FAIL {tag}:" in out
 
 
 @pytest.mark.parametrize("per_octave", ["0", "-1"])

@@ -91,6 +91,28 @@ def test_csv_roundtrip():
         np.testing.assert_array_equal(back.values, f.values)
 
 
+@pytest.mark.parametrize("g", [Grid(1, 8, 1.0), Grid(2, 8, 0.7)])
+def test_from_csv_rejects_bad_index_columns(g):
+    """Edited to_csv text: an index outside [0, N), a row of the wrong
+    width, and a missing or duplicated grid point are ParameterErrors."""
+    f = GridFunction(g, np.arange(1.0, g.size + 1.0).reshape(g.shape))
+    lines = to_csv(f).splitlines()
+    head, rows = lines[:2], lines[2:]
+    first_rest = rows[0].split(",", 1)[1]
+    last_values = ",".join(rows[-1].split(",")[g.dim:])
+    first_index = ",".join(rows[0].split(",")[:g.dim])
+    cases = [
+        ("outside", [f"{g.points_per_axis},{first_rest}"] + rows[1:]),
+        ("outside", [f"-1,{first_rest}"] + rows[1:]),
+        ("columns", rows[:-1] + [rows[-1] + ",0.0"]),
+        ("exactly once", rows[:-1]),
+        ("exactly once", rows[:-1] + [f"{first_index},{last_values}"]),
+    ]
+    for match, body in cases:
+        with pytest.raises(ParameterError, match=match):
+            from_csv("\n".join(head + body) + "\n")
+
+
 @given(st.integers(3, 6), st.floats(0.5, 4.0))
 @settings(max_examples=20, deadline=None)
 def test_norm_scaling_property(k, scale):

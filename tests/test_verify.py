@@ -3,7 +3,6 @@ import pytest
 
 from sqfn.errors import BandError, ParameterError
 from sqfn.grid import Grid, GridFunction
-from sqfn.multipliers import square_symbol
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
 from sqfn.verify import (GrowthFit, RatioReport, band_limited_family,
@@ -102,18 +101,26 @@ def test_band_limited_family_identity_sharp(torus):
     """Members built from fully captured modes make the square-function
     identity exact to the capture tolerance."""
     g = torus.grid
-    psi = square_symbol("s_h")
     times = TimeGrid.geometric(g.spacing / 8, g.half_width**2 / 4.0, 12)
-    fam = band_limited_family(torus, psi, times, seed=2, count=6)
-    rep = check_spectral_identity(torus, psi, fam, times)
+    fam = band_limited_family(torus, times, seed=2, count=6)
+    rep = check_spectral_identity(torus, fam, times)
     assert 0.98 <= min(rep.ratios) and rep.sup_ratio <= 1.02
 
 
+def test_spectral_identity_refuses_an_over_budget_grid(torus):
+    """The identity's g_h comes from the factory, so a time grid past the
+    trust budget R^2/4 is refused, as g_function refuses it."""
+    g = torus.grid
+    fam = mixed_family(g, seed=0, count=1)
+    big = TimeGrid(g.half_width**2, 2.0, 3)
+    with pytest.raises(ParameterError, match="exceeds the trust budget"):
+        check_spectral_identity(torus, fam, big)
+
+
 def test_band_limited_family_raises_without_capture(torus):
-    psi = square_symbol("s_h")
     tiny = TimeGrid(1e-6, 2.0, 2)
     with pytest.raises(BandError):
-        band_limited_family(torus, psi, tiny, seed=0)
+        band_limited_family(torus, tiny, seed=0)
 
 
 def test_weight_suite_shapes():
@@ -156,9 +163,9 @@ def test_lp_range_rejects_p_one(torus):
 
 
 def test_square_function_operator_kinds(torus):
-    """All nine kinds build and run; each alias without the underscore is
-    its kind bit for bit; g* needs mu > 1; area_integral and g_function
-    reject the other family."""
+    """All nine kinds build and run; names without the underscore are not
+    kinds; g* needs mu > 1; area_integral and g_function reject the other
+    family."""
     g = torus.grid
     times = TimeGrid.geometric(g.spacing, g.half_width**2 / 4.0, 6)
     f = mixed_family(g, seed=5, count=1).members[0]
@@ -166,20 +173,17 @@ def test_square_function_operator_kinds(torus):
     for kind in area + pointwise + ("g_star",):
         out = square_function_operator(kind, torus, times)(f).values
         assert np.all(np.isfinite(out.real)) and np.max(out.real) > 0, kind
-        if kind != "g_star":
-            alias = square_function_operator(kind.replace("_", ""), torus, times)(f)
-            assert np.array_equal(alias.values, out), kind
-    for bad in ("nope", "gstar", "S_H-scalar"):
+    for bad in ("nope", "gstar", "S_H-scalar", "sh", "SP"):
         with pytest.raises(ParameterError, match="unknown square-function kind"):
             square_function_operator(bad, torus, times)
     for mu in (1.0, 0.5, -2.0):
         with pytest.raises(ParameterError, match="mu must exceed 1"):
             square_function_operator("g_star", torus, times, mu=mu)
     cone = ConeQuadrature(g, times)
-    for kind in pointwise + ("gh", "GP", "g_star"):
+    for kind in pointwise + ("g_star",):
         with pytest.raises(ParameterError, match="is not one of"):
             area_integral(kind, f, torus, cone)
-    for kind in area + ("sh", "SP", "g_star"):
+    for kind in area + ("g_star",):
         with pytest.raises(ParameterError, match="is not one of"):
             g_function(kind, f, torus, times)
 
