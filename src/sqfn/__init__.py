@@ -9,7 +9,7 @@ as a ratio report or a growth fit.
 
 from .errors import SqfnError
 from .grid import Grid, GridFunction, Weight, lp_norm, weighted_lp_norm
-from .multipliers import BumpProfile, MultiplierProfile, kappa, psi_vanishing, square_symbol
+from .multipliers import BumpProfile, kappa, psi_vanishing, square_symbol
 from .spectral import HermiteOscillator1D, LaplacianTorus
 from .squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function, g_star
 from .weights import ap_constant, maximal, rubio_de_francia
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SqfnError", "Grid", "GridFunction", "Weight", "lp_norm",
-    "weighted_lp_norm", "BumpProfile", "MultiplierProfile", "kappa",
-    "psi_vanishing", "square_symbol", "HermiteOscillator1D", "LaplacianTorus",
+    "weighted_lp_norm", "BumpProfile", "kappa", "psi_vanishing",
+    "square_symbol", "HermiteOscillator1D", "LaplacianTorus",
     "ConeQuadrature", "TimeGrid", "area_integral", "g_function", "g_star",
     "ap_constant", "maximal", "rubio_de_francia", "cz_decomposition",
     "whitney", "GrowthFit", "RatioReport", "TestFamily",

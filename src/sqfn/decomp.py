@@ -17,6 +17,7 @@ from scipy.ndimage import distance_transform_edt
 
 from .errors import ParameterError
 from .grid import Grid, GridFunction, require_same_grid
+from .weights import maximal
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,6 @@ def cz_decomposition(f: GridFunction, lam: float) -> CZDecomposition:
     minus its cube average, so every bad part has exactly zero mean and
     the reconstruction is exact by construction.
     """
-    from .weights import maximal  # local import to avoid a module cycle
-
     if not (lam > 0):
         raise ParameterError(f"level must be positive, got {lam}")
     mf = maximal(f).values.real

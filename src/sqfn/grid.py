@@ -191,20 +191,40 @@ def to_csv(f: GridFunction) -> str:
     return buf.getvalue()
 
 
+def _parse(kind, text: str, what: str):
+    """kind(text), or a ParameterError naming the entry that does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        kind_name = "an int" if kind is int else "a float"
+        raise ParameterError(f"CSV {what} {text!r} is not {kind_name}") from None
+
+
 def from_csv(text: str) -> GridFunction:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParameterError("missing CSV metadata line")
-    meta = dict(item.split("=") for item in lines[0][1:].split())
-    grid = Grid(int(meta["dim"]), int(meta["N"]), float(meta["R"]))
+    tokens = lines[0][1:].split()
+    for item in tokens:
+        if "=" not in item:
+            raise ParameterError(f"CSV metadata token {item!r} is not key=value")
+    meta = dict(item.split("=", 1) for item in tokens)
+    missing = [key + "=" for key in ("dim", "N", "R") if key not in meta]
+    if missing:
+        raise ParameterError(f"CSV metadata line lacks {', '.join(missing)}")
+    grid = Grid(_parse(int, meta["dim"], "dim"), _parse(int, meta["N"], "N"),
+                _parse(float, meta["R"], "R"))
     rows = list(csv.reader(lines[1:]))
+    if not rows:
+        raise ParameterError("CSV has no header row")
     header, rows = rows[0], rows[1:]
     if header[-2:] != ["re", "im"]:
         raise ParameterError("CSV header must end with re, im columns")
     n, width = grid.points_per_axis, grid.dim + 2
     if any(len(row) != width for row in rows):
         raise ParameterError(f"CSV rows must have {width} columns")
-    idx = tuple(np.array([row[: grid.dim] for row in rows], dtype=int).reshape(-1, grid.dim).T)
+    ints = [[_parse(int, i, "index") for i in row[: grid.dim]] for row in rows]
+    idx = tuple(np.array(ints, dtype=int).reshape(-1, grid.dim).T)
     if not all(np.all((0 <= i) & (i < n)) for i in idx):
         raise ParameterError(f"CSV index outside [0, {n})")
     count = np.zeros(grid.shape, dtype=int)
@@ -212,5 +232,6 @@ def from_csv(text: str) -> GridFunction:
     if np.any(count != 1):
         raise ParameterError("CSV must list every grid point exactly once")
     values = np.zeros(grid.shape, dtype=np.complex128)
-    values[idx] = [float(row[-2]) + 1j * float(row[-1]) for row in rows]
+    values[idx] = [_parse(float, row[-2], "value") + 1j * _parse(float, row[-1], "value")
+                   for row in rows]
     return GridFunction(grid, values)

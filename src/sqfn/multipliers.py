@@ -1,15 +1,17 @@
 """Spectral multiplier profiles.
 
-Houses the smooth compactly supported bump, its Fourier transform, the
-high-order-vanishing profile used inside the dominating square function,
-the heat/Poisson square-function symbols, and the L^2 normalization
-constant kappa of a symbol.
+A profile is a plain function of the spectral variable s >= 0, applied
+as F(t sqrt(L)) by ``SpectralOperator.profile_values``; the dilate
+s -> F(t s) is ``lambda s: F(t * s)``.  Houses the smooth compactly
+supported bump, its Fourier transform, the high-order-vanishing profile
+used inside the dominating square function, the heat/Poisson
+square-function symbols, and the L^2 normalization constant kappa of a
+profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -83,22 +85,6 @@ def _raw_bump(u):
     return out
 
 
-@dataclass(frozen=True)
-class MultiplierProfile:
-    """A named spectral function evaluated on [0, inf)."""
-
-    tag: str
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, s):
-        return self.evaluator(np.asarray(s, dtype=float))
-
-    def scaled(self, t: float) -> "MultiplierProfile":
-        """The dilated profile s -> profile(t*s)."""
-        ev = self.evaluator
-        return MultiplierProfile(f"{self.tag}@{t:g}", lambda s: ev(t * s))
-
-
 class FourierBump:
     """Fourier transform Phi(s) = integral phi(u) e^{-ius} du of a bump.
 
@@ -133,12 +119,7 @@ class FourierBump:
         return out if out.ndim else float(out)
 
 
-def phi_hat(bump: BumpProfile) -> MultiplierProfile:
-    """The multiplier profile Phi = Fourier transform of the bump."""
-    return MultiplierProfile("phi_hat", FourierBump(bump))
-
-
-def psi_vanishing(n: int) -> MultiplierProfile:
+def psi_vanishing(n: int):
     """The profile s^(2n+2) * Phi(s)^3 with order-(2n+2) vanishing at 0,
     Phi the transform of the radius-1/10 bump."""
     if n not in (1, 2):
@@ -146,21 +127,21 @@ def psi_vanishing(n: int) -> MultiplierProfile:
     phi = FourierBump(BumpProfile(0.1))
     power = 2 * n + 2
 
-    def ev(s):
+    def psi(s):
         return s**power * phi(s) ** 3
 
-    return MultiplierProfile("psi_vanishing", ev)
+    return psi
 
 
 _SQUARE_SYMBOLS = {
-    "s_h": ("s_exp_heat", lambda z: z**2 * np.exp(-(z**2))),
-    "s_p": ("s_exp_poisson", lambda z: z * np.exp(-z)),
-    "S_H-scalar": ("heat", lambda z: np.exp(-(z**2))),
-    "S_P-scalar": ("poisson", lambda z: np.exp(-z)),
+    "s_h": lambda z: z**2 * np.exp(-(z**2)),
+    "s_p": lambda z: z * np.exp(-z),
+    "S_H-scalar": lambda z: np.exp(-(z**2)),
+    "S_P-scalar": lambda z: np.exp(-z),
 }
 
 
-def square_symbol(kind: str) -> MultiplierProfile:
+def square_symbol(kind: str):
     """Scalar symbols of the four square functions.
 
     The horizontal symbols are z^2 e^{-z^2} (heat) and z e^{-z}
@@ -169,11 +150,10 @@ def square_symbol(kind: str) -> MultiplierProfile:
     """
     if kind not in _SQUARE_SYMBOLS:
         raise ParameterError(f"unknown symbol kind {kind!r}; choose from {sorted(_SQUARE_SYMBOLS)}")
-    tag, ev = _SQUARE_SYMBOLS[kind]
-    return MultiplierProfile(tag, ev)
+    return _SQUARE_SYMBOLS[kind]
 
 
-def kappa(psi: MultiplierProfile) -> float:
+def kappa(psi) -> float:
     """kappa = (integral_0^inf |psi(t)|^2 dt/t)^(1/2), by quadrature on a log axis."""
 
     def integrand(v):

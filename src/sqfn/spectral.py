@@ -78,11 +78,13 @@ class SpectralOperator:
         return t <= self.t_max * (1.0 + 1e-9)
 
     def profile_values(self, profile) -> np.ndarray:
-        """F(sqrt(L)) at every spectral coefficient; NaN/Inf is an error."""
+        """F(sqrt(L)) at every spectral coefficient; NaN/Inf is an error
+        naming the first spectral value where F is not finite."""
         vals = np.asarray(profile(self._spectrum), dtype=np.complex128)
-        if not np.all(np.isfinite(vals)):
-            tag = getattr(profile, "tag", "profile")
-            raise NonFiniteError(f"profile {tag!r} evaluated to NaN/Inf on the spectrum")
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            s = float(self._spectrum[np.broadcast_to(bad, self._spectrum.shape)][0])
+            raise NonFiniteError(f"profile is NaN/Inf at the spectral value sqrt(L) = {s!r}")
         return vals
 
     def _guard_budget(self):

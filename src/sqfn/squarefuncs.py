@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .grid import Grid, GridFunction, require_same_grid
-from .multipliers import MultiplierProfile, psi_vanishing, square_symbol
+from .multipliers import psi_vanishing, square_symbol
 from .spectral import SpectralOperator
 
 
@@ -86,12 +86,12 @@ class SquareFunction:
     """
 
     def __init__(self, op: SpectralOperator, times: TimeGrid,
-                 symbol: MultiplierProfile, vertical: bool, kernels):
+                 symbol, vertical: bool, kernels):
         self.op = op
         self.vertical = vertical
         self.nodes = [float(t) for t in times.nodes]
         # row by row: one FourierBump call on all T x N points fills its 4096-row workspace
-        self.table = [op.profile_values(symbol.scaled(t)).real.copy()
+        self.table = [op.profile_values(lambda s: symbol(t * s)).real.copy()
                       for t in self.nodes]
         self.kernels = kernels
         g, dt = op.grid, times.log_weight

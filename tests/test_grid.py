@@ -113,6 +113,24 @@ def test_from_csv_rejects_bad_index_columns(g):
             from_csv("\n".join(head + body) + "\n")
 
 
+_META, _HEAD, *_ROWS = to_csv(GridFunction(Grid(1, 8, 1.0), np.arange(1.0, 9.0))).splitlines()
+
+
+@pytest.mark.parametrize("match, lines", [
+    (r"index '1\.5' is not an int", [_META, _HEAD, "1.5," + _ROWS[0].split(",", 1)[1]] + _ROWS[1:]),
+    (r"value 'abc' is not a float", [_META, _HEAD, "0,abc,0.0"] + _ROWS[1:]),
+    (r"lacks R=", ["# dim=1 N=8", _HEAD] + _ROWS),
+    (r"token 'junk' is not key=value", [_META + " junk", _HEAD] + _ROWS),
+    (r"no header row", [_META]),
+], ids=["index", "value", "no-R", "token", "no-header"])
+def test_from_csv_rejects_malformed_text(match, lines):
+    """Edited 1-D N=8 to_csv text: a non-integer index, a non-numeric
+    value, a metadata line without R=, a metadata token without = and text
+    with no header row are ParameterErrors naming the problem."""
+    with pytest.raises(ParameterError, match=match):
+        from_csv("\n".join(lines) + "\n")
+
+
 @given(st.integers(3, 6), st.floats(0.5, 4.0))
 @settings(max_examples=20, deadline=None)
 def test_norm_scaling_property(k, scale):

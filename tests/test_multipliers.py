@@ -3,9 +3,8 @@ import pytest
 from scipy.integrate import quad
 
 from sqfn.errors import DecayClassError, ParameterError
-from sqfn.multipliers import (BumpProfile, FourierBump, MultiplierProfile,
-                              clenshaw_curtis, kappa, phi_hat,
-                              psi_vanishing, square_symbol)
+from sqfn.multipliers import (BumpProfile, FourierBump, clenshaw_curtis,
+                              kappa, psi_vanishing, square_symbol)
 
 
 def test_clenshaw_curtis_low_order():
@@ -60,9 +59,8 @@ def test_kappa_closed_forms():
 
 
 def test_kappa_rejects_nonvanishing_profile():
-    flat = MultiplierProfile("flat", lambda s: np.ones_like(s))
     with pytest.raises(DecayClassError):
-        kappa(flat)
+        kappa(lambda s: np.ones_like(s))
 
 
 def test_psi_vanishing_vanishing_order():
@@ -76,17 +74,12 @@ def test_psi_vanishing_vanishing_order():
         psi_vanishing(3)
 
 
-def test_scaled_profile():
-    psi = square_symbol("s_h")
-    assert psi.scaled(2.0)(1.5) == pytest.approx(psi(3.0))
-
-
 def test_square_symbol_unknown_kind():
     with pytest.raises(ParameterError):
         square_symbol("nope")
 
 
 def test_phi_hat_decay():
-    prof = phi_hat(BumpProfile(0.1))
+    prof = FourierBump(BumpProfile(0.1))
     # smooth-bump transform decay is subexponential in sqrt(s)
     assert abs(prof(1000.0)) < 1e-4 * abs(prof(0.0))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sqfn.errors import (ParameterError, ResolutionError, SpectralTailError)
+from sqfn.errors import (NonFiniteError, ParameterError, ResolutionError,
+                         SpectralTailError)
 from sqfn.grid import Grid, GridFunction
 from sqfn.spectral import (HermiteOscillator1D, LaplacianTorus,
                            fit_gaussian_bound)
@@ -200,3 +201,16 @@ def test_laplacian_2d_mode():
     lam = (np.pi * 2) ** 2 + (np.pi * 3) ** 2
     np.testing.assert_allclose(u.values.real, np.exp(-t * lam) * f.values.real,
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("op, profile, where", [
+    (LaplacianTorus(Grid(1, 16, 1.0)), lambda s: 1.0 / s, "sqrt(L) = 0.0"),
+    (LaplacianTorus(Grid(2, 8, 1.0)), lambda s: 1.0 / s, "sqrt(L) = 0.0"),
+    (HermiteOscillator1D(Grid(1, 64, 12.0), 16), lambda s: 1.0 / (s - 1.0), "sqrt(L) = 1.0"),
+], ids=["torus1d", "torus2d", "oscillator"])
+def test_profile_values_names_the_nonfinite_spectral_value(op, profile, where):
+    """A profile that is not finite somewhere on the spectrum is a
+    NonFiniteError naming the first spectral value where it fails."""
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteError) as err:
+        op.profile_values(profile)
+    assert str(err.value).endswith(where)

@@ -166,7 +166,7 @@ def _per_t_loop(kind, f, op, times):
     acc = np.zeros(g.shape)
     for t in map(float, times.nodes):
         if kind == "g_star":
-            profile = ORACLE_PSI[n].scaled(t)
+            profile = lambda s: ORACLE_PSI[n](t * s)
         elif kind in ("s_h", "g_h"):
             profile = lambda s: (t * s) ** 2 * np.exp(-((t * s) ** 2))
         elif kind in ("s_p", "g_p"):
