@@ -25,6 +25,7 @@ import json
 import os
 import sys
 import time
+from collections import namedtuple
 
 import numpy as np
 
@@ -53,16 +54,25 @@ def _floats(text: str) -> list:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+# Every operator: its dims, auto operator.r, auto times.t_max (None: the
+# trust budget R^2/4) and the capture of the plancherel cone family.
+_Operator = namedtuple("_Operator", "dims r t_max capture")
+_OPERATORS = {
+    "laplacian": _Operator((1, 2), 1.0, None, 0.999),
+    "hermite": _Operator((1,), 22.5, 4.0, 0.97),
+}
+_PAIRS = tuple((name, dim) for name, spec in _OPERATORS.items() for dim in spec.dims)
+
 # Every config key: (default, type), where the type is what a numeric or
 # named value must parse as, or None for free text.
 _INT, _FLOAT = ("an int", int), ("a float", float)
 _AUTO = ("a float or auto", lambda text: text == "auto" or float(text))
 _LIST = ("a comma-separated float list", _floats)
 _KEYS = {
-    "operator.name": ("laplacian", ("laplacian or hermite", ("laplacian", "hermite").index)),
+    "operator.name": ("laplacian", (" or ".join(_OPERATORS), list(_OPERATORS).index)),
     "operator.dim": ("1", _INT),
     "operator.n": ("256", _INT),
-    "operator.r": ("auto", _AUTO),          # 1.0 for the torus, 22.5 for the oscillator
+    "operator.r": ("auto", _AUTO),
     "operator.truncation": ("128", _INT),
     "family.seed": ("7", _INT),
     "family.count": ("20", _INT),
@@ -133,26 +143,27 @@ def config_hash(cfg: dict) -> str:
 
 
 def _build_operator(cfg: dict):
-    name = cfg["operator.name"]
-    dim = int(cfg["operator.dim"])
-    n = int(cfg["operator.n"])
-    r = cfg["operator.r"]
-    if r == "auto":
-        r = 1.0 if name == "laplacian" else 22.5
-    grid = Grid(dim, n, float(r))
-    return default_operator(name, grid, int(cfg["operator.truncation"]))
+    """The configured operator; one the domain refuses is a UsageError."""
+    name, r = cfg["operator.name"], cfg["operator.r"]
+    try:
+        grid = Grid(int(cfg["operator.dim"]), int(cfg["operator.n"]),
+                    _OPERATORS[name].r if r == "auto" else float(r))
+        return default_operator(name, grid, int(cfg["operator.truncation"]))
+    except SqfnError as exc:
+        keys = ", ".join(f"{k} = {cfg[k]}" for k in _KEYS if k.startswith("operator."))
+        raise UsageError(f"{keys}: {exc}") from None
 
 
 def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
     """Per-role defaults: identity grids reach below the spacing, cone
-    grids start at it; the oscillator's trust window is capped at 4."""
+    grids start at it; t_max is the operator's (see _OPERATORS)."""
     h = op.grid.spacing
     t_min = cfg["times.t_min"]
     t_max = cfg["times.t_max"]
     if t_min == "auto":
         t_min = h / 8.0 if role == "identity" else h
     if t_max == "auto":
-        t_max = 4.0 if cfg["operator.name"] == "hermite" else op.t_max
+        t_max = _OPERATORS[cfg["operator.name"]].t_max or op.t_max
     t_min, t_max = float(t_min), float(t_max)
     per_octave = int(cfg["times.per_octave"])
     if per_octave < 1:
@@ -170,12 +181,11 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
 
 
 # ---------------------------------------------------------------------------
-# Check runners: each takes the config and returns a list of records
+# Check runners: each takes the config and its operator, returns records
 # ---------------------------------------------------------------------------
 
 
-def _run_spectral_identity(cfg: dict) -> list:
-    op = _build_operator(cfg)
+def _run_spectral_identity(cfg: dict, op) -> list:
     times = _time_grid(cfg, op, "identity")
     fam = band_limited_family(op, times, int(cfg["family.seed"]), int(cfg["family.count"]))
     rep = check_spectral_identity(op, fam, times)
@@ -185,20 +195,18 @@ def _run_spectral_identity(cfg: dict) -> list:
              "bound": 1.0 + constants.IDENTITY_RTOL, "passed": bool(ok)}]
 
 
-def _run_plancherel(cfg: dict) -> list:
-    op = _build_operator(cfg)
+def _run_plancherel(cfg: dict, op) -> list:
     ident_times = _time_grid(cfg, op, "identity")
     cone_times = _time_grid(cfg, op, "cone")
-    capture = 0.97 if cfg["operator.name"] == "hermite" else 0.999
     fam_cone = band_limited_family(op, cone_times, int(cfg["family.seed"]),
-                                   int(cfg["family.count"]), capture=capture)
+                                   int(cfg["family.count"]),
+                                   capture=_OPERATORS[cfg["operator.name"]].capture)
     fam_fine = band_limited_family(op, ident_times, int(cfg["family.seed"]),
                                    int(cfg["family.count"]))
     s_h = square_function_operator("s_h", op, cone_times)
     rs = [lp_norm(s_h(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
     kap = kappa(square_symbol("s_h"))
-    g_h = square_function_operator("g_h", op, ident_times)
-    rg = [lp_norm(g_h(f), 2) / lp_norm(f, 2) for f in fam_fine.members]
+    rg = [kap * r for r in check_spectral_identity(op, fam_fine, ident_times).ratios]
     ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * constants.AREA_PLANCHEREL_RTOL
     ok_g = max(abs(v - kap) for v in rg) <= kap * constants.IDENTITY_RTOL
     return [
@@ -209,8 +217,7 @@ def _run_plancherel(cfg: dict) -> list:
     ]
 
 
-def _run_finite_propagation(cfg: dict) -> list:
-    op = _build_operator(cfg)
+def _run_finite_propagation(cfg: dict, op) -> list:
     g = op.grid
     n = g.points_per_axis
     if cfg["operator.name"] == "laplacian":
@@ -238,12 +245,7 @@ _SWEEP_GRIDS = {
 }
 
 
-def _run_kernel_bounds(cfg: dict) -> list:
-    name, dim = cfg["operator.name"], int(cfg["operator.dim"])
-    if name != "laplacian" or dim != 1:
-        raise UsageError(f"check kernel_bounds needs the 1-D torus Laplacian, got "
-                         f"operator.name = {name}, operator.dim = {dim}")
-    op = _build_operator(cfg)
+def _run_kernel_bounds(cfg: dict, op) -> list:
     records = []
     for lemma, (t_lo, t_hi, variants) in _SWEEP_GRIDS.items():
         ts = np.geomspace(t_lo, t_hi, 5)
@@ -262,8 +264,7 @@ def _run_kernel_bounds(cfg: dict) -> list:
     return records
 
 
-def _run_whitney_cz(cfg: dict) -> list:
-    op = _build_operator(cfg)
+def _run_whitney_cz(cfg: dict, op) -> list:
     g = op.grid
     rng = np.random.default_rng(int(cfg["family.seed"]))
     n = g.points_per_axis
@@ -324,22 +325,21 @@ def _record(rep, **fields) -> dict:
     return rec
 
 
-def _setup(cfg: dict, count: int | None = None,
+def _setup(cfg: dict, op, count: int | None = None,
            shapes: tuple = ("band", "bump", "spike", "packet")) -> tuple:
-    """(operator, cone time grid, resolved family, weight suite) of a config.
+    """(cone time grid, resolved family, weight suite) of a config.
 
     The family has family.count members unless count says otherwise; the
     weights use the seed family.seed + 100.
     """
-    op = _build_operator(cfg)
     seed = int(cfg["family.seed"])
     count = int(cfg["family.count"]) if count is None else count
     fam = resolved_family(op, seed, count, shapes=shapes)
-    return op, _time_grid(cfg, op, "cone"), fam, weight_suite(op.grid, seed + 100)
+    return _time_grid(cfg, op, "cone"), fam, weight_suite(op.grid, seed + 100)
 
 
-def _run_weighted_l2_mw(cfg: dict) -> list:
-    op, times, fam, ws = _setup(cfg)
+def _run_weighted_l2_mw(cfg: dict, op) -> list:
+    times, fam, ws = _setup(cfg, op)
     kinds = [k.strip() for k in cfg["params.kinds"].split(",") if k.strip()]
     mu = float(cfg["params.mu"])
     return [_record(check_weighted_l2_mw(square_function_operator(k, op, times, mu=mu),
@@ -347,15 +347,15 @@ def _run_weighted_l2_mw(cfg: dict) -> list:
             for k in kinds]
 
 
-def _run_weak_lp(cfg: dict) -> list:
-    op, times, fam, ws = _setup(cfg)
+def _run_weak_lp(cfg: dict, op) -> list:
+    times, fam, ws = _setup(cfg, op)
     T = square_function_operator("s_h", op, times)
     return [_record(check_weak_1_1(T, fam, ws))] + [
         _record(check_lp_range(T, fam, ws, p)) for p in _floats(cfg["params.p_list"])]
 
 
-def _run_pointwise_domination(cfg: dict) -> list:
-    op, times, fam, _ = _setup(cfg)
+def _run_pointwise_domination(cfg: dict, op) -> list:
+    times, fam, _ = _setup(cfg, op)
     gstar = square_function_operator("g_star", op, times, mu=float(cfg["params.mu"]))
     records = []
     for kind in ("s_h", "s_p", "S_H", "S_P"):
@@ -367,21 +367,20 @@ def _run_pointwise_domination(cfg: dict) -> list:
     return records
 
 
-def _run_growth_in_p(cfg: dict) -> list:
-    op, times, fam, _ = _setup(cfg)
+def _run_growth_in_p(cfg: dict, op) -> list:
+    times, fam, _ = _setup(cfg, op)
     T = square_function_operator("s_h", op, times)
     return [_record(check_growth_in_p(T, fam, _floats(cfg["params.growth_p_list"])))]
 
 
-def _run_growth_in_ap(cfg: dict) -> list:
-    op, times, fam, _ = _setup(cfg)
+def _run_growth_in_ap(cfg: dict, op) -> list:
+    times, fam, _ = _setup(cfg, op)
     T = square_function_operator("s_h", op, times)
     return [_record(check_growth_in_ap(T, fam, power_weight_family(op.grid, p), p))
             for p in _floats(cfg["params.ap_p_list"])]
 
 
-def _run_rubio_de_francia(cfg: dict) -> list:
-    op = _build_operator(cfg)
+def _run_rubio_de_francia(cfg: dict, op) -> list:
     q = float(cfg["params.q"])
     base_seed = int(cfg["family.seed"])
     worst = 0.0
@@ -400,15 +399,16 @@ def _run_rubio_de_francia(cfg: dict) -> list:
              "passed": bool(all_ok)}]
 
 
-def _run_sharp_maximal(cfg: dict) -> list:
-    op, times, fam, ws = _setup(cfg, min(int(cfg["family.count"]), 10),
-                                ("band", "bump", "packet"))
+def _run_sharp_maximal(cfg: dict, op) -> list:
+    times, fam, ws = _setup(cfg, op, min(int(cfg["family.count"]), 10),
+                            ("band", "bump", "packet"))
     gstar = square_function_operator("g_star", op, times, mu=float(cfg["params.mu"]))
     lam = float(cfg["params.lam"])
     return [_record(check_sharp_maximal_domination(gstar, fam, lam)),
             _record(check_sharp_composite(fam, ws[:3], 4.0, lam))]
 
 
+# Every check; runs_on lists its (operator.name, operator.dim) pairs if not _PAIRS.
 _CHECKS = {
     "spectral_identity": {
         "runner": _run_spectral_identity,
@@ -433,6 +433,7 @@ _CHECKS = {
         "formula": "fitted constants of the four kernel bounds across tuned t (and r) log-grids",
         "tolerance": f"variation < {constants.KERNEL_FIT_VARIATION:.0%}; support mass < {constants.SUPPORT_LEAK_TOL:g}",
         "keys": "operator.*",
+        "runs_on": (("laplacian", 1),),
     },
     "whitney_cz": {
         "runner": _run_whitney_cz,
@@ -469,6 +470,7 @@ _CHECKS = {
         "formula": "weighted norms against the A_p constant; exponent beta_p + 1/(p-1), A_1 endpoint 1/2",
         "tolerance": f"slope <= bound + {constants.AP_GROWTH_SLACK}",
         "keys": "operator.*, family.*, times.*, params.ap_p_list",
+        "runs_on": tuple(pair for pair in _PAIRS if pair[1] == 1),
     },
     "rubio_de_francia": {
         "runner": _run_rubio_de_francia,
@@ -494,9 +496,17 @@ def _output_dir(cfg: dict) -> str:
     return os.environ.get("SQFN_OUT", cfg["output.directory"])
 
 
-def _require_check(tag: str):
+def _require_check(tag: str, pair: tuple | None = None) -> str:
+    """Where a known check runs, as text; a UsageError for an unknown check,
+    or for an (operator.name, operator.dim) pair where it does not run."""
     if tag not in _CHECKS:
         raise UsageError(f"unknown check {tag!r}; available: {', '.join(sorted(_CHECKS))}")
+    pairs = _CHECKS[tag].get("runs_on", _PAIRS)
+    runs_on = ", ".join(f"{name} {dim}-D" for name, dim in pairs)
+    if pair is not None and pair not in pairs:
+        raise UsageError(f"check {tag} does not run on operator.name = {pair[0]}, "
+                         f"operator.dim = {pair[1]}; it runs on {runs_on}")
+    return runs_on
 
 
 def run(cfg: dict) -> int:
@@ -505,14 +515,15 @@ def run(cfg: dict) -> int:
         raise UsageError("no check to run: name one with --check, or list "
                          "them in checks.enabled")
     for tag in tags:
-        _require_check(tag)
+        _require_check(tag, (cfg["operator.name"], int(cfg["operator.dim"])))
+    op = _build_operator(cfg)
     digest = config_hash(cfg)
     out = _output_dir(cfg)
     os.makedirs(out, exist_ok=True)
     all_records = []
     for tag in tags:
         start = time.perf_counter()
-        records = _CHECKS[tag]["runner"](cfg)
+        records = _CHECKS[tag]["runner"](cfg, op)
         elapsed = time.perf_counter() - start
         all_records += [dict(rec, runtime_s=elapsed) for rec in records]
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -547,12 +558,13 @@ def run(cfg: dict) -> int:
 
 
 def describe(tag: str) -> int:
-    _require_check(tag)
+    runs_on = _require_check(tag)
     meta = _CHECKS[tag]
     print(f"check: {tag}")
     print(f"formula: {meta['formula']}")
     print(f"tolerance: {meta['tolerance']}")
     print(f"config keys: {meta['keys']}")
+    print(f"runs on: {runs_on}")
     return 0
 
 

@@ -22,11 +22,10 @@ from .weights import maximal
 
 @dataclass(frozen=True)
 class Cube:
-    """A dyadic cube: lowest-corner cell index, side in cells, level."""
+    """A dyadic cube: lowest-corner cell index and side in cells."""
 
     start: tuple
     side_cells: int
-    level: int
 
     def slices(self):
         return tuple(slice(s, s + self.side_cells) for s in self.start)
@@ -81,7 +80,7 @@ def whitney(grid: Grid, mask: np.ndarray) -> WhitneyCover:
     sqrt_dim = np.sqrt(grid.dim)
     cubes = []
 
-    def visit(start, m, level):
+    def visit(start, m):
         sl = tuple(slice(s, s + m) for s in start)
         sub = mask[sl]
         if not sub.any():
@@ -89,14 +88,14 @@ def whitney(grid: Grid, mask: np.ndarray) -> WhitneyCover:
         if sub.all():
             diam = m * h * sqrt_dim
             if m == 1 or float(np.min(edt[sl])) >= diam:
-                cubes.append(Cube(tuple(start), m, level))
+                cubes.append(Cube(tuple(start), m))
                 return
         half = m // 2
         for corner in np.ndindex(*(2,) * grid.dim):
             child = tuple(s + c * half for s, c in zip(start, corner))
-            visit(child, half, level + 1)
+            visit(child, half)
 
-    visit((0,) * grid.dim, grid.points_per_axis, 0)
+    visit((0,) * grid.dim, grid.points_per_axis)
     return WhitneyCover(grid, mask, tuple(cubes))
 
 

@@ -204,11 +204,15 @@ def from_csv(text: str) -> GridFunction:
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#"):
         raise ParameterError("missing CSV metadata line")
-    tokens = lines[0][1:].split()
-    for item in tokens:
+    meta = {}
+    for item in lines[0][1:].split():
         if "=" not in item:
             raise ParameterError(f"CSV metadata token {item!r} is not key=value")
-    meta = dict(item.split("=", 1) for item in tokens)
+        key, value = item.split("=", 1)
+        if key in meta or key not in ("dim", "N", "R"):
+            raise ParameterError(f"CSV metadata key {key!r} is "
+                                 f"{'repeated' if key in meta else 'unknown'}")
+        meta[key] = value
     missing = [key + "=" for key in ("dim", "N", "R") if key not in meta]
     if missing:
         raise ParameterError(f"CSV metadata line lacks {', '.join(missing)}")

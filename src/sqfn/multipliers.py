@@ -94,7 +94,6 @@ class FourierBump:
     """
 
     def __init__(self, bump: BumpProfile):
-        self.bump = bump
         a = bump.support_radius
         self._nodes = a * _CC_NODES
         self._weights = a * _CC_WEIGHTS * bump(self._nodes)

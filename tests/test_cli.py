@@ -1,11 +1,14 @@
 import json
 import os
+import sys
 from fnmatch import fnmatch
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqfn.cli import _CHECKS, _build_operator, _time_grid, config_hash, main, parse_config
+from sqfn.cli import (_CHECKS, _build_operator, _require_check, _time_grid, config_hash,
+                      main, parse_config)
 from sqfn.errors import UsageError
 
 
@@ -95,7 +98,7 @@ class _RecordingConfig(dict):
 def test_describe_lists_every_key_a_check_reads():
     for tag, meta in _CHECKS.items():
         cfg = _RecordingConfig(parse_config(None, {"operator.n": "128", "family.count": "8"}))
-        meta["runner"](cfg)
+        meta["runner"](cfg, _build_operator(cfg))
         patterns = [part.strip() for part in meta["keys"].split(",")]
         assert cfg.read, tag
         for key in cfg.read:
@@ -270,7 +273,9 @@ def test_bad_set_syntax(capsys):
 def test_kernel_bounds_rejects_hermite(capsys):
     assert main(["run", "--check", "kernel_bounds",
                  "--set", "operator.name=hermite"]) == 2
-    assert "torus" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for word in ("kernel_bounds", "operator.name = hermite", "operator.dim = 1"):
+        assert word in err
 
 
 def test_kernel_bounds_rejects_2d_before_building_kernels(capsys, monkeypatch):
@@ -306,3 +311,95 @@ def test_dump_operator(tmp_path):
     data = np.loadtxt(out, delimiter=",")
     assert data.shape == (64, 64)
     np.testing.assert_allclose(data, data.T, atol=1e-12)
+
+
+# Where each check runs, written out independently of cli._CHECKS.
+_EVERY_PAIR = {("laplacian", 1), ("laplacian", 2), ("hermite", 1)}
+_DOMAINS = {"kernel_bounds": {("laplacian", 1)},
+            "growth_in_ap": {("laplacian", 1), ("hermite", 1)}}
+_OUTSIDE = [(tag, name, dim) for tag in sorted(_CHECKS)
+            for name in ("laplacian", "hermite") for dim in (1, 2)
+            if (name, dim) not in _DOMAINS.get(tag, _EVERY_PAIR)]
+
+
+def _no_build(monkeypatch):
+    """Replace the operator build with one that records each call and fails."""
+    built = []
+
+    def build(cfg):
+        built.append(cfg)
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr("sqfn.cli._build_operator", build)
+    return built
+
+
+@pytest.mark.parametrize("tag, name, dim", _OUTSIDE)
+def test_run_refuses_a_check_outside_its_domain(tmp_path, capsys, monkeypatch, tag, name, dim):
+    """A (check, operator, dim) outside the check's domain is a usage error
+    (exit 2) naming all three, raised before an operator is built."""
+    built = _no_build(monkeypatch)
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", tag, "--set", f"operator.name={name}",
+                 "--set", f"operator.dim={dim}"]) == 2
+    err = capsys.readouterr().err
+    for word in (f"check {tag} ", f"operator.name = {name}", f"operator.dim = {dim}"):
+        assert word in err
+    assert built == []
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_admission_refuses_the_whole_run(tmp_path, capsys, monkeypatch):
+    """One check outside its domain refuses the run: no check runs."""
+    built = _no_build(monkeypatch)
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", "finite_propagation", "--check", "growth_in_ap",
+                 "--check", "whitney_cz", "--set", "operator.dim=2"]) == 2
+    assert "check growth_in_ap " in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+def test_describe_prints_where_a_check_runs(capsys):
+    assert main(["describe", "kernel_bounds"]) == 0
+    assert "runs on: laplacian 1-D\n" in capsys.readouterr().out
+    assert main(["describe", "whitney_cz"]) == 0
+    assert "runs on: laplacian 1-D, laplacian 2-D, hermite 1-D\n" in capsys.readouterr().out
+
+
+def test_every_benchmark_workload_check_is_admitted():
+    """Each workload names only checks that run on its operator and dim,
+    at full size and at the self-test size."""
+    bench = str(Path(__file__).resolve().parent.parent / "benchmarks")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    for workload in workloads.WORKLOADS.values():
+        for tiny in (False, True):
+            cfg = parse_config(None, workload.settings_for(tiny))
+            pair = (cfg["operator.name"], int(cfg["operator.dim"]))
+            for tag in workload.checks:
+                _require_check(tag, pair)
+
+
+@pytest.mark.parametrize("args, words", [
+    (["run", "--check", "spectral_identity", "--set", "operator.n=100"],
+     ["operator.n = 100", "power of two"]),
+    (["dump-operator", "--set", "operator.n=100"], ["operator.n = 100", "power of two"]),
+    (["run", "--check", "spectral_identity", "--set", "operator.name=hermite",
+      "--set", "operator.truncation=0"],
+     ["operator.name = hermite", "operator.truncation = 0", "truncation must be >= 1"]),
+], ids=["run-n", "dump-operator-n", "hermite-truncation"])
+def test_operator_keys_the_domain_refuses_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                          args, words):
+    """A grid or operator the library refuses is a usage error (exit 2)
+    naming the operator.* keys and keeping the library's message."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    for word in words:
+        assert word in err

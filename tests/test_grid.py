@@ -131,6 +131,17 @@ def test_from_csv_rejects_malformed_text(match, lines):
         from_csv("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("match, meta", [
+    (r"key 'dim' is repeated", _META + " dim=2"),
+    (r"key 'X' is unknown", _META + " X=3"),
+], ids=["repeated", "unknown"])
+def test_from_csv_rejects_repeated_or_unknown_metadata(match, meta):
+    """Edited 1-D N=8 to_csv text: a metadata key given twice, or one that
+    from_csv does not read, is a ParameterError naming the key."""
+    with pytest.raises(ParameterError, match=match):
+        from_csv("\n".join([meta, _HEAD] + _ROWS) + "\n")
+
+
 @given(st.integers(3, 6), st.floats(0.5, 4.0))
 @settings(max_examples=20, deadline=None)
 def test_norm_scaling_property(k, scale):
