@@ -32,26 +32,42 @@ import numpy as np
 from . import constants
 from .decomp import cz_decomposition, whitney
 from .errors import ParameterError, SqfnError, UsageError
-from .grid import Grid, GridFunction, lp_norm, to_csv
+from .grid import Grid, GridFunction, lp_norm, require_exponent, to_csv
 from .kernelbounds import constant_variation, sweep
 from .multipliers import kappa, square_symbol
-from .squarefuncs import TimeGrid
+from .squarefuncs import KINDS, TimeGrid
 from .verify import (GrowthFit, band_limited_family, check_growth_in_ap,
                      check_growth_in_p, check_lp_range,
                      check_pointwise_domination, check_sharp_composite,
                      check_sharp_maximal_domination, check_spectral_identity,
                      check_weak_1_1, check_weighted_l2_mw, default_operator,
-                     mixed_family, power_weight_family, propagation_leak,
-                     resolved_family, square_function_operator, weight_suite)
-from .weights import empirical_maximal_norm, rubio_de_francia
+                     growth_exponents, mixed_family, power_weight_family,
+                     propagation_leak, resolved_family, square_function_operator,
+                     weight_suite)
+from .weights import empirical_maximal_norm, rubio_de_francia, sharp_lambda
 
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
 
 
-def _floats(text: str) -> list:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _names(text: str) -> list:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _entries(text: str, each=float) -> list:
+    """The comma-separated entries of text, each parsed by each; none is an error."""
+    values = [each(part) for part in _names(text)]
+    if not values:
+        raise ParameterError("the list is empty")
+    return values
+
+
+def _count(text: str) -> int:
+    """An int of at least 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
 
 
 # Every operator: its dims, auto operator.r, auto times.t_max (None: the
@@ -64,10 +80,11 @@ _OPERATORS = {
 _PAIRS = tuple((name, dim) for name, spec in _OPERATORS.items() for dim in spec.dims)
 
 # Every config key: (default, type), where the type is what a numeric or
-# named value must parse as, or None for free text.
-_INT, _FLOAT = ("an int", int), ("a float", float)
+# named value must parse as; a params.* parse also applies the library's own
+# range rule, whose ParameterError the usage error quotes.  None is free text.
+_INT = ("an int", int)
+_LIST = "a comma-separated float list"
 _AUTO = ("a float or auto", lambda text: text == "auto" or float(text))
-_LIST = ("a comma-separated float list", _floats)
 _KEYS = {
     "operator.name": ("laplacian", (" or ".join(_OPERATORS), list(_OPERATORS).index)),
     "operator.dim": ("1", _INT),
@@ -80,14 +97,17 @@ _KEYS = {
     "times.t_max": ("auto", _AUTO),
     "times.per_octave": ("8", _INT),
     "checks.enabled": ("", None),
-    "params.mu": ("3.5", _FLOAT),
-    "params.kinds": ("s_h,s_p,S_H,S_P,g_star", None),
-    "params.p_list": ("1.5,2,4", _LIST),
-    "params.growth_p_list": ("2,4,8,16,32", _LIST),
-    "params.ap_p_list": ("1,2,3", _LIST),
-    "params.lam": ("0.25", _FLOAT),
-    "params.q": ("2", _FLOAT),
-    "params.masks": ("50", _INT),
+    "params.mu": ("3.5", ("a float", lambda text: require_exponent("mu", float(text)))),
+    "params.kinds": ("s_h,s_p,S_H,S_P,g_star", (f"a comma-separated list of {', '.join(KINDS)}",
+                                                 lambda text: _entries(text, list(KINDS).index))),
+    "params.p_list": ("1.5,2,4", (_LIST, lambda text: _entries(
+        text, lambda p: require_exponent("p", float(p))))),
+    "params.growth_p_list": ("2,4,8,16,32", (_LIST, lambda text: growth_exponents(_entries(text)))),
+    "params.ap_p_list": ("1,2,3", (_LIST, lambda text: _entries(
+        text, lambda p: require_exponent("p", float(p), closed=True)))),
+    "params.lam": ("0.25", ("a float", lambda text: sharp_lambda(float(text)))),
+    "params.q": ("2", ("a float", lambda text: require_exponent("q", float(text)))),
+    "params.masks": ("50", ("an int >= 1", _count)),
     "output.directory": ("sqfn-out", None),
 }
 
@@ -99,8 +119,9 @@ def _check_type(full: str, value: str, where: str) -> str:
         name, parse = rule
         try:
             parse(value)
-        except ValueError:
-            raise UsageError(f"{where}{full} must be {name}, got {value!r}") from None
+        except ValueError as exc:
+            why = f": {exc}" if isinstance(exc, ParameterError) else ""
+            raise UsageError(f"{where}{full} must be {name}, got {value!r}{why}") from None
     return value
 
 
@@ -340,18 +361,17 @@ def _setup(cfg: dict, op, count: int | None = None,
 
 def _run_weighted_l2_mw(cfg: dict, op) -> list:
     times, fam, ws = _setup(cfg, op)
-    kinds = [k.strip() for k in cfg["params.kinds"].split(",") if k.strip()]
     mu = float(cfg["params.mu"])
     return [_record(check_weighted_l2_mw(square_function_operator(k, op, times, mu=mu),
                                          fam, ws, tag=f"weighted_l2_mw_{k}"))
-            for k in kinds]
+            for k in _names(cfg["params.kinds"])]
 
 
 def _run_weak_lp(cfg: dict, op) -> list:
     times, fam, ws = _setup(cfg, op)
     T = square_function_operator("s_h", op, times)
     return [_record(check_weak_1_1(T, fam, ws))] + [
-        _record(check_lp_range(T, fam, ws, p)) for p in _floats(cfg["params.p_list"])]
+        _record(check_lp_range(T, fam, ws, p)) for p in _entries(cfg["params.p_list"])]
 
 
 def _run_pointwise_domination(cfg: dict, op) -> list:
@@ -370,14 +390,14 @@ def _run_pointwise_domination(cfg: dict, op) -> list:
 def _run_growth_in_p(cfg: dict, op) -> list:
     times, fam, _ = _setup(cfg, op)
     T = square_function_operator("s_h", op, times)
-    return [_record(check_growth_in_p(T, fam, _floats(cfg["params.growth_p_list"])))]
+    return [_record(check_growth_in_p(T, fam, _entries(cfg["params.growth_p_list"])))]
 
 
 def _run_growth_in_ap(cfg: dict, op) -> list:
     times, fam, _ = _setup(cfg, op)
     T = square_function_operator("s_h", op, times)
     return [_record(check_growth_in_ap(T, fam, power_weight_family(op.grid, p), p))
-            for p in _floats(cfg["params.ap_p_list"])]
+            for p in _entries(cfg["params.ap_p_list"])]
 
 
 def _run_rubio_de_francia(cfg: dict, op) -> list:
@@ -510,7 +530,7 @@ def _require_check(tag: str, pair: tuple | None = None) -> str:
 
 
 def run(cfg: dict) -> int:
-    tags = [t.strip() for t in cfg["checks.enabled"].split(",") if t.strip()]
+    tags = _names(cfg["checks.enabled"])
     if not tags:
         raise UsageError("no check to run: name one with --check, or list "
                          "them in checks.enabled")

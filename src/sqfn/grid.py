@@ -59,6 +59,11 @@ class Grid:
         return self.points_per_axis**self.dim
 
     @property
+    def axes(self) -> tuple:
+        """The axes of the grid in a stack of grid functions: the last dim."""
+        return tuple(range(-self.dim, 0))
+
+    @property
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
@@ -146,10 +151,18 @@ def require_same_grid(a, b):
         raise GridMismatchError(f"grids differ: {ga} vs {gb}")
 
 
+def require_exponent(name: str, value: float, closed: bool = False) -> float:
+    """value, if it is finite and above 1 (at least 1 if closed); else a
+    ParameterError naming it."""
+    if not (np.isfinite(value) and (value >= 1 if closed else value > 1)):
+        raise ParameterError(f"{name} must {'be at least' if closed else 'exceed'} 1 "
+                             f"and be finite, got {value}")
+    return value
+
+
 def lp_norm(f: GridFunction, p: float) -> float:
     """Riemann-sum L^p norm (sum |f|^p h^dim)^(1/p)."""
-    if not (np.isfinite(p) and p >= 1):
-        raise ParameterError(f"p must be a finite real >= 1, got {p}")
+    require_exponent("p", p, closed=True)
     mags = np.abs(f.values)
     return float((np.sum(mags**p) * f.grid.cell_volume) ** (1.0 / p))
 
@@ -157,8 +170,7 @@ def lp_norm(f: GridFunction, p: float) -> float:
 def weighted_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     """(sum |f|^p w h^dim)^(1/p) on a shared grid."""
     require_same_grid(f, w.base)
-    if not (np.isfinite(p) and p >= 1):
-        raise ParameterError(f"p must be a finite real >= 1, got {p}")
+    require_exponent("p", p, closed=True)
     mags = np.abs(f.values)
     return float((np.sum(mags**p * w.values) * f.grid.cell_volume) ** (1.0 / p))
 

@@ -108,11 +108,11 @@ class FourierBump:
         live = np.abs(flat) <= self.valid_to
         src = flat[live]
         res = np.empty_like(src)
-        # Chunked to bound the outer-product workspace.
+        # Chunked to bound the outer-product workspace, which cos overwrites.
         step = 4096
         for i in range(0, src.size, step):
-            block = src[i : i + step]
-            res[i : i + step] = np.cos(np.outer(block, self._nodes)) @ self._weights
+            phase = np.outer(src[i : i + step], self._nodes)
+            res[i : i + step] = np.cos(phase, out=phase) @ self._weights
         out[live] = res
         out = out.reshape(s.shape)
         return out if out.ndim else float(out)

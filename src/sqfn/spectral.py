@@ -13,7 +13,8 @@ semigroups (the latter also via subordination quadrature), gradients,
 the even wave propagator cos(t sqrt(L)), and dense kernel matrices for
 kernel-bound fits, returned as (distances, entries) like the torus's
 oversampled kernel_profile.  forward / inverse / inverse_gradient expose
-the transform pair, so a square function can transform f once per call.
+the transform pair, so a square function can transform f once per call;
+inverse and inverse_gradient also take a stack with a leading node axis.
 """
 
 from __future__ import annotations
@@ -38,16 +39,15 @@ class SpectralOperator:
     """Common functional-calculus interface of the model operators.
 
     Subclasses also give the transform pair: forward(f) -> coefficients,
-    inverse(coeffs) -> samples, inverse_gradient(coeffs) -> gradient samples.
+    inverse(coeffs) -> samples, inverse_gradient(coeffs) -> gradient samples,
+    and set _levels, _where = np.unique(spectrum, return_inverse=True): the
+    distinct values of sqrt(L) and the map from them back to the spectrum
+    (of the spectrum's shape, as numpy >= 2 returns it).
     """
 
     grid: Grid
 
     # -- subclass hooks ----------------------------------------------------
-
-    def spectral_nodes(self) -> np.ndarray:
-        """Values of sqrt(L) on the resolved spectrum (flat array)."""
-        raise NotImplementedError
 
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
         """F(sqrt(L)) f for a scalar profile F."""
@@ -77,15 +77,21 @@ class SpectralOperator:
         """Whether time t lies within t_max, up to a 1e-9 relative slack."""
         return t <= self.t_max * (1.0 + 1e-9)
 
+    def spectral_nodes(self) -> np.ndarray:
+        """The distinct values of sqrt(L) on the resolved spectrum, ascending."""
+        return self._levels
+
     def profile_values(self, profile) -> np.ndarray:
-        """F(sqrt(L)) at every spectral coefficient; NaN/Inf is an error
-        naming the first spectral value where F is not finite."""
-        vals = np.asarray(profile(self._spectrum), dtype=np.complex128)
+        """F(sqrt(L)) at every spectral coefficient, evaluated once per
+        distinct value; NaN/Inf is an error naming the smallest spectral
+        value where F is not finite."""
+        vals = np.broadcast_to(np.asarray(profile(self._levels), dtype=np.complex128),
+                               self._levels.shape)
         bad = ~np.isfinite(vals)
         if np.any(bad):
-            s = float(self._spectrum[np.broadcast_to(bad, self._spectrum.shape)][0])
+            s = float(self._levels[bad][0])
             raise NonFiniteError(f"profile is NaN/Inf at the spectral value sqrt(L) = {s!r}")
-        return vals
+        return vals[self._where]
 
     def _guard_budget(self):
         need = self.grid.size**2 * 16 / 2**20
@@ -146,20 +152,19 @@ class LaplacianTorus(SpectralOperator):
         k = np.fft.fftfreq(n) * n
         xi = np.pi * k / r
         self._xi_axes = tuple(np.meshgrid(*(xi,) * grid.dim, indexing="ij"))
-        self._spectrum = np.abs(np.hypot.reduce(self._xi_axes))
-
-    def spectral_nodes(self) -> np.ndarray:
-        return np.unique(self._spectrum.reshape(-1))
+        self._levels, self._where = np.unique(np.abs(np.hypot.reduce(self._xi_axes)),
+                                              return_inverse=True)
 
     def forward(self, f: GridFunction) -> np.ndarray:
         require_same_grid(self, f)
         return np.fft.fftn(f.values)
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(coeffs)
+        return np.fft.ifftn(coeffs, axes=self.grid.axes)
 
     def inverse_gradient(self, coeffs: np.ndarray) -> tuple:
-        return tuple(np.fft.ifftn(1j * xi * coeffs) for xi in self._xi_axes)
+        return tuple(np.fft.ifftn(1j * xi * coeffs, axes=self.grid.axes)
+                     for xi in self._xi_axes)
 
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
         vals = self.profile_values(profile)
@@ -270,14 +275,11 @@ class HermiteOscillator1D(SpectralOperator):
                 f"orthonormally (defect {defect:.2e}); enlarge R and/or N"
             )
         k = np.arange(truncation)
-        self._spectrum = np.sqrt(2.0 * k + 1.0)
+        self._levels, self._where = np.unique(np.sqrt(2.0 * k + 1.0), return_inverse=True)
         # h_k' = sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}
         deriv = -np.sqrt((k + 1) / 2.0) * basis[:, 1 : truncation + 1]
         deriv[:, 1:] += np.sqrt(k[1:] / 2.0) * basis[:, : truncation - 1]
         self._basis_deriv = deriv
-
-    def spectral_nodes(self) -> np.ndarray:
-        return self._spectrum
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """Eigen-coefficients of f, rejecting unresolved spectral tails."""
@@ -310,14 +312,20 @@ class HermiteOscillator1D(SpectralOperator):
     def forward(self, f: GridFunction) -> np.ndarray:
         return self.coefficients(f)
 
+    @staticmethod
+    def _rows(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+        """matrix @ c for a vector c, or for each row c of a stack: one GEMV
+        per row, since a GEMM sums in another order and moves the last bits."""
+        return matrix @ coeffs if coeffs.ndim == 1 else np.stack([matrix @ c for c in coeffs])
+
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._band @ coeffs
+        return self._rows(self._band, coeffs)
 
     def inverse_gradient(self, coeffs: np.ndarray) -> tuple:
         """Differentiates the re-projected synthesis, as gradient() of it
         would: the sampled basis is orthonormal only to its Gram defect."""
-        c = self._band.T @ self.inverse(coeffs) * self.grid.spacing
-        return (self._basis_deriv @ c,)
+        c = self._rows(self._band.T, self.inverse(coeffs)) * self.grid.spacing
+        return (self._rows(self._basis_deriv, c),)
 
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
         c = self.coefficients(f)

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import constants
 from .errors import BandError, ParameterError, SingularWeightError
-from .grid import (Grid, GridFunction, Weight, lp_norm, weighted_lp_norm,
-                   weighted_superlevel_measure)
+from .grid import (Grid, GridFunction, Weight, lp_norm, require_exponent,
+                   weighted_lp_norm, weighted_superlevel_measure)
 from .multipliers import kappa, square_symbol
 from .spectral import HermiteOscillator1D, LaplacianTorus, SpectralOperator
 from .squarefuncs import TimeGrid, square_function_operator
@@ -351,8 +351,7 @@ def check_lp_range(T, family: TestFamily, weights: list, p: float) -> RatioRepor
     For 1 < p <= 2 the majorant is int |f|^p Mw; for p > 2 it is
     int |f|^p (Mw)^{p/2} w^{-(p/2 - 1)} (which needs w > 0).
     """
-    if not (p > 1):
-        raise ParameterError(f"p must exceed 1, got {p}")
+    require_exponent("p", p)
     ratios, skipped = _weighted_power_ratios(T, family, weights, p)
     return RatioReport(f"lp_range_p{p:g}", tuple(ratios), skipped)
 
@@ -376,11 +375,17 @@ def check_pointwise_domination(T, gstar, family: TestFamily) -> RatioReport:
     return RatioReport("pointwise_domination", tuple(ratios), skipped, fraction)
 
 
-def check_growth_in_p(T, family: TestFamily, p_list) -> GrowthFit:
-    """Empirical ||T||_{p->p} lower bounds fitted against p^(1/2) growth."""
+def growth_exponents(p_list) -> list:
+    """p_list as a list, if it holds >= 4 values inside [2, 64]; else a ParameterError."""
     p_list = list(p_list)
     if len(p_list) < 4 or min(p_list) < 2 or max(p_list) > 64:
         raise ParameterError("p_list must hold >= 4 values inside [2, 64]")
+    return p_list
+
+
+def check_growth_in_p(T, family: TestFamily, p_list) -> GrowthFit:
+    """Empirical ||T||_{p->p} lower bounds fitted against p^(1/2) growth."""
+    p_list = growth_exponents(p_list)
     if len(family.members) < 8:
         raise ParameterError("family too small for a growth fit (need >= 8)")
     norms = []
@@ -404,8 +409,7 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> Growth
     endpoint p = 1 certifies the A_1 statement: L^2_w norms against the
     A_1 constant with exponent bound 1/2.
     """
-    if not (p >= 1):
-        raise ParameterError(f"p must be >= 1, got {p}")
+    require_exponent("p", p, closed=True)
     norm_p = 2.0 if p == 1 else p
     images = [T(f) for f in family.members]
     xs, ys = [], []

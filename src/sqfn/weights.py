@@ -21,7 +21,7 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from . import constants
 from .errors import ConvergenceError, ParameterError, SingularWeightError
-from .grid import Grid, GridFunction, Weight, lp_norm
+from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent
 
 
 _SORT_CHUNK = 1 << 20  # window samples local_sharp_maximal sorts at once (8 MiB)
@@ -98,8 +98,7 @@ def ap_constant(w: Weight, p: float) -> ApReport:
     For p = 1 the dual factor degenerates to 1/(inf_Q w).  Weights with
     zeros are rejected for p >= 1 since the dual average diverges.
     """
-    if not (p >= 1):
-        raise ParameterError(f"p must be >= 1, got {p}")
+    require_exponent("p", p, closed=True)
     vals = w.values
     if np.min(vals) <= 0.0:
         raise SingularWeightError("A_p constants need a strictly positive weight")
@@ -133,8 +132,7 @@ def empirical_maximal_norm(grid: Grid, q: float) -> float:
     The margin (x1.25) makes the estimate safe to use as the norm bound
     inside the Rubio de Francia series.
     """
-    if not (q > 1):
-        raise ParameterError(f"q must exceed 1, got {q}")
+    require_exponent("q", q)
     rng = np.random.default_rng(7)
     best = 0.0
     candidates = [np.abs(rng.standard_normal(grid.shape)) for _ in range(32)]
@@ -167,8 +165,7 @@ class RdFCertificate:
 def rubio_de_francia(phi: GridFunction, q: float,
                      maximal_norm: float | None = None) -> RdFCertificate:
     """v = sum_{k<30} M^k phi / (2||M||_q)^k, an A_1 majorant of |phi|."""
-    if not (q > 1):
-        raise ParameterError(f"q must exceed 1, got {q}")
+    require_exponent("q", q)
     if maximal_norm is None:
         maximal_norm = empirical_maximal_norm(phi.grid, q)
     if not (maximal_norm > 0):
@@ -192,6 +189,13 @@ def rubio_de_francia(phi: GridFunction, q: float,
     return RdFCertificate(v, q, ratio, a1, maximal_norm, tail)
 
 
+def sharp_lambda(lam: float) -> float:
+    """lam, if it lies in (0, 1); else a ParameterError."""
+    if not (0 < lam < 1):
+        raise ParameterError(f"lambda must lie in (0, 1), got {lam}")
+    return lam
+
+
 def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
     """Local sharp maximal M#_lam f: sup over cubes containing x of
     inf_c ((f - c) chi_Q)*(lam |Q|).
@@ -200,8 +204,7 @@ def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
     r = floor(lam * m^dim) samples allowed above the level, the optimum
     is half the smallest spread of m^dim - r consecutive sorted values.
     """
-    if not (0 < lam < 1):
-        raise ParameterError(f"lambda must lie in (0, 1), got {lam}")
+    sharp_lambda(lam)
     if np.max(np.abs(f.values.imag)) != 0.0:
         raise ParameterError("the local sharp maximal function is defined for real inputs")
     vals = f.values.real

@@ -10,6 +10,7 @@ import pytest
 from sqfn.cli import (_CHECKS, _build_operator, _require_check, _time_grid, config_hash,
                       main, parse_config)
 from sqfn.errors import UsageError
+from sqfn.squarefuncs import KINDS
 
 
 def test_defaults_without_file():
@@ -258,6 +259,30 @@ def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_o
                  "--set", f"times.per_octave={per_octave}"]) == 1
     err = capsys.readouterr().err
     assert f"error: times.per_octave must be >= 1, got {per_octave}" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("params.lam", "0"), ("params.lam", "1"), ("params.lam", "2"),
+    ("params.mu", "1"), ("params.mu", "0.5"), ("params.mu", "inf"),
+    ("params.q", "1"), ("params.q", "0"), ("params.q", "inf"),
+    ("params.p_list", "1.5,1"), ("params.p_list", ""),
+    ("params.ap_p_list", "1,0.5"), ("params.ap_p_list", ""),
+    ("params.growth_p_list", "2,4,8"), ("params.growth_p_list", "1,2,4,8"),
+    ("params.growth_p_list", "2,4,8,128"),
+    ("params.kinds", "s_h,nope"), ("params.kinds", ""),
+    ("params.masks", "0"), ("params.masks", "-3"),
+])
+def test_params_out_of_range_name_their_key(tmp_path, capsys, monkeypatch, key, value):
+    """A params.* value outside its range is a usage error (exit 2) naming
+    the key, raised when the config is parsed, before an operator is built;
+    the values at the ends of each closed range parse."""
+    built = _no_build(monkeypatch)
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", "whitney_cz", "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {key} must be ")
+    assert built == []
+    parse_config(None, {"params.ap_p_list": "1", "params.growth_p_list": "2,2,64,64",
+                        "params.masks": "1", "params.kinds": ",".join(KINDS)})
 
 
 def test_run_unknown_check_is_usage_error(capsys):

@@ -4,6 +4,7 @@ import pytest
 from sqfn.errors import (NonFiniteError, ParameterError, ResolutionError,
                          SpectralTailError)
 from sqfn.grid import Grid, GridFunction
+from sqfn.multipliers import psi_vanishing, square_symbol
 from sqfn.spectral import (HermiteOscillator1D, LaplacianTorus,
                            fit_gaussian_bound)
 
@@ -214,3 +215,55 @@ def test_profile_values_names_the_nonfinite_spectral_value(op, profile, where):
     with np.errstate(divide="ignore"), pytest.raises(NonFiniteError) as err:
         op.profile_values(profile)
     assert str(err.value).endswith(where)
+
+
+# ---------------------------------------------------------------------------
+# Distinct spectral levels and node-stacked transforms change no value
+# ---------------------------------------------------------------------------
+
+STACK_OPS = (LaplacianTorus(Grid(1, 64, 1.0)), LaplacianTorus(Grid(2, 16, 1.0)),
+             HermiteOscillator1D(Grid(1, 128, 12.0), 32))
+STACK_IDS = ["torus1d", "torus2d", "oscillator"]
+
+
+def _full_spectrum(op):
+    """sqrt(L) at every spectral coefficient, written out independently."""
+    if isinstance(op, HermiteOscillator1D):
+        return np.sqrt(2.0 * np.arange(op.truncation) + 1.0)
+    g = op.grid
+    xi = np.pi * np.fft.fftfreq(g.points_per_axis) * g.points_per_axis / g.half_width
+    return np.hypot.reduce(np.meshgrid(*(xi,) * g.dim, indexing="ij"))
+
+
+@pytest.mark.parametrize("op", STACK_OPS, ids=STACK_IDS)
+def test_profile_values_on_levels_equal_the_full_spectrum(op):
+    """Evaluating on the distinct values of sqrt(L) and scattering back is
+    bit-identical for elementwise profiles; psi_vanishing's FourierBump GEMV
+    may move bits with the row count, so it agrees to 1e-12."""
+    spectrum = _full_spectrum(op)
+    assert np.array_equal(op.spectral_nodes(), np.unique(spectrum))
+    t = 0.07
+    elementwise = [lambda s: np.exp(-t * s**2), lambda s: np.exp(-t * s),
+                   lambda s: np.cos(t * s)]
+    elementwise += [lambda s, phi=square_symbol(key): phi(t * s)
+                    for key in ("s_h", "s_p", "S_H-scalar", "S_P-scalar")]
+    for profile in elementwise:
+        want = np.asarray(profile(spectrum), dtype=np.complex128)
+        assert np.array_equal(op.profile_values(profile), want)
+    psi = psi_vanishing(op.dim)
+    want = psi(t * spectrum)
+    got = op.profile_values(lambda s: psi(t * s))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("op", STACK_OPS, ids=STACK_IDS)
+def test_stacked_inverse_transforms_equal_the_per_row_calls(op):
+    """inverse and inverse_gradient on a (T, ...) stack give the bits of one
+    call per row: batched FFTs on the torus, one GEMV a row on the oscillator."""
+    rng = np.random.default_rng(11)
+    shape = (5,) + _full_spectrum(op).shape
+    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert np.array_equal(op.inverse(stack), np.stack([op.inverse(c) for c in stack]))
+    per_row = [op.inverse_gradient(c) for c in stack]
+    for axis, got in enumerate(op.inverse_gradient(stack)):
+        assert np.array_equal(got, np.stack([rows[axis] for rows in per_row]))

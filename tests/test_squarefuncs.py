@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqfn import squarefuncs
 from sqfn.errors import ParameterError, ResolutionError
 from sqfn.grid import Grid, GridFunction, lp_norm
 from sqfn.multipliers import psi_vanishing
@@ -215,3 +216,43 @@ def test_square_functions_match_per_t_loop(seed, offset, ratio, count):
             assert np.max(np.abs(got.real - want)) <= 1e-12 * np.max(want), (
                 kind, g, times)
 
+
+# ---------------------------------------------------------------------------
+# Stacked kernels and node blocks change no bits
+# ---------------------------------------------------------------------------
+
+BLOCK_OPS = ORACLE_OPS[1:]
+
+
+@pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
+def test_kernel_stacks_equal_per_node_ffts(op):
+    """The ball and g* kernel stacks, each one fftn, equal an fftn per node."""
+    g = op.grid
+    times = TimeGrid(g.spacing, 1.5, 5)
+    dist = g.distance_from_origin()
+    nodes = list(map(float, times.nodes))
+    ball = np.stack([np.fft.fftn((dist < t).astype(float)) for t in nodes])
+    weight = np.stack([np.fft.fftn((t / (t + dist)) ** (g.dim * ORACLE_MU)) for t in nodes])
+    assert np.array_equal(squarefuncs._ball(op, times, ORACLE_MU), ball)
+    assert np.array_equal(squarefuncs._g_star_weight(op, times, ORACLE_MU), weight)
+
+
+@pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
+def test_node_blocks_change_no_bits(op, monkeypatch):
+    """Splitting the time nodes into blocks of one, or of three with a short
+    last block, leaves every kind bit-identical to one block of all nodes."""
+    g = op.grid
+    rng = np.random.default_rng(12)
+    if isinstance(op, HermiteOscillator1D):
+        f = op.synthesize(rng.standard_normal(op.truncation))
+    else:
+        f = GridFunction(g, rng.standard_normal(g.shape))
+    times = TimeGrid(g.spacing, (0.99 * op.t_max / g.spacing) ** (1 / 6), 7)
+    for kind in ORACLE_KINDS:
+        results = []
+        for per_block in (7, 1, 3):
+            monkeypatch.setattr(squarefuncs, "_BLOCK_ELEMENTS", per_block * g.size)
+            T = square_function_operator(kind, op, times, mu=ORACLE_MU)
+            assert T.block == per_block
+            results.append(T(f).values)
+        assert all(np.array_equal(results[0], other) for other in results[1:]), kind
