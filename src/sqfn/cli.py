@@ -6,13 +6,15 @@ rejected with the offending line number.  A stable digest of the
 canonicalized config stamps every output file, so reports from different
 configurations can never be merged silently.
 
-Outputs: a JSON-lines report (one header line carrying the timestamp,
-then one line per record), a CSV summary (tag, value, bound, passed,
-config_hash, runtime_s) and gnuplot-ready two-column .dat files for the
-growth fits.  runtime_s is the elapsed time of the check that produced
-the record; a sup-ratio record also carries its witness, skipped and
-excluded_fraction (see ``_record``).  Exit status: 0 all passed, 1 some
-check failed, 2 usage.
+Outputs: a JSON-lines report (one header line carrying the config hash,
+the timestamp, the resolved operator.* values and the Python, numpy and
+scipy versions, then one line per record), a CSV summary (tag, value,
+bound, passed, config_hash, runtime_s) and gnuplot-ready two-column .dat
+files for the growth fits.  runtime_s is the elapsed time of the check
+that produced the record; a sup-ratio record also carries its witness,
+skipped and excluded_fraction (see ``_record``); a check that raises a
+SqfnError leaves one failed record naming its error, and the run goes on.
+Exit status: 0 all passed, 1 some check failed, 2 usage.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from collections import namedtuple
 
 import numpy as np
+import scipy
 
 from . import constants
 from .decomp import cz_decomposition, whitney
@@ -543,12 +547,23 @@ def run(cfg: dict) -> int:
     all_records = []
     for tag in tags:
         start = time.perf_counter()
-        records = _CHECKS[tag]["runner"](cfg, op)
+        try:
+            records = _CHECKS[tag]["runner"](cfg, op)
+        except SqfnError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            records = [{"tag": tag, "value": float("nan"), "bound": float("nan"),
+                        "passed": False, "error": type(exc).__name__, "message": str(exc)}]
         elapsed = time.perf_counter() - start
         all_records += [dict(rec, runtime_s=elapsed) for rec in records]
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    header = {"config_hash": digest,
+              "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+              "operator": {"name": cfg["operator.name"], "dim": op.grid.dim,
+                           "n": op.grid.points_per_axis, "r": op.grid.half_width,
+                           "truncation": int(cfg["operator.truncation"])},
+              "python": platform.python_version(), "numpy": np.__version__,
+              "scipy": scipy.__version__}
     with open(os.path.join(out, "report.jsonl"), "w") as fh:
-        fh.write(json.dumps({"config_hash": digest, "timestamp": stamp}) + "\n")
+        fh.write(json.dumps(header) + "\n")
         for rec in all_records:
             body = {k: v for k, v in rec.items() if k != "dat"}
             body["config_hash"] = digest

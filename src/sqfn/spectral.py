@@ -314,9 +314,9 @@ class HermiteOscillator1D(SpectralOperator):
 
     @staticmethod
     def _rows(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """matrix @ c for a vector c, or for each row c of a stack: one GEMV
-        per row, since a GEMM sums in another order and moves the last bits."""
-        return matrix @ coeffs if coeffs.ndim == 1 else np.stack([matrix @ c for c in coeffs])
+        """matrix @ c for a vector c or each row c of a stack: one batched matmul
+        of per-row GEMVs, as bit-exact as matrix @ c; a GEMM sums in another order."""
+        return np.matmul(matrix, coeffs[..., None])[..., 0]
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return self._rows(self._band, coeffs)

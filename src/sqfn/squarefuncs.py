@@ -11,7 +11,7 @@ node x spectrum), each row on the distinct values of sqrt(L) only, and
 stacks the kernel FFTs.  Applied, it transforms f once, then takes the
 nodes in blocks of ``_BLOCK_ELEMENTS`` entries: one batched inverse, one
 FFT convolution, and the rows added in node order.  The oscillator keeps
-one GEMV per row, since a GEMM sums in another order and moves the last
+one GEMV per row, batched in one matmul, as a GEMM would move the last
 bits.  Which phi, which density and which K_j each of the nine kinds
 takes is one table, ``KINDS``, and ``square_function_operator``, the one
 factory that reads it, is the only way to build a square function.  It

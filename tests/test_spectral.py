@@ -256,14 +256,38 @@ def test_profile_values_on_levels_equal_the_full_spectrum(op):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("op", STACK_OPS, ids=STACK_IDS)
+def _per_row_transforms(op, c):
+    """(inverse, inverse_gradient) of one coefficient row, written out: the
+    matrix @ c products on the oscillator, the FFT of the row on the torus."""
+    if isinstance(op, HermiteOscillator1D):
+        u = op._band @ c
+        return u, (op._basis_deriv @ ((op._band.T @ u) * op.grid.spacing),)
+    g = op.grid
+    n = g.points_per_axis
+    xi = np.pi * (np.fft.fftfreq(n) * n) / g.half_width
+    return np.fft.ifftn(c), tuple(np.fft.ifftn(1j * k * c)
+                                  for k in np.meshgrid(*(xi,) * g.dim, indexing="ij"))
+
+
+@pytest.mark.parametrize("op", STACK_OPS + (HermiteOscillator1D(Grid(1, 256, 22.5), 128),),
+                         ids=STACK_IDS + ["oscillator256"])
 def test_stacked_inverse_transforms_equal_the_per_row_calls(op):
-    """inverse and inverse_gradient on a (T, ...) stack give the bits of one
-    call per row: batched FFTs on the torus, one GEMV a row on the oscillator."""
+    """inverse and inverse_gradient on a (T, ...) stack give the bits of the
+    per-row transforms: batched FFTs on the torus, and on the oscillator one
+    batched matmul whose items are the per-row GEMVs.  The inputs are complex
+    noise, float64, complex with a zero imaginary part, a strided stack and
+    one row, at both oscillator sizes the benchmark runs."""
     rng = np.random.default_rng(11)
-    shape = (5,) + _full_spectrum(op).shape
-    stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert np.array_equal(op.inverse(stack), np.stack([op.inverse(c) for c in stack]))
-    per_row = [op.inverse_gradient(c) for c in stack]
-    for axis, got in enumerate(op.inverse_gradient(stack)):
-        assert np.array_equal(got, np.stack([rows[axis] for rows in per_row]))
+    real = rng.standard_normal((6,) + _full_spectrum(op).shape)
+    noise = real + 1j * rng.standard_normal(real.shape)
+    inputs = {"complex": noise, "float64": real, "zero-imaginary": real + 0j,
+              "strided": noise[::2], "vector": noise[0]}
+    for name, stack in inputs.items():
+        want = [_per_row_transforms(op, c) for c in (stack[None] if name == "vector" else stack)]
+        got_inverse, got_gradient = op.inverse(stack), op.inverse_gradient(stack)
+        if name == "vector":
+            got_inverse, got_gradient = got_inverse[None], [d[None] for d in got_gradient]
+        assert np.array_equal(got_inverse, np.stack([w[0] for w in want])), name
+        assert len(got_gradient) == op.dim
+        for axis, got in enumerate(got_gradient):
+            assert np.array_equal(got, np.stack([w[1][axis] for w in want])), name
