@@ -5,7 +5,9 @@ box here: distances to the closed complement F are Euclidean.  Whitney
 cubes are dyadic, pairwise disjoint, tile the open set exactly, and
 satisfy diam(Q) <= dist(Q, F) <= 4 diam(Q) (tight in one dimension; at
 the single-cell floor in two dimensions the lower constant can dip
-below 1, which the cover reports rather than hides).
+below 1, which the cover reports rather than hides).  A cover is built
+in one sweep over the dyadic sides, and each bad part of a
+decomposition is held as an array on its own cube.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import distance_transform_edt
 
-from .errors import ParameterError
-from .grid import Grid, GridFunction, require_same_grid
-from .weights import maximal
+from .errors import GridMismatchError, ParameterError
+from .grid import Grid, GridFunction
+from .weights import _dyadic_sides, maximal
 
 
 @dataclass(frozen=True)
@@ -65,37 +67,34 @@ def _distance_to_complement(grid: Grid, mask: np.ndarray) -> np.ndarray:
 def whitney(grid: Grid, mask: np.ndarray) -> WhitneyCover:
     """Whitney cover of the open set given by a boolean mask.
 
-    Recursive dyadic subdivision: a cube is accepted when it lies in the
-    open set and its distance to F is at least its diameter; otherwise
-    it is split until the one-cell floor, where containment alone
-    decides.
+    One sweep over the dyadic sides, largest first: an aligned block is
+    accepted when all its cells are in the open set and not yet taken,
+    and its distance to F is at least its diameter (at the one-cell
+    floor containment alone decides).  These are exactly the cubes that
+    pass the test while no larger dyadic cube around them does.  Cubes
+    come ordered by side, largest first, then lexicographically.
     """
-    mask = np.asarray(mask, dtype=bool).reshape(grid.shape)
-    if not mask.any():
-        return WhitneyCover(grid, mask, ())
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != grid.shape:
+        raise GridMismatchError(
+            f"mask has shape {mask.shape}, the grid has shape {grid.shape}")
     if mask.all():
         raise ParameterError("the open set must be a proper subset of the domain")
     edt = _distance_to_complement(grid, mask)
-    h = grid.spacing
-    sqrt_dim = np.sqrt(grid.dim)
+    n, dim = grid.points_per_axis, grid.dim
+    within = tuple(range(1, 2 * dim, 2))      # the in-block axes of a split
+    free = mask.copy()
     cubes = []
-
-    def visit(start, m):
-        sl = tuple(slice(s, s + m) for s in start)
-        sub = mask[sl]
-        if not sub.any():
-            return
-        if sub.all():
-            diam = m * h * sqrt_dim
-            if m == 1 or float(np.min(edt[sl])) >= diam:
-                cubes.append(Cube(tuple(start), m))
-                return
-        half = m // 2
-        for corner in np.ndindex(*(2,) * grid.dim):
-            child = tuple(s + c * half for s, c in zip(start, corner))
-            visit(child, half)
-
-    visit((0,) * grid.dim, grid.points_per_axis)
+    for m in _dyadic_sides(grid)[::-1]:
+        m = int(m)
+        split = (n // m, m) * dim
+        blocks = free.reshape(split)          # a view: clearing it clears free
+        accept = blocks.all(axis=within)
+        if m > 1:
+            diam = m * grid.spacing * np.sqrt(dim)
+            accept &= edt.reshape(split).min(axis=within) >= diam
+        blocks &= ~np.expand_dims(accept, within)
+        cubes += [Cube(tuple(int(i) * m for i in idx), m) for idx in np.argwhere(accept)]
     return WhitneyCover(grid, mask, tuple(cubes))
 
 
@@ -105,18 +104,17 @@ class CZDecomposition:
 
     level: float
     good: GridFunction
-    bad: tuple            # pairs (Cube, GridFunction)
-    cover: WhitneyCover
+    bad: tuple            # pairs (Cube, f - its average on the cube, cube-shaped)
 
     def reconstruction_error(self, f: GridFunction) -> float:
         total = self.good.values.copy()
-        for _, b in self.bad:
-            total = total + b.values
+        for q, b in self.bad:
+            total[q.slices()] += b
         return float(np.max(np.abs(total - f.values)))
 
     def bad_means(self) -> np.ndarray:
         vol = self.good.grid.cell_volume
-        return np.array([abs(np.sum(b.values)) * vol for _, b in self.bad])
+        return np.array([abs(np.sum(b)) * vol for _, b in self.bad])
 
     def good_bound_constant(self) -> float:
         """max |good| / lam — the C of the |h| <= C lam bound."""
@@ -127,8 +125,9 @@ def cz_decomposition(f: GridFunction, lam: float) -> CZDecomposition:
     """Calderon-Zygmund decomposition of f at level lam.
 
     The open set is {Mf > lam}; on each Whitney cube the bad part is f
-    minus its cube average, so every bad part has exactly zero mean and
-    the reconstruction is exact by construction.
+    minus its cube average, held on the cube alone, so every bad part
+    has exactly zero mean and the reconstruction is exact by
+    construction.
     """
     if not (lam > 0):
         raise ParameterError(f"level must be positive, got {lam}")
@@ -138,14 +137,11 @@ def cz_decomposition(f: GridFunction, lam: float) -> CZDecomposition:
         raise ParameterError(
             "level is below the global average; the bad set is everything"
         )
-    cover = whitney(f.grid, mask)
     good = np.array(f.values)
     bad = []
-    for q in cover.cubes:
+    for q in whitney(f.grid, mask).cubes:
         sl = q.slices()
         avg = np.mean(f.values[sl])
-        piece = np.zeros(f.grid.shape, dtype=np.complex128)
-        piece[sl] = f.values[sl] - avg
+        bad.append((q, f.values[sl] - avg))
         good[sl] = avg
-        bad.append((q, GridFunction(f.grid, piece)))
-    return CZDecomposition(lam, GridFunction(f.grid, good), tuple(bad), cover)
+    return CZDecomposition(lam, GridFunction(f.grid, good), tuple(bad))

@@ -17,8 +17,8 @@ import numpy as np
 from .errors import GridMismatchError, NonFiniteError, ParameterError
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _is_int(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,12 @@ class Grid:
     half_width: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if self.points_per_axis < 8 or not _is_power_of_two(self.points_per_axis):
+        if not _is_int(self.dim) or self.dim not in (1, 2):
+            raise ParameterError(f"dim must be the integer 1 or 2, got {self.dim}")
+        n = self.points_per_axis
+        if not _is_int(n) or n < 8 or n & (n - 1):
             raise ParameterError(
-                f"points_per_axis must be a power of two >= 8, got {self.points_per_axis}"
+                f"points_per_axis must be an integer power of two >= 8, got {n}"
             )
         if not (self.half_width > 0 and np.isfinite(self.half_width)):
             raise ParameterError(f"half_width must be positive, got {self.half_width}")

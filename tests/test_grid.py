@@ -17,6 +17,20 @@ def test_grid_validation():
         Grid(1, 64, -1.0)
 
 
+@pytest.mark.parametrize("dim, n", [
+    (1, 64.0), (1.0, 64), (2.0, 32), (True, 64), (1, True), (1, "64"), (np.float64(1), 64),
+], ids=["float-n", "float-dim", "float-dim-2", "bool-dim", "bool-n", "str-n", "numpy-float-dim"])
+def test_grid_refuses_non_integer_dim_and_size(dim, n):
+    with pytest.raises(ParameterError):
+        Grid(dim, n, 1.0)
+
+
+def test_grid_accepts_numpy_integers():
+    g = Grid(np.int64(2), np.int32(16), 1.0)
+    assert g == Grid(2, 16, 1.0)
+    assert g.coords()[0].shape == (16, 16)
+
+
 def test_grid_geometry():
     g = Grid(1, 64, 2.0)
     assert g.spacing == pytest.approx(4.0 / 64)
