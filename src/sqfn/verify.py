@@ -21,7 +21,7 @@ from .grid import (Grid, GridFunction, Weight, lp_norm, require_exponent,
 from .multipliers import kappa, square_symbol
 from .spectral import HermiteOscillator1D, LaplacianTorus, SpectralOperator
 from .squarefuncs import TimeGrid, square_function_operator
-from .weights import ap_constant, local_sharp_maximal, maximal
+from .weights import _maximal_stack, ap_constant, local_sharp_maximal
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +285,13 @@ def propagation_leak(op: SpectralOperator, f: GridFunction, steps, radius: float
     return worst
 
 
+def _maximals(functions) -> list:
+    """M of each function or weight of a list on one grid, from one stacked call."""
+    if not functions:
+        return []
+    return list(_maximal_stack(functions[0].grid, np.stack([f.values for f in functions])))
+
+
 def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
     """Shared ratio loop: int |Tf|^p w over the p-dependent majorant of |f|^p.
 
@@ -295,8 +302,7 @@ def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
     """
     images = [T(f) for f in family.members]
     ratios, skipped = [], 0
-    for w in weights:
-        mw = maximal(w.base).values.real
+    for w, mw in zip(weights, _maximals(weights)):
         if p > 2:
             if np.min(w.values) <= 0.0:
                 raise SingularWeightError(
@@ -328,8 +334,8 @@ def check_weak_1_1(T, family: TestFamily, weights: list) -> RatioReport:
     from max Tf / 100 up to max Tf."""
     images = [T(f) for f in family.members]
     ratios, skipped = [], 0
-    for w in weights:
-        mw = Weight(maximal(w.base))
+    for w, mw in zip(weights, _maximals(weights)):
+        mw = Weight(GridFunction(w.grid, mw))
         for f, tf in zip(family.members, images):
             denom = weighted_lp_norm(f, mw, 1)
             if denom == 0.0:
@@ -437,11 +443,10 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> Growth
 def check_sharp_maximal_domination(gstar, family: TestFamily, lam: float) -> RatioReport:
     """max_x of M#_lam((g* f)^2) / (Mf)^2 over the family."""
     ratios, skipped = [], 0
-    for f in family.members:
+    for f, mf in zip(family.members, _maximals(family.members)):
         g2 = gstar(f)
         sharp = local_sharp_maximal(
             GridFunction(f.grid, g2.values.real**2), lam).values.real
-        mf = maximal(f).values.real
         if float(np.max(mf)) == 0.0:
             skipped += 1
             continue
@@ -460,7 +465,8 @@ def check_sharp_composite(family: TestFamily, weights: list, p: float,
     gamma = max(0.5, 1.0 / (p - 1.0))
     sharps = [local_sharp_maximal(GridFunction(f.grid, np.abs(f.values) ** 2), lam)
               for f in family.members]
-    maxes = [maximal(f) for f in family.members]
+    maxes = [GridFunction(f.grid, mf)
+             for f, mf in zip(family.members, _maximals(family.members))]
     ratios, skipped = [], 0
     for w in weights:
         apc = ap_constant(w, p).constant

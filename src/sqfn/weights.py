@@ -4,15 +4,19 @@ Cubes are periodic dyadic windows: every power-of-two side from one
 cell up to the full domain, at every grid-aligned position.  Window
 sums use wrapped cumulative sums; the sup over cubes containing a point
 is a trailing running maximum, so the Hardy-Littlewood maximal operator
-costs O(N log N) rather than O(N^2).  The local sharp maximal function
-sorts the samples of every window at once (a sliding view of the
-wrap-padded array, in bounded chunks) and takes half the least spread of
-consecutive order statistics; at the full side every window is the whole
-torus, so one sort serves every start.
+costs O(N log N) rather than O(N^2).  The helpers act on the trailing
+grid axes, so M runs on a whole stack of functions in one call: np.cumsum
+adds in order, so one prefix sum along the first grid axis serves every
+side below N with that side's own bits (the full side keeps its np.sum).
+The local sharp maximal function sorts the samples of every window at
+once (a sliding view of the wrap-padded array, in bounded chunks) and
+takes half the least spread of consecutive order statistics; at the full
+side every window is the whole torus, so one sort serves every start.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +25,7 @@ from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from . import constants
 from .errors import ConvergenceError, ParameterError, SingularWeightError
-from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent
+from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent, require_same_grid
 
 
 _SORT_CHUNK = 1 << 20  # window samples local_sharp_maximal sorts at once (8 MiB)
@@ -32,33 +36,40 @@ def _dyadic_sides(grid: Grid) -> np.ndarray:
     return 2 ** np.arange(int(np.log2(grid.points_per_axis)) + 1)
 
 
-def _wrapped_window_sums(a: np.ndarray, m: int, axis: int) -> np.ndarray:
-    """out[..., i, ...] = sum of m consecutive entries starting at i, wrapping."""
+def _cut(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
+    """a[start:stop] along a negative axis."""
+    return a[(..., slice(start, stop)) + (slice(None),) * (-axis - 1)]
+
+
+def _prefix_sums(a: np.ndarray, m: int, axis: int) -> np.ndarray:
+    """0, then the running sums of a followed by its first m - 1 entries, along axis."""
+    cs = np.cumsum(np.concatenate([a, _cut(a, axis, 0, m - 1)], axis=axis), axis=axis)
+    return np.concatenate([np.zeros_like(_cut(cs, axis, 0, 1)), cs], axis=axis)
+
+
+def _wrapped_window_sums(a: np.ndarray, m: int, axis: int, cs=None) -> np.ndarray:
+    """out[..., i, ...] = sum of m consecutive entries starting at i, wrapping; cs may
+    be _prefix_sums(a, k, axis) for any k >= m, as np.cumsum adds in order."""
     n = a.shape[axis]
-    if m == n:
+    if m == n:  # a prefix difference here would change the bits
         return np.repeat(np.sum(a, axis=axis, keepdims=True), n, axis=axis)
-    ext = np.concatenate([a, np.take(a, range(m - 1), axis=axis)], axis=axis)
-    cs = np.cumsum(ext, axis=axis)
-    pad = np.zeros_like(np.take(cs, [0], axis=axis))
-    cs = np.concatenate([pad, cs], axis=axis)
-    hi = np.take(cs, range(m, n + m), axis=axis)
-    lo = np.take(cs, range(0, n), axis=axis)
-    return hi - lo
+    cs = _prefix_sums(a, m, axis) if cs is None else cs
+    return _cut(cs, axis, m, n + m) - _cut(cs, axis, 0, n)
 
 
-def _window_sums(a: np.ndarray, m: int) -> np.ndarray:
-    """Sums over m^dim periodic windows indexed by their lowest corner."""
-    out = a
-    for axis in range(a.ndim):
+def _window_sums(a: np.ndarray, m: int, dim: int, cs=None) -> np.ndarray:
+    """Sums over m^dim periodic windows of the trailing dim axes, by lowest corner."""
+    out = _wrapped_window_sums(a, m, -dim, cs)
+    for axis in range(1 - dim, 0):
         out = _wrapped_window_sums(out, m, axis)
     return out
 
 
-def _trailing_max(a: np.ndarray, m: int) -> np.ndarray:
-    """out[x] = max over starts in (x-m, x] per axis, i.e. over cubes containing x."""
+def _trailing_max(a: np.ndarray, m: int, dim: int) -> np.ndarray:
+    """out[x] = max over starts in (x-m, x] per trailing axis, i.e. over cubes containing x."""
     out = a
     origin = m - 1 - m // 2
-    for axis in range(a.ndim):
+    for axis in range(-dim, 0):
         out = maximum_filter1d(out, size=m, axis=axis, mode="wrap", origin=origin)
     return out
 
@@ -72,14 +83,20 @@ def _leading_min(a: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+def _maximal_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """M of every function in a stack whose trailing axes are the grid's."""
+    mags = np.abs(values)
+    best = np.array(mags)  # the one-cell cube is |f| itself
+    cs = _prefix_sums(mags, grid.points_per_axis // 2, -grid.dim)  # every side below N
+    for m in _dyadic_sides(grid)[1:]:
+        means = _window_sums(mags, int(m), grid.dim, cs) / float(m) ** grid.dim
+        best = np.maximum(best, _trailing_max(means, int(m), grid.dim))
+    return best
+
+
 def maximal(f: GridFunction) -> GridFunction:
     """Hardy-Littlewood maximal function: sup of |f|-averages over dyadic cubes."""
-    mags = np.abs(f.values)
-    best = np.array(mags)  # the one-cell cube is |f| itself
-    for m in _dyadic_sides(f.grid)[1:]:
-        means = _window_sums(mags, int(m)) / float(m) ** f.grid.dim
-        best = np.maximum(best, _trailing_max(means, int(m)))
-    return GridFunction(f.grid, best)
+    return GridFunction(f.grid, _maximal_stack(f.grid, f.values))
 
 
 @dataclass(frozen=True)
@@ -112,9 +129,9 @@ def ap_constant(w: Weight, p: float) -> ApReport:
     best_cube = (1, (0,) * dim)
     for m in _dyadic_sides(w.grid):
         m = int(m)
-        mean_w = _window_sums(vals, m) / float(m) ** dim
+        mean_w = _window_sums(vals, m, dim) / float(m) ** dim
         if p > 1:
-            field = mean_w * (_window_sums(dual, m) / float(m) ** dim) ** (p - 1.0)
+            field = mean_w * (_window_sums(dual, m, dim) / float(m) ** dim) ** (p - 1.0)
         else:
             field = mean_w / _leading_min(vals, m)
         idx = int(np.argmax(field))
@@ -139,9 +156,8 @@ def empirical_maximal_norm(grid: Grid, q: float) -> float:
     spike = np.zeros(grid.shape)
     spike[(0,) * grid.dim] = 1.0
     candidates.append(spike)
-    for v in candidates:
-        f = GridFunction(grid, v)
-        ratio = lp_norm(maximal(f), q) / max(lp_norm(f, q), 1e-300)
+    for v, mv in zip(candidates, _maximal_stack(grid, np.stack(candidates))):
+        ratio = lp_norm(GridFunction(grid, mv), q) / max(lp_norm(GridFunction(grid, v), q), 1e-300)
         best = max(best, ratio)
     return best * constants.MAXIMAL_NORM_MARGIN
 
@@ -162,31 +178,40 @@ class RdFCertificate:
     tail: float
 
 
-def rubio_de_francia(phi: GridFunction, q: float,
-                     maximal_norm: float | None = None) -> RdFCertificate:
-    """v = sum_{k<30} M^k phi / (2||M||_q)^k, an A_1 majorant of |phi|."""
+def rubio_de_francia(phis: Sequence[GridFunction], q: float,
+                     maximal_norm: float | None = None) -> tuple:
+    """v = sum_{k<30} M^k phi / (2||M||_q)^k, an A_1 majorant of |phi|, for
+    every phi of a non-empty sequence on one grid: one certificate per phi,
+    in order.  Each M^k runs once, on the stack of all the phi."""
     require_exponent("q", q)
+    if not phis:
+        raise ParameterError("rubio_de_francia needs at least one phi")
+    grid = phis[0].grid
+    for phi in phis:
+        require_same_grid(phi, grid)
     if maximal_norm is None:
-        maximal_norm = empirical_maximal_norm(phi.grid, q)
+        maximal_norm = empirical_maximal_norm(grid, q)
     if not (maximal_norm > 0):
         raise ParameterError("maximal_norm must be positive")
-    term = np.abs(phi.values)
+    term = np.stack([np.abs(phi.values) for phi in phis])
     total = np.array(term)
     for _ in range(_RDF_TERMS - 1):
-        term = maximal(GridFunction(phi.grid, term)).values.real / (2.0 * maximal_norm)
+        term = _maximal_stack(grid, term) / (2.0 * maximal_norm)
         total += term
-    tail = lp_norm(GridFunction(phi.grid, term), q)
-    size = lp_norm(GridFunction(phi.grid, total), q)
-    if tail > 1e-8 * max(size, 1e-300):
-        raise ConvergenceError(
-            f"majorant series tail {tail:.2e} has not converged within {_RDF_TERMS} terms"
-        )
-    v = Weight(GridFunction(phi.grid, total))
-    mv = maximal(v.base).values.real
-    positive = total > 0
-    a1 = float(np.max(mv[positive] / total[positive])) if positive.any() else np.inf
-    ratio = size / max(lp_norm(phi, q), 1e-300)
-    return RdFCertificate(v, q, ratio, a1, maximal_norm, tail)
+    certificates = []
+    for phi, last, v, mv in zip(phis, term, total, _maximal_stack(grid, total)):
+        tail = lp_norm(GridFunction(grid, last), q)
+        size = lp_norm(GridFunction(grid, v), q)
+        if tail > 1e-8 * max(size, 1e-300):
+            raise ConvergenceError(
+                f"majorant series tail {tail:.2e} has not converged within {_RDF_TERMS} terms"
+            )
+        weight = Weight(GridFunction(grid, v))
+        positive = v > 0
+        a1 = float(np.max(mv[positive] / v[positive])) if positive.any() else np.inf
+        ratio = size / max(lp_norm(phi, q), 1e-300)
+        certificates.append(RdFCertificate(weight, q, ratio, a1, maximal_norm, tail))
+    return tuple(certificates)
 
 
 def sharp_lambda(lam: float) -> float:
@@ -226,5 +251,5 @@ def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
             s = np.sort(windows[idx].reshape(-1, count), axis=1)
             per_start[lo : lo + rows] = 0.5 * np.min(s[:, q - 1 :] - s[:, : count - q + 1], axis=1)
         # np.resize repeats the single m = N value over the grid
-        best = np.maximum(best, _trailing_max(np.resize(per_start, g.shape), m))
+        best = np.maximum(best, _trailing_max(np.resize(per_start, g.shape), m, g.dim))
     return GridFunction(g, best)

@@ -305,6 +305,36 @@ def test_params_out_of_range_name_their_key(tmp_path, capsys, monkeypatch, key, 
                         "params.masks": "1", "params.kinds": ",".join(KINDS)})
 
 
+@pytest.mark.parametrize("check, key, value, name", [
+    ("rubio_de_francia", "family.seed", "-1", "an int >= 0"),
+    ("whitney_cz", "family.seed", "-5", "an int >= 0"),
+    ("weighted_l2_mw", "family.count", "0", "an int >= 1"),
+    ("rubio_de_francia", "family.count", "-2", "an int >= 1"),
+])
+def test_family_keys_out_of_range_name_their_key(tmp_path, capsys, monkeypatch,
+                                                 check, key, value, name):
+    """A negative seed or an empty family is a usage error (exit 2) naming
+    the key, raised before an operator is built; seed 0 and count 1 parse."""
+    built = _no_build(monkeypatch)
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", check, "--set", f"{key}={value}"]) == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {key} must be {name}, got ")
+    assert built == []
+    parse_config(None, {"family.seed": "0", "family.count": "1"})
+
+
+def test_rubio_de_francia_record_names_its_failure(tmp_path, monkeypatch):
+    """The record carries the worst A_1 ratio next to its bound 2||M||, the
+    worst series tail, ||M|| and whether every majorant dominated |phi|."""
+    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
+    assert main(["run", "--check", "rubio_de_francia", "--set", "operator.n=64"]) == 0
+    rec = json.loads((tmp_path / "report.jsonl").read_text().splitlines()[1])
+    assert rec["passed"] and rec["majorizes"] is True
+    assert 1.0 <= rec["value"] <= rec["bound"] == 2.0
+    assert rec["a1_ratio"] <= rec["a1_bound"] == 2.0 * rec["maximal_norm"]
+    assert 0.0 <= rec["tail"] < 1e-8
+
+
 def test_run_unknown_check_is_usage_error(capsys):
     assert main(["run", "--check", "nope"]) == 2
     assert "unknown check" in capsys.readouterr().err

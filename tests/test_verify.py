@@ -5,9 +5,10 @@ from sqfn.errors import BandError, ParameterError
 from sqfn.grid import Grid, GridFunction
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
-from sqfn.verify import (GrowthFit, RatioReport, band_limited_family,
-                         check_lp_range, check_spectral_identity,
-                         check_weighted_l2_mw, default_operator, mixed_family,
+from sqfn.weights import maximal
+from sqfn.verify import (GrowthFit, RatioReport, _maximals, band_limited_family,
+                         check_lp_range, check_sharp_composite, check_spectral_identity,
+                         check_weak_1_1, check_weighted_l2_mw, default_operator, mixed_family,
                          power_weight_family, resolved_family,
                          square_function_operator, weight_suite)
 
@@ -153,6 +154,29 @@ def test_lp_range_p2_bit_identical_to_weighted_l2(torus):
     a = check_weighted_l2_mw(T, fam, weights)
     b = check_lp_range(T, fam, weights, 2.0)
     assert a.ratios == b.ratios
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stacked_maximals_equal_maximal_of_each(dim):
+    """The one stacked M call the weighted checks make gives maximal's bits
+    for every weight and family member (complex members included)."""
+    g = Grid(dim, 32, 1.0)
+    fam = mixed_family(g, seed=3, count=6)
+    ws = weight_suite(g, seed=103)
+    for items in (ws, list(fam.members)):
+        for item, mv in zip(items, _maximals(items), strict=True):
+            base = getattr(item, "base", item)
+            assert np.array_equal(mv, maximal(base).values.real)
+    assert _maximals([]) == []
+
+
+def test_weighted_checks_with_no_weight_give_an_empty_report(torus):
+    g = torus.grid
+    fam = mixed_family(g, seed=7, count=4)
+    T = lambda f: f  # noqa: E731
+    for rep in (check_weighted_l2_mw(T, fam, []), check_weak_1_1(T, fam, []),
+                check_lp_range(T, fam, [], 3.0), check_sharp_composite(fam, [], 4.0)):
+        assert (rep.ratios, rep.skipped) == ((), 0)
 
 
 def test_lp_range_rejects_p_one(torus):

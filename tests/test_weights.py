@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqfn import weights
-from sqfn.errors import SingularWeightError
-from sqfn.grid import Grid, GridFunction, Weight
+from sqfn import constants, weights
+from sqfn.errors import GridMismatchError, ParameterError, SingularWeightError
+from sqfn.grid import Grid, GridFunction, Weight, lp_norm
 from sqfn.weights import (ap_constant, empirical_maximal_norm,
                           local_sharp_maximal, maximal, rubio_de_francia)
 
@@ -63,6 +63,105 @@ def test_maximal_dominates_function_and_mean():
     mf = maximal(GridFunction(g, vals)).values.real
     assert np.all(mf >= np.abs(vals) - 1e-15)
     assert np.all(mf >= np.mean(np.abs(vals)) - 1e-15)
+
+
+def _per_side_maximal(vals, dim):
+    """M as one grid array was computed before stacks: its own wrapped
+    cumulative sum per side and axis, the full side by np.sum."""
+    mags = np.abs(vals)
+    n = mags.shape[0]
+    best = np.array(mags)
+    m = 2
+    while m <= n:
+        out = mags
+        for axis in range(dim):
+            if m == n:
+                out = np.repeat(np.sum(out, axis=axis, keepdims=True), n, axis=axis)
+                continue
+            ext = np.concatenate([out, np.take(out, range(m - 1), axis=axis)], axis=axis)
+            cs = np.cumsum(ext, axis=axis)
+            cs = np.concatenate([np.zeros_like(np.take(cs, [0], axis=axis)), cs], axis=axis)
+            out = np.take(cs, range(m, n + m), axis=axis) - np.take(cs, range(n), axis=axis)
+        best = np.maximum(best, weights._trailing_max(out / float(m) ** dim, m, dim))
+        m *= 2
+    return best
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 128), (1, 256), (2, 8), (2, 32), (2, 64)])
+@pytest.mark.parametrize("kind", ["real", "complex", "zero"])
+def test_maximal_stack_equals_per_function(dim, n, kind):
+    """The stacked kernel, one function of it, and maximal all give the
+    per-side construction's bits."""
+    g = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(n + dim)
+    stack = rng.standard_normal((4,) + g.shape) * 10.0 ** rng.integers(-3, 4, (4,) + g.shape)
+    if kind == "complex":
+        stack = stack + 1j * rng.standard_normal(stack.shape)
+    elif kind == "zero":
+        stack = np.zeros_like(stack)
+    together = weights._maximal_stack(g, stack)
+    alone = weights._maximal_stack(g, stack[:1])
+    assert together.shape == stack.shape and alone.shape == (1,) + g.shape
+    for k, vals in enumerate(stack):
+        oracle = _per_side_maximal(GridFunction(g, vals).values, dim)
+        assert np.array_equal(together[k], oracle)
+        assert np.array_equal(maximal(GridFunction(g, vals)).values.real, oracle)
+    assert np.array_equal(alone[0], together[0])
+
+
+def _rubio_de_francia_one(phi, q, mnorm):
+    """The series and certificate of one phi, as they were computed per phi."""
+    term = np.abs(phi.values)
+    total = np.array(term)
+    for _ in range(29):
+        term = maximal(GridFunction(phi.grid, term)).values.real / (2.0 * mnorm)
+        total += term
+    tail = lp_norm(GridFunction(phi.grid, term), q)
+    size = lp_norm(GridFunction(phi.grid, total), q)
+    mv = maximal(GridFunction(phi.grid, total)).values.real
+    positive = total > 0
+    a1 = float(np.max(mv[positive] / total[positive]))
+    return total, size / max(lp_norm(phi, q), 1e-300), a1, tail
+
+
+@pytest.mark.parametrize("dim, n, q", [(1, 64, 2.0), (1, 128, 3.0), (2, 16, 2.0)])
+def test_rubio_de_francia_stack_equals_per_phi_loop(dim, n, q):
+    g = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(11)
+    phis = [GridFunction(g, rng.standard_normal(g.shape) * (1 + 1j * (k % 2)))
+            for k in range(5)]
+    mnorm = empirical_maximal_norm(g, q)
+    certs = rubio_de_francia(phis, q, maximal_norm=mnorm)
+    assert len(certs) == len(phis)
+    for phi, cert in zip(phis, certs):
+        total, ratio, a1, tail = _rubio_de_francia_one(phi, q, mnorm)
+        assert np.array_equal(cert.weight.values, total)
+        assert (cert.q, cert.norm_ratio, cert.a1_ratio, cert.maximal_norm, cert.tail) == (
+            q, ratio, a1, mnorm, tail)
+    assert rubio_de_francia(phis[1:2], q)[0].a1_ratio == certs[1].a1_ratio  # M's norm by default
+
+
+def test_rubio_de_francia_refuses_an_empty_or_mixed_sequence():
+    g = Grid(1, 32, 1.0)
+    phi = GridFunction(g, np.ones(32))
+    with pytest.raises(ParameterError, match="at least one phi"):
+        rubio_de_francia([], 2.0)
+    with pytest.raises(GridMismatchError):
+        rubio_de_francia([phi, GridFunction(Grid(1, 32, 2.0), np.ones(32))], 2.0)
+
+
+@pytest.mark.parametrize("dim, n, q", [(1, 64, 2.0), (2, 16, 1.5)])
+def test_empirical_maximal_norm_equals_per_candidate_loop(dim, n, q):
+    g = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(7)
+    candidates = [np.abs(rng.standard_normal(g.shape)) for _ in range(32)]
+    spike = np.zeros(g.shape)
+    spike[(0,) * dim] = 1.0
+    best = 0.0
+    for v in candidates + [spike]:
+        f = GridFunction(g, v)
+        best = max(best, lp_norm(maximal(f), q) / max(lp_norm(f, q), 1e-300))
+    assert empirical_maximal_norm(g, q) == best * constants.MAXIMAL_NORM_MARGIN
 
 
 def test_ap_constant_flat_weight_is_one():
@@ -170,7 +269,7 @@ def test_rubio_de_francia_certificate():
     g = Grid(1, 64, 1.0)
     rng = np.random.default_rng(7)
     phi = GridFunction(g, np.abs(rng.standard_normal(64)))
-    cert = rubio_de_francia(phi, 2.0)
+    (cert,) = rubio_de_francia([phi], 2.0)
     assert np.all(cert.weight.values >= np.abs(phi.values) - 1e-12)
     assert cert.norm_ratio <= 2.0
     assert cert.a1_ratio <= 2.0 * cert.maximal_norm
