@@ -64,11 +64,7 @@ class BumpProfile:
         object.__setattr__(self, "normalization", 1.0 / (self.support_radius * unit_mass))
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        u = s / self.support_radius
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = self.normalization * _raw_bump(u[inside])
+        out = self.normalization * _raw_bump(np.asarray(s, dtype=float) / self.support_radius)
         return out if out.ndim else float(out)
 
     def integral(self) -> float:

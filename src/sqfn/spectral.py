@@ -12,12 +12,15 @@ Both expose F(sqrt(L)) for arbitrary scalar profiles, heat and Poisson
 semigroups (the latter also via subordination quadrature), gradients,
 the even wave propagator cos(t sqrt(L)), and dense kernel matrices for
 kernel-bound fits, returned as (distances, entries) like the torus's
-oversampled kernel_profile.  forward / inverse / inverse_gradient expose
-the transform pair, so a square function can transform f once per call;
-inverse and inverse_gradient also take a stack with a leading node axis.
+oversampled kernel_profile (the torus matrix by one path in every
+dimension).  forward / inverse / inverse_gradient expose the transform
+pair, so a square function can transform f once per call; inverse and
+inverse_gradient also take a stack with a leading node axis.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.special import roots_genlaguerre
@@ -35,34 +38,25 @@ from .errors import (
 from .grid import Grid, GridFunction, require_same_grid
 
 
+def _real_if_close(a: np.ndarray, rtol: float) -> np.ndarray:
+    """a.real if every |imaginary part| is below rtol times the largest |real part|, else a."""
+    if np.max(np.abs(a.imag)) < rtol * max(np.max(np.abs(a.real)), 1e-300):
+        return a.real
+    return a
+
+
 class SpectralOperator:
     """Common functional-calculus interface of the model operators.
 
-    Subclasses also give the transform pair: forward(f) -> coefficients,
-    inverse(coeffs) -> samples, inverse_gradient(coeffs) -> gradient samples,
-    and set _levels, _where = np.unique(spectrum, return_inverse=True): the
-    distinct values of sqrt(L) and the map from them back to the spectrum
-    (of the spectrum's shape, as numpy >= 2 returns it).
+    Subclasses give apply_function(profile, f) = F(sqrt(L)) f, gradient(f) as
+    a tuple, kernel_matrix(profile) = (distances, entries) with op(f) ~
+    entries @ f * h^dim over flattened grid points, and the transform pair
+    forward(f) -> coefficients, inverse(coeffs), inverse_gradient(coeffs).
+    They set _levels, _where = np.unique(spectrum, return_inverse=True): the
+    distinct values of sqrt(L) and the map back to the spectrum's shape.
     """
 
     grid: Grid
-
-    # -- subclass hooks ----------------------------------------------------
-
-    def apply_function(self, profile, f: GridFunction) -> GridFunction:
-        """F(sqrt(L)) f for a scalar profile F."""
-        raise NotImplementedError
-
-    def gradient(self, f: GridFunction) -> tuple:
-        """Spatial gradient of a spectrally resolved function."""
-        raise NotImplementedError
-
-    def kernel_matrix(self, profile) -> tuple:
-        """(distances, entries): K between flattened grid points i and j,
-        so op(f) ~ entries @ f * h^dim, and their (torus) distances."""
-        raise NotImplementedError
-
-    # -- shared operations ---------------------------------------------------
 
     @property
     def dim(self) -> int:
@@ -191,22 +185,17 @@ class LaplacianTorus(SpectralOperator):
         if gradient:
             col = np.fft.ifftn(1j * self._xi_axes[0] * vals) / self.grid.cell_volume
         else:
-            col = np.fft.ifftn(vals) / self.grid.cell_volume
-            if np.max(np.abs(col.imag)) < 1e-13 * max(np.max(np.abs(col.real)), 1e-300):
-                col = col.real
-        n = self.grid.points_per_axis
+            col = _real_if_close(np.fft.ifftn(vals) / self.grid.cell_volume, 1e-13)
+        n, dim, size = self.grid.points_per_axis, self.grid.dim, self.grid.size
+        # Per axis, (i - j) mod N and the periodic |x_i - x_j|, broadcast over
+        # that axis's row position (axis) and column position (dim + axis).
+        shapes = [[n if k % dim == axis else 1 for k in range(2 * dim)] for axis in range(dim)]
         idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
         x = self.grid.axis_coords()
-        d_axis = self.grid.periodic_delta(x[:, None] - x[None, :])
-        if self.grid.dim == 1:
-            entries = col[idx]
-            dist = d_axis
-        else:
-            entries = col[idx[:, None, :, None], idx[None, :, None, :]]
-            entries = entries.reshape(self.grid.size, self.grid.size)
-            dist = np.hypot(d_axis[:, None, :, None], d_axis[None, :, None, :])
-            dist = dist.reshape(self.grid.size, self.grid.size)
-        return dist, entries
+        delta = self.grid.periodic_delta(x[:, None] - x[None, :])
+        entries = col[tuple(idx.reshape(shape) for shape in shapes)]
+        dist = functools.reduce(np.hypot, (delta.reshape(shape) for shape in shapes))
+        return dist.reshape(size, size), entries.reshape(size, size)
 
     def kernel_profile(self, profile, gradient: bool = False):
         """Kernel column K(d) on a 16-fold oversampled distance grid (1-D only).
@@ -233,9 +222,7 @@ class LaplacianTorus(SpectralOperator):
         col = np.fft.ifft(spec) * (m / n) / self.grid.cell_volume
         x = 2.0 * self.grid.half_width * np.arange(m) / m
         dist = np.minimum(x, 2.0 * self.grid.half_width - x)
-        if np.max(np.abs(col.imag)) < 1e-12 * max(np.max(np.abs(col.real)), 1e-300):
-            col = col.real
-        return dist, col
+        return dist, _real_if_close(col, 1e-12)
 
 
 class HermiteOscillator1D(SpectralOperator):
@@ -345,9 +332,7 @@ class HermiteOscillator1D(SpectralOperator):
         self._guard_budget()
         vals = self.profile_values(profile)
         left = self._basis_deriv if gradient else self._band
-        entries = (left * vals) @ self._band.T
-        if np.max(np.abs(entries.imag)) < 1e-13 * max(np.max(np.abs(entries.real)), 1e-300):
-            entries = entries.real
+        entries = _real_if_close((left * vals) @ self._band.T, 1e-13)
         x = self.grid.axis_coords()
         dist = np.abs(x[:, None] - x[None, :])
         return dist, entries

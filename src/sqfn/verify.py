@@ -81,9 +81,7 @@ class GrowthFit:
 
 @dataclass(frozen=True)
 class TestFamily:
-    seed: int
     members: tuple
-    description: str
 
     def __post_init__(self):
         for f in self.members:
@@ -136,7 +134,7 @@ def mixed_family(grid: Grid, seed: int, count: int = 20,
                 vals = np.zeros(grid.shape)
                 vals[(n // 2,) * grid.dim] = 1.0
         members.append(GridFunction(grid, vals))
-    return TestFamily(seed, tuple(members), f"mixed-{count}")
+    return TestFamily(tuple(members))
 
 
 def resolved_family(op: SpectralOperator, seed: int, count: int = 20,
@@ -156,7 +154,7 @@ def resolved_family(op: SpectralOperator, seed: int, count: int = 20,
         if float(np.max(np.abs(proj.values))) == 0.0:
             proj = op.synthesize(np.eye(op.truncation)[0])
         members.append(proj)
-    return TestFamily(seed, tuple(members), fam.description + "-projected")
+    return TestFamily(tuple(members))
 
 
 def _hermitian_noise(grid: Grid, rng, lo: int, hi: int, terms: int) -> np.ndarray:
@@ -213,7 +211,7 @@ def band_limited_family(op: SpectralOperator, times: TimeGrid, seed: int,
         for _ in range(count):
             vals = _hermitian_noise(grid, rng, int(lo[0]), int(hi[-1]) + 1, 8)
             members.append(GridFunction(grid, vals))
-    return TestFamily(seed, tuple(members), f"band-limited-{count}")
+    return TestFamily(tuple(members))
 
 
 def weight_suite(grid: Grid, seed: int) -> list:

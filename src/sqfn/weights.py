@@ -78,8 +78,7 @@ def _leading_min(a: np.ndarray, m: int) -> np.ndarray:
     """out[i] = min over the window [i, i+m-1] per axis (wrapping)."""
     out = a
     for axis in range(a.ndim):
-        centered = minimum_filter1d(out, size=m, axis=axis, mode="wrap")
-        out = np.roll(centered, -(m // 2), axis=axis)
+        out = minimum_filter1d(out, size=m, axis=axis, mode="wrap", origin=-(m // 2))
     return out
 
 

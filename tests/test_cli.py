@@ -273,12 +273,16 @@ def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, monkeypatch, r
 
 @pytest.mark.parametrize("per_octave", ["0", "-1"])
 def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_octave):
-    """An error (exit 1) naming the key, not a ZeroDivisionError traceback."""
+    """A usage error (exit 2) naming the key, raised when the config is
+    parsed, before an operator is built; per_octave = 1 parses."""
+    built = _no_build(monkeypatch)
     monkeypatch.setenv("SQFN_OUT", str(tmp_path))
     assert main(["run", "--check", "spectral_identity",
-                 "--set", f"times.per_octave={per_octave}"]) == 1
+                 "--set", f"times.per_octave={per_octave}"]) == 2
     err = capsys.readouterr().err
-    assert f"error: times.per_octave must be >= 1, got {per_octave}" in err
+    assert err.startswith(f"usage error: times.per_octave must be an int >= 1, got '{per_octave}'")
+    assert built == []
+    parse_config(None, {"times.per_octave": "1"})
 
 
 @pytest.mark.parametrize("key, value", [

@@ -107,6 +107,49 @@ def test_kernel_profile_matches_matrix_column(torus):
     assert dist.size == 16 * n
 
 
+@pytest.mark.parametrize("r", [1.0, 0.7])
+def test_kernel_matrix_2d_equals_double_loop(r):
+    """The 2-D dense kernel against its definition over grid pairs: entries
+    col[(i - j) mod N] per axis, distances the hypot of the per-axis
+    periodic |x - y|."""
+    g = Grid(2, 8, r)
+    op = LaplacianTorus(g)
+    profile = lambda s: np.exp(-0.01 * s**2)
+    dist, entries = op.kernel_matrix(profile)
+    col = np.fft.ifftn(op.profile_values(profile)) / g.cell_volume
+    assert np.max(np.abs(col.imag)) < 1e-13 * np.max(np.abs(col.real))
+    n, x = g.points_per_axis, g.axis_coords()
+
+    def periodic(a, b):
+        d = abs(x[a] - x[b])
+        return min(d, 2.0 * r - d)
+
+    points = [(i0, i1) for i0 in range(n) for i1 in range(n)]
+    want_entries = np.empty((g.size, g.size))
+    want_dist = np.empty((g.size, g.size))
+    for row, (i0, i1) in enumerate(points):
+        for column, (j0, j1) in enumerate(points):
+            want_entries[row, column] = col.real[(i0 - j0) % n, (i1 - j1) % n]
+            want_dist[row, column] = np.hypot(periodic(i0, j0), periodic(i1, j1))
+    assert np.array_equal(entries, want_entries)
+    assert np.array_equal(dist, want_dist)
+
+
+def test_kernel_gradient_matrix_applies_like_gradient(torus, hermite):
+    """entries @ f * h is the gradient of F(sqrt(L)) f, on the torus and the
+    oscillator."""
+    profile = lambda s: np.exp(-0.02 * s**2)
+    rng = np.random.default_rng(5)
+    torus_f = GridFunction(torus.grid, rng.standard_normal(torus.grid.shape))
+    hermite_f = hermite.synthesize(rng.standard_normal(hermite.truncation))
+    for op, f in ((torus, torus_f), (hermite, hermite_f)):
+        _, entries = op.kernel_gradient_matrix(profile)
+        via_kernel = entries @ f.values * op.grid.spacing
+        (direct,) = op.gradient(op.apply_function(profile, f))
+        scale = np.max(np.abs(direct.values))
+        assert np.max(np.abs(via_kernel - direct.values)) < 1e-10 * scale, type(op).__name__
+
+
 def test_time_budget_guard(torus):
     g = torus.grid
     f = _mode(g, 1)

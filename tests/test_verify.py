@@ -70,7 +70,7 @@ def test_mixed_family_rejects_zero_members():
 
     g = Grid(1, 64, 1.0)
     with pytest.raises(ParameterError):
-        TestFamily(0, (GridFunction(g, np.zeros(64)),), "zeros")
+        TestFamily((GridFunction(g, np.zeros(64)),))
 
 
 def test_mixed_family_rejects_small_grids():

@@ -181,21 +181,33 @@ def test_ap_constant_monotone_in_power():
         last = c
 
 
-def test_ap_constant_brute_force_small():
-    n = 16
-    g = Grid(1, n, 1.0)
-    rng = np.random.default_rng(3)
-    w = np.exp(rng.standard_normal(n))
-    p = 2.0
+def _brute_ap(w, p):
+    """sup over every periodic dyadic cube, every position, of the A_p product."""
+    n, dim = w.shape[0], w.ndim
     best = 0.0
     m = 1
     while m <= n:
-        for start in range(n):
-            idx = np.arange(start, start + m) % n
-            best = max(best, w[idx].mean() * (1.0 / w[idx]).mean())
+        for start in itertools.product(range(n), repeat=dim):
+            cube = w[np.ix_(*(np.arange(s, s + m) % n for s in start))]
+            if p == 1:
+                value = cube.mean() / cube.min()
+            else:
+                value = cube.mean() * (cube ** (-1.0 / (p - 1.0))).mean() ** (p - 1.0)
+            best = max(best, value)
         m *= 2
-    rep = ap_constant(Weight(GridFunction(g, w)), p)
-    assert rep.constant == pytest.approx(best, rel=1e-12)
+    return best
+
+
+def test_ap_constant_brute_force_small():
+    """ap_constant equals the A_p sup over every cube, p in {1, 2, 3}, on a
+    1-D N=16 and a 2-D N=8 grid: p = 1 goes through the sliding minimum."""
+    rng = np.random.default_rng(3)
+    for dim, n in ((1, 16), (2, 8)):
+        g = Grid(dim, n, 1.0)
+        w = np.exp(rng.standard_normal(g.shape))
+        for p in (1.0, 2.0, 3.0):
+            rep = ap_constant(Weight(GridFunction(g, w)), p)
+            assert rep.constant == pytest.approx(_brute_ap(w, p), rel=1e-12), (dim, p)
 
 
 def test_ap_rejects_zero_weight():
