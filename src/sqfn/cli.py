@@ -19,6 +19,7 @@ passed, 1 some check failed, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -463,7 +464,7 @@ _CHECKS = {
     "weighted_l2_mw": {
         "runner": _run_weighted_l2_mw,
         "formula": "int (Tf)^2 w <= C int |f|^2 Mw, T in the configured kinds",
-        "tolerance": "sup ratio finite (2x resolution stability checked in the test suite)",
+        "tolerance": f"sup ratio finite ({constants.STABILITY_FACTOR:g}x resolution stability checked in the test suite)",
         "keys": "operator.*, family.*, times.*, params.kinds, params.mu",
     },
     "weak_lp": {
@@ -502,7 +503,7 @@ _CHECKS = {
     "sharp_maximal": {
         "runner": _run_sharp_maximal,
         "formula": "M#_lam((g* f)^2) <= C (Mf)^2 and the composite maximal bound with gamma = max{1/2, 1/(p-1)}",
-        "tolerance": "sup ratios finite (2x resolution stability in the test suite)",
+        "tolerance": f"sup ratios finite ({constants.STABILITY_FACTOR:g}x resolution stability in the test suite)",
         "keys": "operator.*, family.*, times.*, params.lam, params.mu",
     },
 }
@@ -540,7 +541,8 @@ def run(cfg: dict) -> int:
     op = _build_operator(cfg)
     digest = config_hash(cfg)
     out = _output_dir(cfg)
-    os.makedirs(out, exist_ok=True)
+    with _writing(out):
+        os.makedirs(out, exist_ok=True)
     all_records = []
     for tag in tags:
         start = time.perf_counter()
@@ -595,11 +597,23 @@ def describe(tag: str) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """A block that writes path; an OSError in it is a UsageError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
+    if not 0 < t < np.inf:
+        raise UsageError(f"--t must be a finite float > 0, got {t:g}")
     op = _build_operator(cfg)
     phi = square_symbol(symbol)
     _, entries = op.kernel_matrix(lambda s: phi(t * s))
-    np.savetxt(path, np.asarray(entries, dtype=float), delimiter=",")
+    with _writing(path), open(path, "w") as fh:
+        np.savetxt(fh, np.asarray(entries, dtype=float), delimiter=",")
     print(f"wrote {entries.shape[0]}x{entries.shape[1]} kernel to {path}")
     return 0
 
@@ -609,7 +623,7 @@ def _dump_function(cfg: dict, index: int, path: str) -> int:
     fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
     if not (0 <= index < len(fam.members)):
         raise UsageError(f"member index must lie in [0, {len(fam.members)})")
-    with open(path, "w") as fh:
+    with _writing(path), open(path, "w") as fh:
         fh.write(to_csv(fam.members[index]))
     print(f"wrote family member {index} to {path}")
     return 0

@@ -3,7 +3,7 @@
 Every check turns one inequality into either a RatioReport (a supremum
 of measured ratios over a test family, with the index of the ratio that
 attains it) or a GrowthFit (a log-log slope compared against a declared
-exponent bound).
+exponent bound); doubling gates a check's values under N -> 2N.
 Empirical suprema over finite families are lower bounds on true
 operator norms, so every pass criterion is one-sided.
 """
@@ -11,6 +11,7 @@ operator norms, so every pass criterion is one-sided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,6 +73,30 @@ class GrowthFit:
         object.__setattr__(self, "fitted_exponent", float(slope))
         object.__setattr__(self, "passed",
                            bool(slope <= self.exponent_bound + self.slack))
+
+
+@dataclass(frozen=True)
+class Doubling:
+    at_n: dict
+    at_2n: dict
+    worst_change: float
+    passed: bool
+    factor: ClassVar[float] = constants.STABILITY_FACTOR
+
+
+def doubling(measure, n: int) -> Doubling:
+    """The N -> 2N stability gate on measure(n), a {tag: value} mapping.
+
+    A tag's change is max(b/a, a/b) of its values a at N and b at 2N, and
+    inf when either is missing, zero, negative or not finite.  The gate
+    passes when some tag is measured and no change reaches Doubling.factor.
+    """
+    at_n, at_2n = dict(measure(n)), dict(measure(2 * n))
+    pairs = [(float(at_n.get(tag, 0.0)), float(at_2n.get(tag, 0.0)))
+             for tag in at_n.keys() | at_2n.keys()]
+    worst = max((max(b / a, a / b) if 0 < a < np.inf and 0 < b < np.inf else np.inf
+                 for a, b in pairs), default=np.inf)
+    return Doubling(at_n, at_2n, worst, worst < Doubling.factor)
 
 
 # ---------------------------------------------------------------------------

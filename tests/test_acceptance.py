@@ -2,37 +2,32 @@
 
 Every test certifies one headline property with pinned tolerances and a
 runtime budget, prints a single PASS/FAIL line, and never loosens a
-bound to accommodate the measurement.  Finite propagation is measured
-beyond the source's own support widened by t, as the theorem states it,
-so that a source's width is not charged to the propagator.
+bound to accommodate the measurement.  A property gates the records that
+``sqfn run`` writes: it runs the check's runner from ``cli._CHECKS`` on
+the operator ``cli._build_operator`` builds, so time grids, families,
+weights and tolerances are the CLI's own.  A sup-ratio record only says
+that its sup is finite, so those properties also pass the record values
+at N and 2N through ``verify.doubling``.  Finite propagation on the
+oscillator is measured beyond the source's own support widened by t, as
+the theorem states it, so that a source's width is not charged to the
+propagator.
 """
 
+import functools
 import time
 
 import numpy as np
-import pytest
 
+from sqfn import constants
+from sqfn.cli import _CHECKS, _build_operator, _setup, parse_config
 from sqfn.decomp import cz_decomposition, whitney
-from sqfn.grid import Grid, GridFunction, lp_norm
-from sqfn.kernelbounds import constant_variation, sweep
+from sqfn.grid import Grid, GridFunction
 from sqfn.multipliers import kappa, square_symbol
-from sqfn.spectral import HermiteOscillator1D, LaplacianTorus
-from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
-from sqfn.verify import (band_limited_family, check_growth_in_ap,
-                         check_growth_in_p, check_lp_range,
-                         check_pointwise_domination, check_sharp_composite,
-                         check_sharp_maximal_domination,
-                         check_spectral_identity, check_weak_1_1,
-                         check_weighted_l2_mw, mixed_family,
-                         power_weight_family, propagation_leak,
-                         resolved_family, square_function_operator,
-                         weight_suite)
-from sqfn.weights import empirical_maximal_norm, rubio_de_francia
+from sqfn.verify import (check_lp_range, check_weighted_l2_mw, doubling,
+                         mixed_family, propagation_leak, square_function_operator)
 
-KINDS = ("s_h", "s_p", "S_H", "S_P", "g_star")
 SEED = 7
-WEIGHT_SEED = 107
-MU = 3.5
+FINE = {"times.per_octave": "12"}
 
 _hermite_elapsed = []
 
@@ -49,29 +44,47 @@ def _report(name, ok, detail, elapsed, budget):
     assert elapsed < budget, f"{name} exceeded the {budget}s budget ({elapsed:.1f}s)"
 
 
-def _cone_times(op, per_octave=8):
-    t_max = 4.0 if isinstance(op, HermiteOscillator1D) else op.grid.half_width**2 / 4.0
-    return TimeGrid.geometric(op.grid.spacing, t_max, per_octave)
+def _config(name, n, settings=None):
+    return parse_config(None, {"operator.name": name, "operator.n": str(n), **(settings or {})})
 
 
-def _identity_times(op, per_octave=12):
-    t_max = 4.0 if isinstance(op, HermiteOscillator1D) else op.grid.half_width**2 / 4.0
-    return TimeGrid.geometric(op.grid.spacing / 8.0, t_max, per_octave)
+@functools.cache
+def _operator(name, n):
+    """The operator sqfn run builds for operator.name and operator.n, built once."""
+    return _build_operator(_config(name, n))
 
 
-@pytest.fixture(scope="module")
-def torus256():
-    return LaplacianTorus(Grid(1, 256, 1.0))
+def _records(tag, name, n, settings=None):
+    """The records sqfn run writes for check tag on operator name at N = n."""
+    return _CHECKS[tag]["runner"](_config(name, n, settings), _operator(name, n))
 
 
-@pytest.fixture(scope="module")
-def torus_pair():
-    return {n: LaplacianTorus(Grid(1, n, 1.0)) for n in (128, 256)}
+def _doubling(tag, name, n):
+    """verify.doubling on the values of check tag's records at N = n and 2n,
+    and whether every one of those records passed on its own."""
+    records = []
+
+    def measure(m):
+        recs = _records(tag, name, m)
+        records.extend(recs)
+        return {rec["tag"]: rec["value"] for rec in recs}
+
+    gate = doubling(measure, n)
+    return gate, all(rec["passed"] for rec in records)
 
 
-@pytest.fixture(scope="module")
-def hermite_pair():
-    return {n: HermiteOscillator1D(Grid(1, n, 22.5), 128) for n in (256, 512)}
+def _identity_line(rec):
+    return (f"ratios in [{rec['low']:.5f}, {rec['value']:.5f}], "
+            f"required [{1 - constants.IDENTITY_RTOL:g}, {rec['bound']:g}]")
+
+
+def _plancherel_line(records):
+    s_h, g_h = records
+    kap = kappa(square_symbol("s_h"))
+    return (f"s_h in [{s_h['low']:.4f}, {s_h['value']:.4f}] "
+            f"(0.5 +- {constants.AREA_PLANCHEREL_RTOL:.0%}), "
+            f"g_h in [{g_h['low']:.5f}, {g_h['value']:.5f}] "
+            f"(kappa={kap:.5f} +- {constants.IDENTITY_RTOL:.0%})")
 
 
 def _source_radius(g, source_values, mass_tol):
@@ -91,89 +104,38 @@ def _band_residual(op, source_values):
     return float(np.sum(np.abs(source_values - held))) / float(np.sum(np.abs(source_values)))
 
 
-def _weighted_l2_suite(op, count=20):
-    times = _cone_times(op)
-    fam = resolved_family(op, SEED, count)
-    ws = weight_suite(op.grid, WEIGHT_SEED)
-    out = {}
-    for kind in KINDS:
-        T = square_function_operator(kind, op, times, mu=MU)
-        out[kind] = check_weighted_l2_mw(T, fam, ws, tag=f"weighted_l2_mw_{kind}")
-    return out
-
-
-@pytest.fixture(scope="module")
-def cww_reports(torus_pair):
-    return {n: _weighted_l2_suite(op) for n, op in torus_pair.items()}
-
-
-def test_spectral_identity_torus(torus256):
+def test_spectral_identity_torus():
     start = time.perf_counter()
-    times = _identity_times(torus256)
-    fam = band_limited_family(torus256, times, SEED, 20)
-    rep = check_spectral_identity(torus256, fam, times)
-    lo, hi = min(rep.ratios), max(rep.ratios)
-    ok = 0.98 <= lo and hi <= 1.02
-    _report("spectral-identity", ok,
-            f"ratios in [{lo:.5f}, {hi:.5f}], required [0.98, 1.02]",
+    (rec,) = _records("spectral_identity", "laplacian", 256, FINE)
+    _report("spectral-identity", rec["passed"], _identity_line(rec),
             time.perf_counter() - start, 10.0)
 
 
-def test_plancherel_ratios_torus(torus256):
+def test_plancherel_ratios_torus():
     start = time.perf_counter()
-    cone_times = _cone_times(torus256, per_octave=12)
-    fam_cone = band_limited_family(torus256, cone_times, SEED, 20)
-    cone = ConeQuadrature(torus256.grid, cone_times)
-    rs = [lp_norm(area_integral("s_h", f, torus256, cone), 2) / lp_norm(f, 2)
-          for f in fam_cone.members]
-    ident_times = _identity_times(torus256)
-    fam_fine = band_limited_family(torus256, ident_times, SEED, 20)
-    rg = [lp_norm(g_function("g_h", f, torus256, ident_times), 2) / lp_norm(f, 2)
-          for f in fam_fine.members]
-    kap = kappa(square_symbol("s_h"))
-    ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * 0.05
-    ok_g = max(abs(v - kap) for v in rg) <= kap * 0.02
-    _report("plancherel-ratios", ok_s and ok_g,
-            f"s_h in [{min(rs):.4f}, {max(rs):.4f}] (0.5 +- 5%), "
-            f"g_h in [{min(rg):.5f}, {max(rg):.5f}] (kappa={kap:.5f} +- 2%)",
-            time.perf_counter() - start, 30.0)
+    records = _records("plancherel", "laplacian", 256, FINE)
+    _report("plancherel-ratios", all(rec["passed"] for rec in records),
+            _plancherel_line(records), time.perf_counter() - start, 30.0)
 
 
-def test_finite_propagation_torus(torus256):
+def test_finite_propagation_torus():
     start = time.perf_counter()
-    n = torus256.grid.points_per_axis
-    spike = np.zeros(torus256.grid.shape)
-    spike[n // 2] = 1.0
-    steps = np.linspace(6, min(100, int(0.8 * n // 2)), 10).astype(int)
-    worst = propagation_leak(torus256, GridFunction(torus256.grid, spike), steps, radius=0.0)
-    _report("finite-propagation", worst < 1e-6,
-            f"worst mass outside t + 4h is {worst:.3g}, required < 1e-6 "
-            f"over {len(steps)} times",
+    (rec,) = _records("finite_propagation", "laplacian", 256)
+    _report("finite-propagation", rec["passed"],
+            f"worst mass outside t + 4h is {rec['value']:.3g}, required < "
+            f"{rec['bound']:g} over 10 times",
             time.perf_counter() - start, 20.0)
 
 
 def test_kernel_bound_sweeps():
     start = time.perf_counter()
-    op = LaplacianTorus(Grid(1, 128, 1.0))
-    grids = {
-        "compact_support": (0.7, 0.93, (0, 1, 2)),      # kappa
-        "smoothed_difference": (0.45, 0.8, (0.5, 1.0, 2.0)),  # r / t
-        "poisson_decay": (0.12, 0.3, (0, 1, 2)),        # kappa
-        "gradient_heat": (0.03, 0.078, (0, 1)),         # kappa
-    }
-    worst_var, worst_leak = 0.0, 0.0
-    for lemma, (t_lo, t_hi, variants) in grids.items():
-        ts = np.geomspace(t_lo, t_hi, 5)
-        for value in variants:
-            recs = sweep(op, lemma, ts, value)
-            worst_var = max(worst_var, constant_variation(recs))
-            if lemma == "compact_support" and value == 0:
-                worst_leak = max(worst_leak,
-                                 max(r["support_violation_mass"] for r in recs))
-    ok = worst_var < 0.20 and worst_leak < 1e-6
-    _report("kernel-bound-sweeps", ok,
-            f"worst constant variation {worst_var:.3f} (< 0.20), "
-            f"support mass {worst_leak:.3g} (< 1e-6)",
+    records = _records("kernel_bounds", "laplacian", 128)
+    (leak,) = [rec for rec in records if "support_violation_mass" in rec]
+    _report("kernel-bound-sweeps", all(rec["passed"] for rec in records),
+            f"worst constant variation {max(rec['value'] for rec in records):.3f} "
+            f"(< {constants.KERNEL_FIT_VARIATION:.2f}), "
+            f"support mass {leak['support_violation_mass']:.3g} "
+            f"(< {constants.SUPPORT_LEAK_TOL:g})",
             time.perf_counter() - start, 120.0)
 
 
@@ -232,181 +194,91 @@ def test_whitney_cz_exactness():
             time.perf_counter() - start, 60.0)
 
 
-def test_weighted_l2_maximal_bound(cww_reports):
+def test_weighted_l2_maximal_bound():
     start = time.perf_counter()
-    worst_change = 0.0
-    finite = True
-    for kind in KINDS:
-        a = cww_reports[128][kind].sup_ratio
-        b = cww_reports[256][kind].sup_ratio
-        finite &= np.isfinite(a) and np.isfinite(b) and a > 0 and b > 0
-        worst_change = max(worst_change, b / a, a / b)
-    ok = finite and worst_change < 2.0
-    _report("weighted-l2-maximal-bound", ok,
-            f"sup of (Tf)^2 w over |f|^2 Mw finite for {len(KINDS)} operators "
-            f"on the 20x5 suite; worst doubling change {worst_change:.3f}x (< 2x)",
+    gate, finite = _doubling("weighted_l2_mw", "laplacian", 128)
+    _report("weighted-l2-maximal-bound", gate.passed and finite,
+            f"sup of (Tf)^2 w over |f|^2 Mw finite for {len(gate.at_n)} operators "
+            f"on the 20x5 suite; worst doubling change {gate.worst_change:.3f}x "
+            f"(< {gate.factor:g}x)",
             time.perf_counter() - start, 300.0)
 
 
-def test_weak_and_lp_bounds(torus_pair, cww_reports):
+def test_weak_and_lp_bounds():
     start = time.perf_counter()
-    sups = {}
+    gate, finite = _doubling("weak_lp", "laplacian", 128)
     bit_identical = True
-    for n, op in torus_pair.items():
-        times = _cone_times(op)
-        fam = resolved_family(op, SEED, 20)
-        ws = weight_suite(op.grid, WEIGHT_SEED)
+    for n in (128, 256):
+        op = _operator("laplacian", n)
+        times, fam, ws = _setup(_config("laplacian", n), op)
         T = square_function_operator("s_h", op, times)
-        entries = {"weak_1_1": check_weak_1_1(T, fam, ws).sup_ratio}
-        for p in (1.5, 2.0, 4.0):
-            rep = check_lp_range(T, fam, ws, p)
-            entries[f"p{p:g}"] = rep.sup_ratio
-            if p == 2.0:
-                bit_identical &= rep.ratios == cww_reports[n]["s_h"].ratios
-        sups[n] = entries
-    finite = all(np.isfinite(v) and v > 0
-                 for entries in sups.values() for v in entries.values())
-    worst_change = max(max(sups[256][k] / sups[128][k], sups[128][k] / sups[256][k])
-                       for k in sups[128])
-    ok = finite and worst_change < 2.0 and bit_identical
-    _report("weak-and-lp-bounds", ok,
+        bit_identical &= (check_lp_range(T, fam, ws, 2.0).ratios
+                          == check_weighted_l2_mw(T, fam, ws).ratios)
+    _report("weak-and-lp-bounds", gate.passed and finite and bit_identical,
             f"weak (1,1) and p in {{1.5, 2, 4}} sup ratios finite; worst "
-            f"doubling change {worst_change:.3f}x (< 2x); p = 2 bit-identical "
-            f"to the weighted L2 formula: {bit_identical}",
+            f"doubling change {gate.worst_change:.3f}x (< {gate.factor:g}x); p = 2 "
+            f"bit-identical to the weighted L2 formula: {bit_identical}",
             time.perf_counter() - start, 300.0)
 
 
-def test_pointwise_g_star_domination(torus_pair):
+def test_pointwise_g_star_domination():
     start = time.perf_counter()
-    sups = {}
-    excluded_ok = True
-    for n, op in torus_pair.items():
-        times = _cone_times(op)
-        fam = resolved_family(op, SEED, 20)
-        gstar = square_function_operator("g_star", op, times, mu=MU)
-        entries = {}
-        for kind in ("s_h", "s_p", "S_H", "S_P"):
-            T = square_function_operator(kind, op, times)
-            rep = check_pointwise_domination(T, gstar, fam)
-            entries[kind] = rep.sup_ratio
-            excluded_ok &= rep.excluded_fraction < 0.01
-        sups[n] = entries
-    finite = all(np.isfinite(v) and v > 0
-                 for entries in sups.values() for v in entries.values())
-    worst_change = max(max(sups[256][k] / sups[128][k], sups[128][k] / sups[256][k])
-                       for k in sups[128])
-    ok = finite and excluded_ok and worst_change < 2.0
-    _report("pointwise-g-star-domination", ok,
-            f"Tf <= C g*_{MU} f with fitted C per operator; exclusion < 1%; "
-            f"worst doubling change {worst_change:.3f}x (< 2x)",
+    gate, passed = _doubling("pointwise_domination", "laplacian", 128)
+    _report("pointwise-g-star-domination", gate.passed and passed,
+            f"Tf <= C g*_{_config('laplacian', 128)['params.mu']} f with fitted C per "
+            f"operator; exclusion < {constants.DOMINATION_EXCLUSION_MAX:.0%}; "
+            f"worst doubling change {gate.worst_change:.3f}x (< {gate.factor:g}x)",
             time.perf_counter() - start, 180.0)
 
 
-def test_operator_norm_growth_in_p(torus_pair):
+def test_operator_norm_growth_in_p():
     start = time.perf_counter()
-    op = torus_pair[128]
-    times = _cone_times(op)
-    fam = resolved_family(op, SEED, 20)
-    T = square_function_operator("s_h", op, times)
-    fit = check_growth_in_p(T, fam, [2.0, 4.0, 8.0, 16.0, 32.0])
-    ok = fit.fitted_exponent <= 0.65
-    _report("operator-norm-growth-in-p", ok,
+    (rec,) = _records("growth_in_p", "laplacian", 128)
+    _report("operator-norm-growth-in-p", rec["passed"],
             f"log-log slope of ||s_h||_p over p in {{2,...,32}} is "
-            f"{fit.fitted_exponent:.3f} (<= 0.65)",
+            f"{rec['value']:.3f} (<= {rec['bound']:g})",
             time.perf_counter() - start, 300.0)
 
 
-def test_ap_growth_and_majorant(torus_pair):
+def test_ap_growth_and_majorant():
     start = time.perf_counter()
-    op = torus_pair[128]
-    times = _cone_times(op)
-    fam = resolved_family(op, SEED, 20)
-    T = square_function_operator("s_h", op, times)
-    bounds = {1.0: 0.5, 2.0: 2.0, 3.0: 1.0}  # max{1/2, 1/(p-1)} + 1/(p-1)
-    slopes = {}
-    ok_slopes = True
-    for p, bound in bounds.items():
-        weights = power_weight_family(op.grid, p)
-        fit = check_growth_in_ap(T, fam, weights, p)
-        slopes[p] = fit.fitted_exponent
-        ok_slopes &= fit.fitted_exponent <= bound + 0.2
-    ok_rdf = True
-    mnorm = empirical_maximal_norm(op.grid, 2.0)
-    phis = [GridFunction(op.grid, np.abs(np.random.default_rng(s).standard_normal(op.grid.shape)))
-            for s in range(SEED, SEED + 10)]
-    for phi, cert in zip(phis, rubio_de_francia(phis, 2.0, maximal_norm=mnorm)):
-        ok_rdf &= bool(np.all(cert.weight.values >= np.abs(phi.values) - 1e-12))
-        ok_rdf &= cert.norm_ratio <= 2.0 and cert.a1_ratio <= 2.0 * cert.maximal_norm
-    ok = ok_slopes and ok_rdf
-    detail = ", ".join(f"p={p:g}: slope {slopes[p]:.3f} <= {b + 0.2:g}"
-                       for p, b in bounds.items())
-    _report("ap-growth-and-majorant", ok,
-            detail + f"; majorant certificate on 10 seeds: {ok_rdf}",
+    fits = _records("growth_in_ap", "laplacian", 128)
+    (rdf,) = _records("rubio_de_francia", "laplacian", 128)
+    detail = ", ".join(f"p={rec['tag'].split('_p')[-1]}: slope {rec['value']:.3f} "
+                       f"<= {rec['bound']:g}" for rec in fits)
+    _report("ap-growth-and-majorant", all(rec["passed"] for rec in fits + [rdf]),
+            detail + f"; majorant certificate on 10 seeds: {rdf['passed']}",
             time.perf_counter() - start, 600.0)
 
 
-def test_sharp_maximal_bounds(torus_pair):
+def test_sharp_maximal_bounds():
     start = time.perf_counter()
-    sups = {}
-    for n, op in torus_pair.items():
-        times = _cone_times(op)
-        fam = resolved_family(op, SEED, 10, shapes=("band", "bump", "packet"))
-        ws = weight_suite(op.grid, WEIGHT_SEED)[:3]
-        gstar = square_function_operator("g_star", op, times, mu=MU)
-        dom = check_sharp_maximal_domination(gstar, fam, 0.25)
-        comp = check_sharp_composite(fam, ws, 4.0, 0.25)
-        sups[n] = {"domination": dom.sup_ratio, "composite": comp.sup_ratio}
-    finite = all(np.isfinite(v) and v > 0
-                 for entries in sups.values() for v in entries.values())
-    worst_change = max(max(sups[256][k] / sups[128][k], sups[128][k] / sups[256][k])
-                       for k in sups[128])
-    ok = finite and worst_change < 2.0
-    _report("sharp-maximal-bounds", ok,
+    gate, finite = _doubling("sharp_maximal", "laplacian", 128)
+    _report("sharp-maximal-bounds", gate.passed and finite,
             f"M#((g* f)^2) <= C (Mf)^2 and the gamma = max{{1/2, 1/(p-1)}} "
-            f"composite bound finite; worst doubling change {worst_change:.3f}x "
-            f"(< 2x)",
+            f"composite bound finite; worst doubling change {gate.worst_change:.3f}x "
+            f"(< {gate.factor:g}x)",
             time.perf_counter() - start, 300.0)
 
 
-def test_hermite_spectral_identity(hermite_pair):
+def test_hermite_spectral_identity():
     start = time.perf_counter()
-    op = hermite_pair[256]
-    times = _identity_times(op)
-    fam = band_limited_family(op, times, SEED, 20)
-    rep = check_spectral_identity(op, fam, times)
-    lo, hi = min(rep.ratios), max(rep.ratios)
-    ok = 0.98 <= lo and hi <= 1.02
+    (rec,) = _records("spectral_identity", "hermite", 256, FINE)
     elapsed = time.perf_counter() - start
     _hermite_elapsed.append(elapsed)
-    _report("hermite-spectral-identity", ok,
-            f"ratios in [{lo:.5f}, {hi:.5f}], required [0.98, 1.02]",
-            elapsed, 600.0)
+    _report("hermite-spectral-identity", rec["passed"], _identity_line(rec), elapsed, 600.0)
 
 
-def test_hermite_plancherel(hermite_pair):
+def test_hermite_plancherel():
     start = time.perf_counter()
-    op = hermite_pair[256]
-    cone_times = _cone_times(op, per_octave=12)
-    fam_cone = band_limited_family(op, cone_times, SEED, 20, capture=0.97)
-    cone = ConeQuadrature(op.grid, cone_times)
-    rs = [lp_norm(area_integral("s_h", f, op, cone), 2) / lp_norm(f, 2)
-          for f in fam_cone.members]
-    ident_times = _identity_times(op)
-    fam_fine = band_limited_family(op, ident_times, SEED, 20)
-    rg = [lp_norm(g_function("g_h", f, op, ident_times), 2) / lp_norm(f, 2)
-          for f in fam_fine.members]
-    kap = kappa(square_symbol("s_h"))
-    ok = (max(abs(v - 0.5) for v in rs) <= 0.5 * 0.05
-          and max(abs(v - kap) for v in rg) <= kap * 0.02)
+    records = _records("plancherel", "hermite", 256, FINE)
     elapsed = time.perf_counter() - start
     _hermite_elapsed.append(elapsed)
-    _report("hermite-plancherel", ok,
-            f"s_h in [{min(rs):.4f}, {max(rs):.4f}] (0.5 +- 5%), "
-            f"g_h in [{min(rg):.5f}, {max(rg):.5f}] (kappa={kap:.5f} +- 2%)",
-            elapsed, 600.0)
+    _report("hermite-plancherel", all(rec["passed"] for rec in records),
+            _plancherel_line(records), elapsed, 600.0)
 
 
-def test_hermite_finite_propagation(hermite_pair):
+def test_hermite_finite_propagation():
     # supp cos(t sqrt L) f lies in supp f + B(0, t), so the leak is counted
     # beyond t + r + 4h, where r is the sampled source's support radius
     # (mass beyond r below 1e-9, a thousandth of the tolerance).  The
@@ -419,7 +291,8 @@ def test_hermite_finite_propagation(hermite_pair):
     worst = 0.0
     worst_residual = 0.0
     parts = []
-    for n, op in hermite_pair.items():
+    for n in (256, 512):
+        op = _operator("hermite", n)
         g = op.grid
         h = g.spacing
         x = g.axis_coords()
@@ -442,22 +315,14 @@ def test_hermite_finite_propagation(hermite_pair):
             elapsed, 600.0)
 
 
-def test_hermite_weighted_l2(hermite_pair):
+def test_hermite_weighted_l2():
     start = time.perf_counter()
-    reports = {n: _weighted_l2_suite(op) for n, op in hermite_pair.items()}
-    worst_change = 0.0
-    finite = True
-    for kind in KINDS:
-        a = reports[256][kind].sup_ratio
-        b = reports[512][kind].sup_ratio
-        finite &= np.isfinite(a) and np.isfinite(b) and a > 0 and b > 0
-        worst_change = max(worst_change, b / a, a / b)
+    gate, finite = _doubling("weighted_l2_mw", "hermite", 256)
     elapsed = time.perf_counter() - start
     _hermite_elapsed.append(elapsed)
     total = sum(_hermite_elapsed)
-    ok = finite and worst_change < 2.0 and total < 600.0
-    _report("hermite-weighted-l2", ok,
-            f"sup ratios finite for {len(KINDS)} operators; worst doubling "
-            f"change {worst_change:.3f}x (< 2x); cross-model group total "
-            f"{total:.0f}s (< 600s)",
+    _report("hermite-weighted-l2", gate.passed and finite and total < 600.0,
+            f"sup ratios finite for {len(gate.at_n)} operators; worst doubling "
+            f"change {gate.worst_change:.3f}x (< {gate.factor:g}x); cross-model "
+            f"group total {total:.0f}s (< 600s)",
             elapsed, 600.0)

@@ -392,6 +392,47 @@ def test_dump_operator(tmp_path):
     np.testing.assert_allclose(data, data.T, atol=1e-12)
 
 
+def test_run_refuses_an_unwritable_output_directory(tmp_path, capsys, monkeypatch):
+    """An output directory under a regular file is a usage error (exit 2)
+    naming the path, raised before any check runs."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    ran = []
+    monkeypatch.setitem(_CHECKS["finite_propagation"], "runner",
+                        lambda cfg, op: ran.append(cfg) or [])
+    out = str(blocker / "out")
+    monkeypatch.delenv("SQFN_OUT", raising=False)
+    assert main(["run", "--check", "finite_propagation", "--set", "operator.n=64",
+                 "--set", f"output.directory={out}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"usage error: cannot write {out}: Not a directory\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("command", ["dump-operator", "dump-function"])
+def test_dump_refuses_an_unwritable_out_path(tmp_path, capsys, command):
+    """An --out path under a regular file is a usage error (exit 2) naming it."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "x.csv")
+    assert main([command, "--out", out, "--set", "operator.n=64",
+                 "--set", "family.count=1"]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot write {out}: Not a directory\n"
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("t", ["0", "-0.1", "nan", "inf"])
+def test_dump_operator_refuses_t_outside_its_domain(tmp_path, capsys, monkeypatch, t):
+    """--t must be a finite float > 0; any other is a usage error (exit 2)
+    naming --t, raised before the operator is built."""
+    built = _no_build(monkeypatch)
+    out = tmp_path / "k.csv"
+    assert main(["dump-operator", "--t", t, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("usage error: --t must be a finite float > 0, got ")
+    assert built == []
+    assert not out.exists()
+
+
 # Where each check runs, written out independently of cli._CHECKS.
 _EVERY_PAIR = {("laplacian", 1), ("laplacian", 2), ("hermite", 1)}
 _DOMAINS = {"kernel_bounds": {("laplacian", 1)},

@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import sqfn
@@ -14,3 +15,16 @@ def test_all_lists_exactly_the_imported_names():
     assert all(hasattr(sqfn, name) for name in sqfn.__all__)
     assert len(sqfn.__all__) == len(set(sqfn.__all__))
     assert sorted(sqfn.__all__) == sorted(imported)
+
+
+def test_every_constant_is_read_outside_its_module():
+    """Each name sqfn/constants.py assigns appears in another module of
+    src/sqfn, so no tolerance is declared and then left unread."""
+    package = Path(sqfn.__file__).parent
+    tree = ast.parse((package / "constants.py").read_text())
+    names = [target.id for node in tree.body if isinstance(node, ast.Assign)
+             for target in node.targets]
+    others = "\n".join(path.read_text() for path in sorted(package.glob("*.py"))
+                       if path.name != "constants.py")
+    assert names
+    assert [name for name in names if not re.search(rf"\b{name}\b", others)] == []

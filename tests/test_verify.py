@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from sqfn.grid import Grid, GridFunction
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
 from sqfn.weights import maximal
-from sqfn.verify import (GrowthFit, RatioReport, _maximals, band_limited_family,
+from sqfn.verify import (Doubling, GrowthFit, RatioReport, _maximals, band_limited_family,
                          check_lp_range, check_sharp_composite, check_spectral_identity,
-                         check_weak_1_1, check_weighted_l2_mw, default_operator, mixed_family,
-                         power_weight_family, resolved_family,
+                         check_weak_1_1, check_weighted_l2_mw, default_operator, doubling,
+                         mixed_family, power_weight_family, resolved_family,
                          square_function_operator, weight_suite)
 
 
@@ -39,6 +41,50 @@ def test_growth_fit_recovers_planted_slope():
     assert fit.passed
     steep = GrowthFit("demo", tuple(x), tuple(3.0 * x**0.7), 0.5, 0.05)
     assert not steep.passed
+
+
+def _planted(at_n, at_2n):
+    """A measure that reads at_n at N = 8 and at_2n at N = 16."""
+    return lambda n: {8: at_n, 16: at_2n}[n]
+
+
+def test_doubling_gate_is_strict_at_the_factor():
+    assert Doubling.factor == 2.0
+    gate = doubling(_planted({"a": 1.0, "b": 3.0}, {"a": 1.99, "b": 3.0}), 8)
+    assert gate.passed and gate.worst_change == 1.99
+    assert (gate.at_n, gate.at_2n) == ({"a": 1.0, "b": 3.0}, {"a": 1.99, "b": 3.0})
+    shrink = doubling(_planted({"a": 1.99}, {"a": 1.0}), 8)
+    assert shrink.passed and shrink.worst_change == 1.99
+    for at_2n in ({"a": 2.0}, {"a": 0.5}):
+        gate = doubling(_planted({"a": 1.0}, at_2n), 8)
+        assert not gate.passed and gate.worst_change == 2.0
+
+
+def test_doubling_worst_change_is_the_largest_over_tags():
+    gate = doubling(_planted({"a": 1.0, "b": 4.0, "c": 2.0}, {"a": 1.5, "b": 2.5, "c": 2.0}), 8)
+    assert gate.worst_change == max(1.5, 4.0 / 2.5, 1.0)
+    assert gate.passed
+
+
+@pytest.mark.parametrize("at_n, at_2n", [
+    ({"a": 0.0}, {"a": 1.0}),
+    ({"a": 1.0}, {"a": 0.0}),
+    ({"a": -1.0}, {"a": -1.0}),
+    ({"a": 1.0}, {"a": np.nan}),
+    ({"a": np.float64(np.nan)}, {"a": np.float64(1.0)}),
+    ({"a": np.inf}, {"a": np.inf}),
+    ({"a": 1.0, "b": 1.0}, {"a": 1.0}),
+    ({"a": 1.0}, {"a": 1.0, "b": 1.0}),
+    ({}, {}),
+    ({"a": np.float64(1e-300)}, {"a": np.float64(1e300)}),
+], ids=["zero-at-n", "zero-at-2n", "negative", "nan", "numpy-nan", "inf",
+        "missing-at-2n", "missing-at-n", "empty", "overflow"])
+def test_doubling_fails_on_an_invalid_value_without_raising(at_n, at_2n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gate = doubling(_planted(at_n, at_2n), 8)
+    assert not gate.passed
+    assert gate.worst_change == np.inf
 
 
 def test_growth_fit_guards():
