@@ -49,8 +49,5 @@ DOMINATION_EXCLUSION_MAX = 0.01
 # Relative agreement required between the two Poisson-semigroup routes.
 SUBORDINATION_RTOL = 1e-6
 
-# Absolute error target for the kappa quadrature.
-KAPPA_ATOL = 1e-10
-
 # Largest dense kernel matrix, in MiB (complex entries), a fit may build.
 KERNEL_MATRIX_BUDGET_MB = 512.0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
+from sqfn import constants
 from sqfn.cli import (_CHECKS, _build_operator, _require_check, _time_grid, config_hash,
                       main, parse_config)
 from sqfn.errors import UsageError
@@ -125,6 +126,13 @@ def test_list_checks_and_describe(capsys):
     assert "formula:" in text and "tolerance:" in text
     assert main(["describe", "nope"]) == 2
     assert "usage error: unknown check 'nope'" in capsys.readouterr().err
+    # The checks whose records have bound inf name the acceptance suite's
+    # N -> 2N gate in their tolerance text.
+    for tag in ("weighted_l2_mw", "weak_lp", "pointwise_domination", "sharp_maximal"):
+        assert main(["describe", tag]) == 0
+        tolerance = capsys.readouterr().out.split("tolerance: ")[1].splitlines()[0]
+        assert f"N -> 2N change < {constants.STABILITY_FACTOR:g}x" in tolerance, tag
+        assert "verify.doubling" in tolerance, tag
 
 
 def test_run_writes_reports(tmp_path, capsys, monkeypatch):
@@ -429,6 +437,20 @@ def test_dump_operator_refuses_t_outside_its_domain(tmp_path, capsys, monkeypatc
     out = tmp_path / "k.csv"
     assert main(["dump-operator", "--t", t, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("usage error: --t must be a finite float > 0, got ")
+    assert built == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("symbol", ["nope", "g_star"])
+def test_dump_operator_refuses_an_unknown_symbol(tmp_path, capsys, monkeypatch, symbol):
+    """An unknown --symbol is a usage error (exit 2) naming --symbol and
+    every valid kind, raised before the operator is built."""
+    built = _no_build(monkeypatch)
+    out = tmp_path / "k.csv"
+    assert main(["dump-operator", "--symbol", symbol, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: --symbol: unknown symbol kind {symbol!r}; choose from ")
+    assert all(repr(kind) in err for kind in ("S_H-scalar", "S_P-scalar", "s_h", "s_p"))
     assert built == []
     assert not out.exists()
 

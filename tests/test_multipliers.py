@@ -54,8 +54,30 @@ def test_fourier_bump_cutoff():
 
 def test_kappa_closed_forms():
     # integral of z^2 e^{-2z} dz/z = 1/4 and of z^4 e^{-2z^2} dz/z = 1/8
-    assert kappa(square_symbol("s_p")) == pytest.approx(0.5, abs=1e-9)
-    assert kappa(square_symbol("s_h")) == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), abs=1e-9)
+    assert kappa(square_symbol("s_p")) == pytest.approx(0.5, rel=1e-12)
+    assert kappa(square_symbol("s_h")) == pytest.approx(1.0 / (2.0 * np.sqrt(2.0)), rel=1e-12)
+
+
+def _adaptive_kappa(psi):
+    """kappa by adaptive quadrature on 17 equal panels of the log axis."""
+    def integrand(v):
+        return float(np.abs(psi(np.exp(v))) ** 2)
+
+    edges = np.linspace(-34.0, 34.0, 18)
+    return np.sqrt(sum(quad(integrand, a, b, epsabs=5e-12, limit=400)[0]
+                       for a, b in zip(edges[:-1], edges[1:])))
+
+
+@pytest.mark.parametrize("psi", [square_symbol("s_h"), square_symbol("s_p"),
+                                 psi_vanishing(1), psi_vanishing(2)],
+                         ids=["s_h", "s_p", "psi_1", "psi_2"])
+def test_kappa_against_adaptive_quadrature(psi):
+    assert kappa(psi) == pytest.approx(_adaptive_kappa(psi), rel=1e-8)
+
+
+def test_kappa_of_s_h_is_pinned():
+    # The value every identity record of the g_h square function reads.
+    assert kappa(square_symbol("s_h")) == 0.35355339059327373
 
 
 def test_kappa_rejects_nonvanishing_profile():

@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sqfn
@@ -28,3 +31,17 @@ def test_every_constant_is_read_outside_its_module():
                        if path.name != "constants.py")
     assert names
     assert [name for name in names if not re.search(rf"\b{name}\b", others)] == []
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    """A fresh interpreter that imports sqfn, sqfn.verify and sqfn.cli has
+    loaded none of scipy's integrate, optimize, linalg or sparse, each of
+    which would add to every run's start-up time."""
+    heavy = ["scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse"]
+    code = ("import sys, sqfn, sqfn.verify, sqfn.cli; "
+            f"print([name for name in {heavy!r} if name in sys.modules])")
+    path = [str(Path(sqfn.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
