@@ -3,9 +3,11 @@
 Cubes are periodic dyadic windows: every power-of-two side from one
 cell up to the full domain, at every grid-aligned position.  Window
 sums use wrapped cumulative sums; the sup over cubes containing a point
-is a trailing running maximum, so the Hardy-Littlewood maximal operator
-costs O(N log N) rather than O(N^2).  The helpers act on the trailing
-grid axes, so M runs on a whole stack of functions in one call: np.cumsum
+is a trailing running maximum, taken exactly by doubling (the max of
+two adjacent windows of k cells is the max over 2k cells, so a side of
+m cells takes log2(m) np.maximum calls), and M of N samples costs
+O(N log^2 N) rather than O(N^2).  The helpers act on the trailing grid
+axes, so M runs on a whole stack of functions in one call: np.cumsum
 adds in order, so one prefix sum along the first grid axis serves every
 side below N with that side's own bits (the full side keeps its np.sum).
 The local sharp maximal function sorts the samples of every window at
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from . import constants
 from .errors import ConvergenceError, ParameterError, SingularWeightError
@@ -65,12 +66,25 @@ def _window_sums(a: np.ndarray, m: int, dim: int, cs=None) -> np.ndarray:
     return out
 
 
+def _running(a: np.ndarray, m: int, axis: int, shift: int, op) -> np.ndarray:
+    """out[..., i, ...] = op over the m entries from i + shift on, wrapping, along
+    axis: wrap the axis once, then join adjacent windows log2(m) times.  The
+    shifts in use, 1 - m and 0, need one wrapped piece: s + m - 1 <= axis length."""
+    a = a.swapaxes(axis, -1)
+    s = shift % a.shape[-1]
+    out = np.concatenate([a[..., s:], a[..., : s + m - 1]], axis=-1)
+    k = 1
+    while k < m:  # m is a dyadic side, so the doublings land on exactly m entries
+        out = op(out[..., :-k], out[..., k:])
+        k *= 2
+    return out.swapaxes(axis, -1)
+
+
 def _trailing_max(a: np.ndarray, m: int, dim: int) -> np.ndarray:
     """out[x] = max over starts in (x-m, x] per trailing axis, i.e. over cubes containing x."""
     out = a
-    origin = m - 1 - m // 2
     for axis in range(-dim, 0):
-        out = maximum_filter1d(out, size=m, axis=axis, mode="wrap", origin=origin)
+        out = _running(out, m, axis, 1 - m, np.maximum)
     return out
 
 
@@ -78,7 +92,7 @@ def _leading_min(a: np.ndarray, m: int) -> np.ndarray:
     """out[i] = min over the window [i, i+m-1] per axis (wrapping)."""
     out = a
     for axis in range(a.ndim):
-        out = minimum_filter1d(out, size=m, axis=axis, mode="wrap", origin=-(m // 2))
+        out = _running(out, m, axis, 0, np.minimum)
     return out
 
 

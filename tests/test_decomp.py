@@ -2,9 +2,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
-from sqfn.decomp import cz_decomposition, whitney
+from sqfn.decomp import WhitneyCover, _distance_to_complement, cz_decomposition, whitney
 from sqfn.errors import GridMismatchError, ParameterError
 from sqfn.grid import Grid, GridFunction
 from sqfn.weights import maximal
@@ -225,3 +227,60 @@ def test_cz_trivial_when_level_large():
     dec = cz_decomposition(f, 100.0)
     assert dec.bad == ()
     assert dec.reconstruction_error(f) == 0.0
+
+
+def _drawn_mask(grid, seed, kind):
+    """A mask of one kind: random cells, rectangle unions drawn as the
+    whitney_cz check draws them, or (in 2-D) those plus a full row and a
+    full column, lines that hold no point of F."""
+    rng = np.random.default_rng(seed)
+    n, shape = grid.points_per_axis, grid.shape
+    if kind == "random":
+        mask = rng.random(shape) < rng.random()
+    else:
+        mask = np.zeros(shape, dtype=bool)
+        for _ in range(rng.integers(1, 5)):
+            a = rng.integers(0, n, size=grid.dim)
+            b = rng.integers(1, n // 2, size=grid.dim)
+            mask[tuple(slice(lo, min(lo + w, n)) for lo, w in zip(a, b))] = True
+    mask.flat[int(rng.integers(0, mask.size))] = False
+    if kind == "lines" and grid.dim == 2:  # the rectangles leave F non-empty
+        mask[int(rng.integers(0, n)), :] = True
+        mask[:, int(rng.integers(0, n))] = True
+    return mask
+
+
+_EDT_GRIDS = [Grid(1, 128, 1.0), Grid(1, 256, 22.5), Grid(2, 32, 1.0), Grid(2, 64, 1.0),
+              Grid(2, 64, 0.7)]
+
+
+@given(st.sampled_from(_EDT_GRIDS), st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "rectangles", "lines"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_distance_to_complement_equals_scipy_edt(grid, seed, kind):
+    """The separable numpy distance has the bits of scipy's exact EDT, with
+    h = 1/64, the oscillator's h = 45/256, the 2-D torus steps and a step
+    whose squares round."""
+    mask = _drawn_mask(grid, seed, kind)
+    ours = _distance_to_complement(grid, mask)
+    assert np.array_equal(ours, distance_transform_edt(mask, sampling=grid.spacing))
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 256, 1.0), Grid(2, 32, 1.0), Grid(2, 64, 1.0),
+                                  Grid(2, 64, 0.7)])
+def test_cover_checks_equal_the_per_cube_loops(grid):
+    """distance_ratios, one dyadic side at a time, has the bits of the
+    per-cube minimum of scipy's EDT over side * h * sqrt(dim); covers_exactly
+    agrees with painting cube by cube, also on a cover with a cube missing
+    and one with a cube twice."""
+    for seed, kind in enumerate(("rectangles", "lines", "random")):
+        cover = whitney(grid, _drawn_mask(grid, seed, kind))
+        edt = distance_transform_edt(cover.mask, sampling=grid.spacing)
+        expected = [float(np.min(edt[q.slices()])) / (q.side_cells * grid.spacing * np.sqrt(grid.dim))
+                    for q in cover.cubes]
+        assert np.array_equal(cover.distance_ratios(), np.array(expected))
+        assert cover.covers_exactly()
+        if len(cover.cubes) > 1:
+            for cubes in (cover.cubes[1:], cover.cubes + cover.cubes[-1:]):
+                broken = WhitneyCover(grid, cover.mask, cubes, cover.distance)
+                assert not broken.covers_exactly()

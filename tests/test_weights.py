@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 from sqfn import constants, weights
 from sqfn.errors import GridMismatchError, ParameterError, SingularWeightError
@@ -313,3 +314,24 @@ def test_ap_constant_at_least_one(seed, p):
     rng = np.random.default_rng(seed)
     w = Weight(GridFunction(g, np.exp(rng.standard_normal(32))))
     assert ap_constant(w, p).constant >= 1.0 - 1e-12
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([((16,), 1), ((3, 64), 1), ((32, 32), 2), ((2, 16, 16), 2)]),
+       st.sampled_from([np.maximum, np.minimum]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_running_extremum_equals_scipy_filters(seed, stack, op):
+    """The doubling running max/min has the bits of scipy's wrapped filters
+    at the origins the trailing max (shift 1 - m) and leading min (shift 0)
+    stand for, on every trailing grid axis and every dyadic side."""
+    shape, dim = stack
+    scipy_filter = maximum_filter1d if op is np.maximum else minimum_filter1d
+    a = np.random.default_rng(seed).standard_normal(shape)
+    a[a > 1.0] = 1.0  # ties
+    for axis in range(-dim, 0):
+        for m in 2 ** np.arange(int(np.log2(shape[axis])) + 1):
+            m = int(m)
+            for shift, origin in ((1 - m, m - 1 - m // 2), (0, -(m // 2))):
+                ours = weights._running(a, m, axis, shift, op)
+                theirs = scipy_filter(a, size=m, axis=axis, mode="wrap", origin=origin)
+                assert np.array_equal(ours, theirs), (axis, m, shift)
