@@ -7,8 +7,8 @@ canonicalized config stamps every output file, so reports from different
 configurations can never be merged silently.
 
 Outputs: a JSON-lines report (one header line carrying the config hash,
-the timestamp, the resolved operator.* values and the Python, numpy and
-scipy versions, then one line per record), a CSV summary (tag, value,
+the timestamp, the resolved operator.* values and the Python and numpy
+versions, then one line per record), a CSV summary (tag, value,
 bound, passed, config_hash, runtime_s) and gnuplot-ready two-column .dat
 files for the growth fits.  runtime_s is the elapsed time of the check
 that produced the record; a sup-ratio record also carries its witness,
@@ -31,7 +31,6 @@ import time
 from collections import namedtuple
 
 import numpy as np
-import scipy
 
 from . import constants
 from .decomp import cz_decomposition, whitney
@@ -74,6 +73,13 @@ def _count(text: str, low: int = 1) -> int:
     return int(text)
 
 
+def _positive(text: str) -> float:
+    """The float text names, if it is finite and > 0; else a ValueError."""
+    if not 0 < float(text) < np.inf:
+        raise ValueError(text)
+    return float(text)
+
+
 # Every operator: its dims, auto operator.r, auto times.t_max (None: the
 # trust budget R^2/4) and the capture of the plancherel cone family.
 _Operator = namedtuple("_Operator", "dims r t_max capture")
@@ -89,6 +95,7 @@ _PAIRS = tuple((name, dim) for name, spec in _OPERATORS.items() for dim in spec.
 _INT = ("an int", int)
 _LIST = "a comma-separated float list"
 _AUTO = ("a float or auto", lambda text: text == "auto" or float(text))
+_TIME = ("auto or a finite float > 0", lambda text: text == "auto" or _positive(text))
 _KEYS = {
     "operator.name": ("laplacian", (" or ".join(_OPERATORS), list(_OPERATORS).index)),
     "operator.dim": ("1", _INT),
@@ -97,8 +104,8 @@ _KEYS = {
     "operator.truncation": ("128", _INT),
     "family.seed": ("7", ("an int >= 0", lambda text: _count(text, 0))),
     "family.count": ("20", ("an int >= 1", _count)),
-    "times.t_min": ("auto", _AUTO),
-    "times.t_max": ("auto", _AUTO),
+    "times.t_min": ("auto", _TIME),
+    "times.t_max": ("auto", _TIME),
     "times.per_octave": ("8", ("an int >= 1", _count)),
     "checks.enabled": ("", None),
     "params.mu": ("3.5", ("a float", lambda text: require_exponent("mu", float(text)))),
@@ -318,8 +325,7 @@ def _run_whitney_cz(cfg: dict, op) -> list:
             continue
         dec = cz_decomposition(real, lam)
         worst_recon = max(worst_recon, dec.reconstruction_error(real))
-        if dec.bad_means().size:
-            worst_mean = max(worst_mean, float(np.max(dec.bad_means())))
+        worst_mean = max(worst_mean, float(np.max(dec.bad_means(), initial=0.0)))
     passed = (failures == 0 and worst_hi <= 4.0 + 1e-12
               and worst_recon <= constants.RECONSTRUCTION_ATOL
               and worst_mean <= constants.MEAN_ZERO_ATOL)
@@ -518,10 +524,6 @@ _CHECKS = {
 # ---------------------------------------------------------------------------
 
 
-def _output_dir(cfg: dict) -> str:
-    return os.environ.get("SQFN_OUT", cfg["output.directory"])
-
-
 def _require_check(tag: str, pair: tuple | None = None) -> str:
     """Where a known check runs, as text; a UsageError for an unknown check,
     or for an (operator.name, operator.dim) pair where it does not run."""
@@ -544,7 +546,7 @@ def run(cfg: dict) -> int:
         _require_check(tag, (cfg["operator.name"], int(cfg["operator.dim"])))
     op = _build_operator(cfg)
     digest = config_hash(cfg)
-    out = _output_dir(cfg)
+    out = cfg["output.directory"]
     with _writing(out):
         os.makedirs(out, exist_ok=True)
     all_records = []
@@ -558,8 +560,7 @@ def run(cfg: dict) -> int:
               "operator": {"name": cfg["operator.name"], "dim": op.grid.dim,
                            "n": op.grid.points_per_axis, "r": op.grid.half_width,
                            "truncation": getattr(op, "truncation", None)},
-              "python": platform.python_version(), "numpy": np.__version__,
-              "scipy": scipy.__version__}
+              "python": platform.python_version(), "numpy": np.__version__}
     with open(os.path.join(out, "report.jsonl"), "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for rec in all_records:

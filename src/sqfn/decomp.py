@@ -9,8 +9,9 @@ the records.)  Whitney cubes are dyadic, pairwise disjoint, tile the
 open set exactly, and satisfy diam(Q) <= dist(Q, F) <= 4 diam(Q) (tight
 in one dimension; at the single-cell floor in two dimensions the lower
 constant can dip below 1, which the cover reports rather than hides).
-A cover is built in one sweep over the dyadic sides, and each bad part
-of a decomposition is held as an array on its own cube.
+A cover is two integer arrays, the cubes' lowest corners `starts` and
+their sides `sides`, built in one sweep over the dyadic sides; the bad
+part of a decomposition is one grid function, zero off the cover.
 """
 
 from __future__ import annotations
@@ -24,25 +25,15 @@ from .grid import Grid, GridFunction
 from .weights import _dyadic_sides, maximal
 
 
-@dataclass(frozen=True)
-class Cube:
-    """A dyadic cube: lowest-corner cell index and side in cells."""
-
-    start: tuple
-    side_cells: int
-
-    def slices(self):
-        return tuple(slice(s, s + self.side_cells) for s in self.start)
-
-
 def _blocks(a: np.ndarray, m: int) -> np.ndarray:
-    """A grid array viewed as side-m blocks: axes (n/m, m) per grid axis."""
-    return a.reshape(sum(((n // m, m) for n in a.shape), ()))
-
-
-def _within(dim: int) -> tuple:
-    """The in-block axes of _blocks."""
-    return tuple(range(1, 2 * dim, 2))
+    """A grid array viewed as side-m blocks: the block axes (n/m each), then
+    the in-block axes (m each).  Indexed on its block axes by start // m, it
+    gives those cubes' cells as a contiguous copy, one cube per row, whose
+    sums over the in-block axes have the bits of np.sum on each cube alone
+    (a sum over the strided view's in-block axes does not)."""
+    dim = a.ndim
+    split = a.reshape(sum(((n // m, m) for n in a.shape), ()))
+    return split.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)))
 
 
 @dataclass(frozen=True)
@@ -51,38 +42,32 @@ class WhitneyCover:
 
     grid: Grid
     mask: np.ndarray = field(repr=False)
-    cubes: tuple
+    starts: np.ndarray = field(repr=False)    # cubes x dim: lowest-corner cell indices
+    sides: np.ndarray = field(repr=False)     # cubes: sides in cells
     distance: np.ndarray = field(repr=False)  # each point's distance to F
 
-    def _starts_and_sides(self) -> tuple:
-        """The cubes' lowest corners (one row each) and sides, in cells."""
-        starts = np.array([q.start for q in self.cubes], dtype=int).reshape(-1, self.grid.dim)
-        return starts, np.array([q.side_cells for q in self.cubes], dtype=int)
+    def _by_side(self):
+        """For each side m of the cover: m, which cubes have it, and their
+        block index into _blocks(a, m)."""
+        for m in np.unique(self.sides):
+            chosen = self.sides == m
+            yield int(m), chosen, tuple((self.starts[chosen] // m).T)
 
     def distance_ratios(self) -> np.ndarray:
-        """dist(Q, F) / diam(Q) for every cube, one dyadic side at a time."""
-        starts, sides = self._starts_and_sides()
-        dim = self.grid.dim
-        out = np.empty(len(self.cubes))
-        for m in np.unique(sides):
-            chosen = sides == m
-            dist = _blocks(self.distance, m).min(axis=_within(dim))[tuple((starts[chosen] // m).T)]
-            out[chosen] = dist / (int(m) * self.grid.spacing * np.sqrt(dim))
+        """dist(Q, F) / diam(Q) for every cube."""
+        out = np.empty(len(self.sides))
+        for m, chosen, idx in self._by_side():
+            dist = _blocks(self.distance, m).min(axis=self.grid.axes)[idx]
+            out[chosen] = dist / (m * self.grid.spacing * np.sqrt(self.grid.dim))
         return out
 
     def covers_exactly(self) -> bool:
-        """True iff the cubes tile the open set exactly and disjointly: +-1 at
-        each cube's 2^dim corners, then a running sum per axis, counts cubes per cell."""
-        starts, sides = self._starts_and_sides()
-        n, dim = self.grid.points_per_axis, self.grid.dim
-        paint = np.zeros((n + 1,) * dim, dtype=int)
-        for corner in np.ndindex((2,) * dim):
-            at = starts + np.array(corner) * sides[:, None]
-            np.add.at(paint, tuple(at.T), (-1) ** sum(corner))
-        for axis in range(dim):
-            paint = np.cumsum(paint, axis=axis)
-        paint = paint[(slice(0, n),) * dim]
-        return bool(np.all(paint[self.mask] == 1) and np.all(paint[~self.mask] == 0))
+        """True iff the cubes tile the open set exactly and disjointly: each
+        cell lies in one cube on the open set and in none on F."""
+        count = np.zeros(self.grid.shape, dtype=int)
+        for m, _, idx in self._by_side():
+            np.add.at(_blocks(count, m), idx, 1)
+        return bool(np.array_equal(count, self.mask))
 
 
 def _distance_to_complement(grid: Grid, mask: np.ndarray) -> np.ndarray:
@@ -124,39 +109,42 @@ def whitney(grid: Grid, mask: np.ndarray) -> WhitneyCover:
     if mask.all():
         raise ParameterError("the open set must be a proper subset of the domain")
     edt = _distance_to_complement(grid, mask)
-    dim = grid.dim
-    within = _within(dim)
     free = mask.copy()
-    cubes = []
+    starts, sides = [], []
     for m in _dyadic_sides(grid)[::-1]:
         m = int(m)
         blocks = _blocks(free, m)             # a view: clearing it clears free
-        accept = blocks.all(axis=within)
+        accept = blocks.all(axis=grid.axes)
         if m > 1:
-            diam = m * grid.spacing * np.sqrt(dim)
-            accept &= _blocks(edt, m).min(axis=within) >= diam
-        blocks &= ~np.expand_dims(accept, within)
-        cubes += [Cube(tuple(int(i) * m for i in idx), m) for idx in np.argwhere(accept)]
-    return WhitneyCover(grid, mask, tuple(cubes), edt)
+            diam = m * grid.spacing * np.sqrt(grid.dim)
+            accept &= _blocks(edt, m).min(axis=grid.axes) >= diam
+        blocks[accept] = False
+        starts.append(np.argwhere(accept) * m)
+        sides.append(np.full(len(starts[-1]), m))
+    return WhitneyCover(grid, mask, np.concatenate(starts), np.concatenate(sides), edt)
 
 
 @dataclass(frozen=True)
 class CZDecomposition:
-    """f = good + sum of bad parts at level lam."""
+    """f = good + bad at level lam, on the Whitney cover of {Mf > lam}."""
 
     level: float
     good: GridFunction
-    bad: tuple            # pairs (Cube, f - its average on the cube, cube-shaped)
+    bad: GridFunction     # f minus its average on each cube, zero off the cover
+    cover: WhitneyCover = field(repr=False)
 
     def reconstruction_error(self, f: GridFunction) -> float:
-        total = self.good.values.copy()
-        for q, b in self.bad:
-            total[q.slices()] += b
-        return float(np.max(np.abs(total - f.values)))
+        return float(np.max(np.abs(self.good.values + self.bad.values - f.values)))
 
     def bad_means(self) -> np.ndarray:
-        vol = self.good.grid.cell_volume
-        return np.array([abs(np.sum(b)) * vol for _, b in self.bad])
+        """|integral of the bad part over Q| for every cube Q."""
+        grid = self.cover.grid
+        out = np.empty(len(self.cover.sides))
+        for m, chosen, idx in self.cover._by_side():
+            s = _blocks(self.bad.values, m)[idx].sum(axis=grid.axes)
+            # abs() of each sum; np.abs of a complex array can differ in the last bit
+            out[chosen] = np.hypot(s.real, s.imag) * grid.cell_volume
+        return out
 
     def good_bound_constant(self) -> float:
         """max |good| / lam — the C of the |h| <= C lam bound."""
@@ -166,10 +154,9 @@ class CZDecomposition:
 def cz_decomposition(f: GridFunction, lam: float) -> CZDecomposition:
     """Calderon-Zygmund decomposition of f at level lam.
 
-    The open set is {Mf > lam}; on each Whitney cube the bad part is f
-    minus its cube average, held on the cube alone, so every bad part
-    has exactly zero mean and the reconstruction is exact by
-    construction.
+    The open set is {Mf > lam}; on each Whitney cube good is the average
+    of f and bad is f minus it, so the bad part has exactly zero mean on
+    every cube and the reconstruction is exact by construction.
     """
     if not (lam > 0):
         raise ParameterError(f"level must be positive, got {lam}")
@@ -179,11 +166,12 @@ def cz_decomposition(f: GridFunction, lam: float) -> CZDecomposition:
         raise ParameterError(
             "level is below the global average; the bad set is everything"
         )
+    cover = whitney(f.grid, mask)
     good = np.array(f.values)
-    bad = []
-    for q in whitney(f.grid, mask).cubes:
-        sl = q.slices()
-        avg = np.mean(f.values[sl])
-        bad.append((q, f.values[sl] - avg))
-        good[sl] = avg
-    return CZDecomposition(lam, GridFunction(f.grid, good), tuple(bad))
+    bad = np.zeros_like(good)
+    for m, _, idx in cover._by_side():
+        cubes = _blocks(f.values, m)[idx]
+        avg = cubes.mean(axis=f.grid.axes, keepdims=True)
+        _blocks(bad, m)[idx] = cubes - avg
+        _blocks(good, m)[idx] = avg
+    return CZDecomposition(lam, GridFunction(f.grid, good), GridFunction(f.grid, bad), cover)

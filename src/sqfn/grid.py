@@ -28,7 +28,7 @@ class Grid:
     Attributes:
         dim: spatial dimension, 1 or 2.
         points_per_axis: N, a power of two, at least 8.
-        half_width: R > 0; the fundamental domain is [-R, R)^dim.
+        half_width: R > 0 with R^2 and h^dim normal floats; the domain is [-R, R)^dim.
     """
 
     dim: int
@@ -43,8 +43,11 @@ class Grid:
             raise ParameterError(
                 f"points_per_axis must be an integer power of two >= 8, got {n}"
             )
-        if not (self.half_width > 0 and np.isfinite(self.half_width)):
-            raise ParameterError(f"half_width must be positive, got {self.half_width}")
+        with np.errstate(over="ignore", under="ignore"):
+            squares = (np.float64(self.half_width) ** 2, np.float64(self.spacing) ** self.dim)
+        if not (self.half_width > 0 and all(np.finfo(float).tiny <= s < np.inf for s in squares)):
+            raise ParameterError(f"half_width must be positive, with R^2 and the cell volume "
+                                 f"h^dim positive normal floats, got {self.half_width}")
 
     @property
     def spacing(self) -> float:

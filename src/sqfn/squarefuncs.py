@@ -55,8 +55,11 @@ class TimeGrid:
         if per_octave < 1:
             raise ParameterError(f"per_octave must be >= 1, got {per_octave}")
         ratio = 2.0 ** (1.0 / per_octave)
-        count = int(np.ceil(np.log2(t_max / t_min) * per_octave)) + 1
-        return cls(t_min, ratio, count)
+        steps = np.log2(t_max / t_min) * per_octave
+        if not np.isfinite(steps):
+            raise ParameterError(f"the time grid from t_min = {t_min:g} to t_max = {t_max:g} "
+                                 f"has no finite node count")
+        return cls(t_min, ratio, int(np.ceil(steps)) + 1)
 
     @property
     def nodes(self) -> np.ndarray:

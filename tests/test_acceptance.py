@@ -159,7 +159,7 @@ def test_whitney_cz_exactness():
         cover = whitney(g, mask)
         ok_covers &= cover.covers_exactly()
         ratios = cover.distance_ratios()
-        above = np.array([q.side_cells > 1 for q in cover.cubes])
+        above = cover.sides > 1
         ok_ratios &= bool(np.all(ratios <= 4.0 + 1e-12))
         if above.any():
             ok_ratios &= bool(np.all(ratios[above] >= 1.0 - 1e-12))
@@ -175,8 +175,7 @@ def test_whitney_cz_exactness():
                 continue
             dec = cz_decomposition(real, lam)
             worst_recon = max(worst_recon, dec.reconstruction_error(real))
-            if dec.bad_means().size:
-                worst_mean = max(worst_mean, float(np.max(dec.bad_means())))
+            worst_mean = max(worst_mean, float(np.max(dec.bad_means(), initial=0.0)))
             worst_c = max(worst_c, dec.good_bound_constant())
         return worst_recon, worst_mean, worst_c
 

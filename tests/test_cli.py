@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 
 from sqfn import constants
 from sqfn.cli import (_CHECKS, _build_operator, _require_check, _time_grid, config_hash,
@@ -135,11 +134,10 @@ def test_list_checks_and_describe(capsys):
         assert "verify.doubling" in tolerance, tag
 
 
-def test_run_writes_reports(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
+def test_run_writes_reports(tmp_path, capsys):
     code = main([
         "run", "--check", "finite_propagation",
-        "--set", "operator.n=128",
+        "--set", "operator.n=128", "--set", f"output.directory={tmp_path / 'out'}",
     ])
     out = capsys.readouterr().out
     assert code == 0
@@ -156,15 +154,14 @@ def test_run_writes_reports(tmp_path, capsys, monkeypatch):
     assert csv_lines[1].startswith("finite_propagation,")
 
 
-def test_run_jsonl_body_is_config_stable(tmp_path, monkeypatch):
+def test_run_jsonl_body_is_config_stable(tmp_path):
     """Identical configurations produce identical records; only the
     measured runtime_s may differ."""
     bodies = []
-    for sub in ("a", "b"):
-        monkeypatch.setenv("SQFN_OUT", str(tmp_path / sub))
-        assert main(["run", "--check", "finite_propagation",
-                     "--set", "operator.n=128"]) == 0
-        lines = (tmp_path / sub / "report.jsonl").read_text().splitlines()
+    for _ in range(2):  # one directory: output.directory is part of the config
+        assert main(["run", "--check", "finite_propagation", "--set", "operator.n=128",
+                     "--set", f"output.directory={tmp_path}"]) == 0
+        lines = (tmp_path / "report.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines[1:]]
         for rec in records:
             assert rec.pop("runtime_s") > 0
@@ -174,29 +171,28 @@ def test_run_jsonl_body_is_config_stable(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name, n, r, truncation", [("laplacian", 128, 1.0, None),
                                                      ("hermite", 256, 22.5, 32)])
-def test_report_header_describes_the_run(tmp_path, monkeypatch, name, n, r, truncation):
+def test_report_header_describes_the_run(tmp_path, name, n, r, truncation):
     """The header line carries the operator.* values the run used, auto R
-    resolved, and the Python, numpy and scipy versions.  The torus has no
+    resolved, and the Python and numpy versions.  The torus has no
     truncation, so its header records null there."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
     assert main(["run", "--check", "finite_propagation", "--set", f"operator.name={name}",
-                 "--set", f"operator.n={n}", "--set", "operator.truncation=32"]) in (0, 1)
+                 "--set", f"operator.n={n}", "--set", "operator.truncation=32",
+                 "--set", f"output.directory={tmp_path / 'out'}"]) in (0, 1)
     header = json.loads((tmp_path / "out" / "report.jsonl").read_text().splitlines()[0])
-    assert set(header) == {"config_hash", "timestamp", "operator", "python", "numpy", "scipy"}
+    assert set(header) == {"config_hash", "timestamp", "operator", "python", "numpy"}
     assert header["operator"] == {"name": name, "dim": 1, "n": n, "r": r,
                                   "truncation": truncation}
     assert header["python"] == platform.python_version()
     assert header["numpy"] == np.__version__
-    assert header["scipy"] == scipy.__version__
 
 
-def test_ratio_records_carry_witness_and_skipped(tmp_path, monkeypatch):
+def test_ratio_records_carry_witness_and_skipped(tmp_path):
     """Every weighted_l2_mw record names the ratio where its sup sits, as
     an index into the (weight, member) order, and its skipped count."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
     assert main(["run", "--check", "weighted_l2_mw", "--set", "operator.n=64",
                  "--set", "family.count=4", "--set", "params.kinds=s_h,g_star",
-                 "--set", "times.per_octave=4"]) == 0
+                 "--set", "times.per_octave=4",
+                 "--set", f"output.directory={tmp_path / 'out'}"]) == 0
     lines = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines[1:]]
     assert [r["tag"] for r in records] == ["weighted_l2_mw_s_h", "weighted_l2_mw_g_star"]
@@ -206,12 +202,12 @@ def test_ratio_records_carry_witness_and_skipped(tmp_path, monkeypatch):
         assert rec["excluded_fraction"] == 0.0
 
 
-def test_runtime_s_is_the_check_time_of_each_record(tmp_path, monkeypatch):
+def test_runtime_s_is_the_check_time_of_each_record(tmp_path):
     """Every record of a check carries the check's whole elapsed time,
     in report.jsonl and in summary.csv alike."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
     assert main(["run", "--check", "finite_propagation", "--check", "plancherel",
-                 "--set", "operator.n=128", "--set", "family.count=4"]) == 0
+                 "--set", "operator.n=128", "--set", "family.count=4",
+                 "--set", f"output.directory={tmp_path / 'out'}"]) == 0
     lines = (tmp_path / "out" / "report.jsonl").read_text().splitlines()
     runtime = {}
     for line in lines[1:]:
@@ -225,21 +221,19 @@ def test_runtime_s_is_the_check_time_of_each_record(tmp_path, monkeypatch):
         assert csv_runtime[tag] == pytest.approx(seconds, abs=5e-4)
 
 
-def test_bare_run_is_usage_error(tmp_path, capsys, monkeypatch):
+def test_bare_run_is_usage_error(tmp_path, capsys):
     """No --check and an empty checks.enabled: exit 2, no report."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
-    assert main(["run"]) == 2
+    assert main(["run", "--set", f"output.directory={tmp_path / 'out'}"]) == 2
     err = capsys.readouterr().err
     assert "--check" in err and "checks.enabled" in err
     assert not (tmp_path / "out" / "report.jsonl").exists()
 
 
-def test_run_growth_writes_dat(tmp_path, monkeypatch):
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path / "out"))
+def test_run_growth_writes_dat(tmp_path):
     code = main([
         "run", "--check", "growth_in_p",
         "--set", "operator.n=128", "--set", "family.count=8",
-        "--set", "times.per_octave=4",
+        "--set", "times.per_octave=4", "--set", f"output.directory={tmp_path / 'out'}",
     ])
     assert code == 0
     dat = (tmp_path / "out" / "growth_in_p.dat").read_text().splitlines()
@@ -248,11 +242,11 @@ def test_run_growth_writes_dat(tmp_path, monkeypatch):
     np.testing.assert_allclose(xs, [2, 4, 8, 16, 32])
 
 
-def test_empty_time_range_names_the_keys(tmp_path, capsys, monkeypatch):
+def test_empty_time_range_names_the_keys(tmp_path, capsys):
     """At N = 8 the cone grid's auto t_min (the spacing) reaches t_max =
     R^2/4: an error (exit 1) giving both values and the keys that set them."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
-    assert main(["run", "--check", "plancherel", "--set", "operator.n=8"]) == 1
+    assert main(["run", "--check", "plancherel", "--set", "operator.n=8",
+                 "--set", f"output.directory={tmp_path}"]) == 1
     err = capsys.readouterr().err
     assert "t_min = 0.25 and t_max = 0.25" in err
     for key in ("operator.n", "times.t_min", "times.t_max"):
@@ -260,7 +254,7 @@ def test_empty_time_range_names_the_keys(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("r", ["0.7", "1.5"])
-def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, monkeypatch, r):
+def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, r):
     """At R = 0.7 and 1.5, R N/8 and R N are not powers of two, so the rounded-up
     node count would carry the auto grids past R^2/4; they end one node earlier."""
     settings = {"operator.n": "64", "operator.r": r, "family.count": "4",
@@ -269,8 +263,8 @@ def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, monkeypatch, r
     op = _build_operator(cfg)
     for role in ("cone", "identity"):
         assert _time_grid(cfg, op, role).nodes[-1] <= float(r) ** 2 / 4.0
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
-    args = ["run", "--check", "weighted_l2_mw", "--check", "spectral_identity"]
+    args = ["run", "--check", "weighted_l2_mw", "--check", "spectral_identity",
+            "--set", f"output.directory={tmp_path}"]
     for key, value in settings.items():
         args += ["--set", f"{key}={value}"]
     assert main(args) in (0, 1)
@@ -284,9 +278,8 @@ def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_o
     """A usage error (exit 2) naming the key, raised when the config is
     parsed, before an operator is built; per_octave = 1 parses."""
     built = _no_build(monkeypatch)
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
-    assert main(["run", "--check", "spectral_identity",
-                 "--set", f"times.per_octave={per_octave}"]) == 2
+    assert main(["run", "--check", "spectral_identity", "--set", f"times.per_octave={per_octave}",
+                 "--set", f"output.directory={tmp_path}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: times.per_octave must be an int >= 1, got '{per_octave}'")
     assert built == []
@@ -303,18 +296,22 @@ def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_o
     ("params.growth_p_list", "2,4,8,128"),
     ("params.kinds", "s_h,nope"), ("params.kinds", ""),
     ("params.masks", "0"), ("params.masks", "-3"),
+    ("times.t_max", "inf"), ("times.t_max", "nan"), ("times.t_max", "0"),
+    ("times.t_min", "-1e-3"), ("times.t_min", "-inf"),
 ])
 def test_params_out_of_range_name_their_key(tmp_path, capsys, monkeypatch, key, value):
-    """A params.* value outside its range is a usage error (exit 2) naming
+    """A params.* value outside its range, or a times.t_min / t_max that is
+    neither auto nor a finite float > 0, is a usage error (exit 2) naming
     the key, raised when the config is parsed, before an operator is built;
     the values at the ends of each closed range parse."""
     built = _no_build(monkeypatch)
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
-    assert main(["run", "--check", "whitney_cz", "--set", f"{key}={value}"]) == 2
+    assert main(["run", "--check", "whitney_cz", "--set", f"{key}={value}",
+                 "--set", f"output.directory={tmp_path}"]) == 2
     assert capsys.readouterr().err.startswith(f"usage error: {key} must be ")
     assert built == []
     parse_config(None, {"params.ap_p_list": "1", "params.growth_p_list": "2,2,64,64",
-                        "params.masks": "1", "params.kinds": ",".join(KINDS)})
+                        "params.masks": "1", "params.kinds": ",".join(KINDS),
+                        "times.t_min": "5e-324", "times.t_max": "1.7976931348623157e308"})
 
 
 @pytest.mark.parametrize("check, key, value, name", [
@@ -328,18 +325,18 @@ def test_family_keys_out_of_range_name_their_key(tmp_path, capsys, monkeypatch,
     """A negative seed or an empty family is a usage error (exit 2) naming
     the key, raised before an operator is built; seed 0 and count 1 parse."""
     built = _no_build(monkeypatch)
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
-    assert main(["run", "--check", check, "--set", f"{key}={value}"]) == 2
+    assert main(["run", "--check", check, "--set", f"{key}={value}",
+                 "--set", f"output.directory={tmp_path}"]) == 2
     assert capsys.readouterr().err.startswith(f"usage error: {key} must be {name}, got ")
     assert built == []
     parse_config(None, {"family.seed": "0", "family.count": "1"})
 
 
-def test_rubio_de_francia_record_names_its_failure(tmp_path, monkeypatch):
+def test_rubio_de_francia_record_names_its_failure(tmp_path):
     """The record carries the worst A_1 ratio next to its bound 2||M||, the
     worst series tail, ||M|| and whether every majorant dominated |phi|."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
-    assert main(["run", "--check", "rubio_de_francia", "--set", "operator.n=64"]) == 0
+    assert main(["run", "--check", "rubio_de_francia", "--set", "operator.n=64",
+                 "--set", f"output.directory={tmp_path}"]) == 0
     rec = json.loads((tmp_path / "report.jsonl").read_text().splitlines()[1])
     assert rec["passed"] and rec["majorizes"] is True
     assert 1.0 <= rec["value"] <= rec["bound"] == 2.0
@@ -409,7 +406,6 @@ def test_run_refuses_an_unwritable_output_directory(tmp_path, capsys, monkeypatc
     monkeypatch.setitem(_CHECKS["finite_propagation"], "runner",
                         lambda cfg, op: ran.append(cfg) or [])
     out = str(blocker / "out")
-    monkeypatch.delenv("SQFN_OUT", raising=False)
     assert main(["run", "--check", "finite_propagation", "--set", "operator.n=64",
                  "--set", f"output.directory={out}"]) == 2
     err = capsys.readouterr().err
@@ -481,9 +477,8 @@ def test_run_refuses_a_check_outside_its_domain(tmp_path, capsys, monkeypatch, t
     """A (check, operator, dim) outside the check's domain is a usage error
     (exit 2) naming all three, raised before an operator is built."""
     built = _no_build(monkeypatch)
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
     assert main(["run", "--check", tag, "--set", f"operator.name={name}",
-                 "--set", f"operator.dim={dim}"]) == 2
+                 "--set", f"operator.dim={dim}", "--set", f"output.directory={tmp_path}"]) == 2
     err = capsys.readouterr().err
     for word in (f"check {tag} ", f"operator.name = {name}", f"operator.dim = {dim}"):
         assert word in err
@@ -494,9 +489,9 @@ def test_run_refuses_a_check_outside_its_domain(tmp_path, capsys, monkeypatch, t
 def test_admission_refuses_the_whole_run(tmp_path, capsys, monkeypatch):
     """One check outside its domain refuses the run: no check runs."""
     built = _no_build(monkeypatch)
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
     assert main(["run", "--check", "finite_propagation", "--check", "growth_in_ap",
-                 "--check", "whitney_cz", "--set", "operator.dim=2"]) == 2
+                 "--check", "whitney_cz", "--set", "operator.dim=2",
+                 "--set", f"output.directory={tmp_path}"]) == 2
     assert "check growth_in_ap " in capsys.readouterr().err
     assert built == []
     assert not (tmp_path / "report.jsonl").exists()
@@ -533,12 +528,19 @@ def test_every_benchmark_workload_check_is_admitted():
     (["run", "--check", "spectral_identity", "--set", "operator.name=hermite",
       "--set", "operator.truncation=0"],
      ["operator.name = hermite", "operator.truncation = 0", "truncation must be >= 1"]),
-], ids=["run-n", "dump-operator-n", "hermite-truncation"])
+    (["run", "--check", "spectral_identity", "--set", "operator.r=1e200"],
+     ["operator.r = 1e200", "R^2 and the cell volume h^dim positive normal floats"]),
+    (["run", "--check", "whitney_cz", "--set", "operator.r=1e200"],
+     ["operator.r = 1e200", "R^2 and the cell volume h^dim positive normal floats"]),
+    (["run", "--check", "whitney_cz", "--set", "operator.dim=2", "--set", "operator.n=32",
+      "--set", "operator.r=1e-200"],
+     ["operator.r = 1e-200", "R^2 and the cell volume h^dim positive normal floats"]),
+], ids=["run-n", "dump-operator-n", "hermite-truncation", "r-squared-overflows",
+        "whitney-r-squared-overflows", "2d-r-squared-underflows"])
 def test_operator_keys_the_domain_refuses_are_usage_errors(tmp_path, capsys, monkeypatch,
                                                           args, words):
     """A grid or operator the library refuses is a usage error (exit 2)
     naming the operator.* keys and keeping the library's message."""
-    monkeypatch.setenv("SQFN_OUT", str(tmp_path))
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     err = capsys.readouterr().err

@@ -46,7 +46,7 @@ def test_whitney_distance_ratios_1d():
         cover = whitney(g, mask)
         ratios = cover.distance_ratios()
         assert np.all(ratios <= 4.0 + 1e-12)
-        above_floor = np.array([q.side_cells > 1 for q in cover.cubes])
+        above_floor = cover.sides > 1
         if above_floor.any():
             assert np.all(ratios[above_floor] >= 1.0 - 1e-12)
 
@@ -54,7 +54,7 @@ def test_whitney_distance_ratios_1d():
 def test_whitney_empty_and_full():
     g = Grid(1, 64, 1.0)
     empty = whitney(g, np.zeros(64, dtype=bool))
-    assert empty.cubes == ()
+    assert empty.starts.shape == (0, 1) and empty.sides.shape == (0,)
     with pytest.raises(ParameterError):
         whitney(g, np.ones(64, dtype=bool))
 
@@ -142,10 +142,13 @@ def test_whitney_sweep_equals_recursive_subdivision(dim, n):
     rng = np.random.default_rng(100 * dim + n)
     for mask in _oracle_masks(dim, n, rng):
         cover = whitney(g, mask)
-        got = [(q.start, q.side_cells) for q in cover.cubes]
+        assert cover.starts.shape == (len(cover.sides), dim)
+        assert cover.starts.dtype.kind == cover.sides.dtype.kind == "i"
+        got = [(tuple(start), side) for start, side in zip(cover.starts.tolist(),
+                                                           cover.sides.tolist())]
         assert len(got) == len(set(got))
         assert set(got) == _recursive_whitney(g, mask)
-        assert all(type(s) is int for q in cover.cubes for s in q.start)
+        assert got == sorted(got, key=lambda cube: (-cube[1], cube[0]))
 
 
 @pytest.mark.parametrize("shape", [(32,), (8, 8)])
@@ -154,35 +157,52 @@ def test_whitney_refuses_a_mask_of_another_shape(shape):
         whitney(Grid(1, 64, 1.0), np.zeros(shape, dtype=bool))
 
 
-@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
-def test_cz_parts_match_the_full_grid_construction(dim, n):
-    """good and the reconstruction error equal, bit for bit, the
-    construction with one full-grid array per bad part."""
+def _slices(start, side):
+    return tuple(slice(s, s + side) for s in start)
+
+
+@pytest.mark.parametrize("dim, n, kind", [
+    pytest.param(1, 128, "real", id="1-128"), pytest.param(2, 32, "real", id="2-32"),
+    pytest.param(2, 64, "real", id="2-64"), pytest.param(1, 128, "complex", id="1-128-complex"),
+    pytest.param(2, 64, "complex", id="2-64-complex")])
+def test_cz_parts_match_the_full_grid_construction(dim, n, kind):
+    """good, bad, the reconstruction error and the bad means equal, bit for
+    bit, the construction cube by cube with one full-grid array per bad
+    part: bad is the sum of those pieces, and each bad mean is
+    abs(np.sum(part)) * vol for the cube-shaped part."""
     g = Grid(dim, n, 1.0)
     rng = np.random.default_rng(6)
     vals = np.abs(rng.standard_normal(g.shape))
+    if kind == "complex":
+        vals = vals + 1j * rng.standard_normal(g.shape)
     vals[(slice(n // 4, n // 4 + 6),) * dim] += 8.0
     f = GridFunction(g, vals)
-    lam = 2.0 * float(np.mean(vals))
+    lam = 2.0 * float(np.mean(np.abs(vals)))
     dec = cz_decomposition(f, lam)
-    assert len(dec.bad) > 0
+    cover = whitney(g, maximal(f).values.real > lam)
+    assert len(cover.sides) > 0
+    assert np.array_equal(dec.cover.starts, cover.starts)
+    assert np.array_equal(dec.cover.sides, cover.sides)
 
     good = np.array(f.values)
-    pieces = []
-    for q in whitney(g, maximal(f).values.real > lam).cubes:
-        sl = q.slices()
+    pieces, means = [], []
+    for start, side in zip(cover.starts.tolist(), cover.sides.tolist()):
+        sl = _slices(start, side)
         avg = np.mean(f.values[sl])
+        part = f.values[sl] - avg
         piece = np.zeros(g.shape, dtype=np.complex128)
-        piece[sl] = f.values[sl] - avg
+        piece[sl] = part
         good[sl] = avg
         pieces.append(piece)
-    total = good.copy()
+        means.append(abs(np.sum(part)) * g.cell_volume)
+    total, bad = good.copy(), np.zeros(g.shape, dtype=np.complex128)
     for piece in pieces:
         total = total + piece
+        bad = bad + piece
     assert np.array_equal(dec.good.values, good)
+    assert np.array_equal(dec.bad.values, bad)
     assert dec.reconstruction_error(f) == float(np.max(np.abs(total - f.values)))
-    for q, part in dec.bad:
-        assert part.shape == (q.side_cells,) * dim
+    assert np.array_equal(dec.bad_means(), np.array(means))
 
 
 def test_cz_reconstruction_and_means():
@@ -193,7 +213,7 @@ def test_cz_reconstruction_and_means():
     f = GridFunction(g, vals)
     lam = 2.0 * float(np.mean(np.abs(vals)))
     dec = cz_decomposition(f, lam)
-    assert len(dec.bad) > 0
+    assert len(dec.cover.sides) > 0
     assert dec.reconstruction_error(f) <= 1e-12
     assert np.all(dec.bad_means() <= 1e-12)
 
@@ -225,7 +245,8 @@ def test_cz_trivial_when_level_large():
     rng = np.random.default_rng(5)
     f = GridFunction(g, rng.standard_normal(64))
     dec = cz_decomposition(f, 100.0)
-    assert dec.bad == ()
+    assert dec.cover.sides.size == 0
+    assert not dec.bad.values.any()
     assert dec.reconstruction_error(f) == 0.0
 
 
@@ -271,16 +292,17 @@ def test_distance_to_complement_equals_scipy_edt(grid, seed, kind):
 def test_cover_checks_equal_the_per_cube_loops(grid):
     """distance_ratios, one dyadic side at a time, has the bits of the
     per-cube minimum of scipy's EDT over side * h * sqrt(dim); covers_exactly
-    agrees with painting cube by cube, also on a cover with a cube missing
-    and one with a cube twice."""
+    accepts the cover and refuses it with a cube missing or a cube twice."""
     for seed, kind in enumerate(("rectangles", "lines", "random")):
         cover = whitney(grid, _drawn_mask(grid, seed, kind))
         edt = distance_transform_edt(cover.mask, sampling=grid.spacing)
-        expected = [float(np.min(edt[q.slices()])) / (q.side_cells * grid.spacing * np.sqrt(grid.dim))
-                    for q in cover.cubes]
+        expected = [float(np.min(edt[_slices(start, side)])) / (side * grid.spacing * np.sqrt(grid.dim))
+                    for start, side in zip(cover.starts.tolist(), cover.sides.tolist())]
         assert np.array_equal(cover.distance_ratios(), np.array(expected))
         assert cover.covers_exactly()
-        if len(cover.cubes) > 1:
-            for cubes in (cover.cubes[1:], cover.cubes + cover.cubes[-1:]):
-                broken = WhitneyCover(grid, cover.mask, cubes, cover.distance)
+        count = len(cover.sides)
+        if count > 1:
+            for keep in (np.arange(1, count), np.append(np.arange(count), count - 1)):
+                broken = WhitneyCover(grid, cover.mask, cover.starts[keep], cover.sides[keep],
+                                      cover.distance)
                 assert not broken.covers_exactly()

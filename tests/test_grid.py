@@ -15,6 +15,11 @@ def test_grid_validation():
         Grid(1, 60, 1.0)  # not a power of two
     with pytest.raises(ParameterError):
         Grid(1, 64, -1.0)
+    # R^2 overflows or underflows, and at R = 1e-153 in 2-D h^2 is subnormal
+    for dim, r in ((1, 1e200), (2, 1e200), (1, 1e-200), (2, 1e-200), (2, 1e-153)):
+        with pytest.raises(ParameterError, match="positive normal floats"):
+            Grid(dim, 64, r)
+    Grid(1, 64, 1e-153)
 
 
 @pytest.mark.parametrize("dim, n", [

@@ -37,6 +37,9 @@ def test_time_grid_validation():
         TimeGrid(0.1, 0.9, 4)
     with pytest.raises(ParameterError):
         TimeGrid.geometric(1.0, 0.5)
+    for t_min, t_max in ((0.01, np.inf), (1e-308, 1e308)):  # t_max / t_min overflows
+        with pytest.raises(ParameterError, match="no finite node count"):
+            TimeGrid.geometric(t_min, t_max)
 
 
 @pytest.mark.parametrize("per_octave", [0, -1])
