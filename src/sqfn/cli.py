@@ -3,15 +3,16 @@
 Configuration is a plain-text ``key = value`` file with ``[section]``
 headers.  Unknown keys, and numeric keys whose value does not parse, are
 rejected with the offending line number.  A stable digest of the
-canonicalized config stamps every output file, so reports from different
-configurations can never be merged silently.
+canonicalized config, every key but output.directory, stamps every output
+file, so reports from different configurations can never be merged silently.
 
 Outputs: a JSON-lines report (one header line carrying the config hash,
 the timestamp, the resolved operator.* values and the Python and numpy
 versions, then one line per record), a CSV summary (tag, value,
 bound, passed, config_hash, runtime_s) and gnuplot-ready two-column .dat
 files for the growth fits.  runtime_s is the elapsed time of the check
-that produced the record; a sup-ratio record also carries its witness,
+that produced the record, with any square function it was the first to ask
+the run's ``_Plan`` for; a sup-ratio record also carries its witness,
 skipped and excluded_fraction (see ``_record``).  Exit status: 0 all
 passed, 1 some check failed, 2 usage.
 """
@@ -170,7 +171,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+    canonical = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "output.directory")
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -209,12 +210,31 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
     return times
 
 
+class _Plan:
+    """A run's config, its operator and the square functions its checks share:
+    square(kind) builds kind on the cone time grid when first asked (params.mu
+    is read only for g_star) and keeps it on the instance, to go with the plan."""
+
+    def __init__(self, cfg: dict, op):
+        self.cfg = cfg
+        self.op = op
+        self._built = {}
+
+    def square(self, kind: str):
+        if kind not in self._built:
+            kwargs = {"mu": float(self.cfg["params.mu"])} if kind == "g_star" else {}
+            self._built[kind] = square_function_operator(
+                kind, self.op, _time_grid(self.cfg, self.op, "cone"), **kwargs)
+        return self._built[kind]
+
+
 # ---------------------------------------------------------------------------
-# Check runners: each takes the config and its operator, returns records
+# Check runners: each takes the run's plan, returns records
 # ---------------------------------------------------------------------------
 
 
-def _run_spectral_identity(cfg: dict, op) -> list:
+def _run_spectral_identity(plan: _Plan) -> list:
+    cfg, op = plan.cfg, plan.op
     times = _time_grid(cfg, op, "identity")
     fam = band_limited_family(op, times, int(cfg["family.seed"]), int(cfg["family.count"]))
     rep = check_spectral_identity(op, fam, times)
@@ -224,16 +244,14 @@ def _run_spectral_identity(cfg: dict, op) -> list:
              "bound": 1.0 + constants.IDENTITY_RTOL, "passed": bool(ok)}]
 
 
-def _run_plancherel(cfg: dict, op) -> list:
+def _run_plancherel(plan: _Plan) -> list:
+    cfg, op = plan.cfg, plan.op
+    seed, count = int(cfg["family.seed"]), int(cfg["family.count"])
     ident_times = _time_grid(cfg, op, "identity")
-    cone_times = _time_grid(cfg, op, "cone")
-    fam_cone = band_limited_family(op, cone_times, int(cfg["family.seed"]),
-                                   int(cfg["family.count"]),
+    fam_cone = band_limited_family(op, _time_grid(cfg, op, "cone"), seed, count,
                                    capture=_OPERATORS[cfg["operator.name"]].capture)
-    fam_fine = band_limited_family(op, ident_times, int(cfg["family.seed"]),
-                                   int(cfg["family.count"]))
-    s_h = square_function_operator("s_h", op, cone_times)
-    rs = [lp_norm(s_h(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
+    fam_fine = band_limited_family(op, ident_times, seed, count)
+    rs = [lp_norm(plan.square("s_h")(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
     kap = kappa(square_symbol("s_h"))
     rg = [kap * r for r in check_spectral_identity(op, fam_fine, ident_times).ratios]
     ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * constants.AREA_PLANCHEREL_RTOL
@@ -246,20 +264,20 @@ def _run_plancherel(cfg: dict, op) -> list:
     ]
 
 
-def _run_finite_propagation(cfg: dict, op) -> list:
-    g = op.grid
+def _run_finite_propagation(plan: _Plan) -> list:
+    g = plan.op.grid
     n = g.points_per_axis
-    if cfg["operator.name"] == "laplacian":
+    if plan.cfg["operator.name"] == "laplacian":
         vals = np.zeros(g.shape)
         vals[(n // 2,) * g.dim] = 1.0
         f = GridFunction(g, vals)
     else:
         # benchmarks/reference/hermite-suite.json pins this source's value; about
-        # 2.1e-4 of its L1 mass lies outside the eigenbasis band (ROADMAP 3(c))
+        # 2.1e-4 of its L1 mass lies outside the eigenbasis band (ROADMAP 3(b))
         x = g.axis_coords()
-        f = op.project(GridFunction(g, np.exp(-(x**2) / (2 * (1.5 * g.spacing) ** 2))))
+        f = plan.op.project(GridFunction(g, np.exp(-(x**2) / (2 * (1.5 * g.spacing) ** 2))))
     steps = np.linspace(6, min(100, int(0.8 * n // 2)), 10).astype(int)
-    worst = propagation_leak(op, f, steps, radius=0.0)
+    worst = propagation_leak(plan.op, f, steps, radius=0.0)
     return [{"tag": "finite_propagation", "value": worst,
              "bound": constants.SUPPORT_LEAK_TOL,
              "passed": bool(worst < constants.SUPPORT_LEAK_TOL)}]
@@ -274,13 +292,13 @@ _SWEEP_GRIDS = {
 }
 
 
-def _run_kernel_bounds(cfg: dict, op) -> list:
+def _run_kernel_bounds(plan: _Plan) -> list:
     records = []
     for lemma, (t_lo, t_hi, variants) in _SWEEP_GRIDS.items():
         ts = np.geomspace(t_lo, t_hi, 5)
         symbol = "rho" if lemma == "smoothed_difference" else "k"
         for v in variants:
-            recs = sweep(op, lemma, ts, v)
+            recs = sweep(plan.op, lemma, ts, v)
             var = constant_variation(recs)
             rec = {"tag": f"{lemma}_{symbol}{v:g}", "value": var,
                    "bound": constants.KERNEL_FIT_VARIATION,
@@ -293,14 +311,13 @@ def _run_kernel_bounds(cfg: dict, op) -> list:
     return records
 
 
-def _run_whitney_cz(cfg: dict, op) -> list:
-    g = op.grid
+def _run_whitney_cz(plan: _Plan) -> list:
+    cfg, g = plan.cfg, plan.op.grid
     rng = np.random.default_rng(int(cfg["family.seed"]))
     n = g.points_per_axis
-    failures = 0
+    exact = True
     worst_lo, worst_hi = np.inf, 0.0
-    masks = int(cfg["params.masks"])
-    for _ in range(masks):
+    for _ in range(int(cfg["params.masks"])):
         mask = np.zeros(g.shape, dtype=bool)
         for _ in range(rng.integers(1, 5)):
             a = rng.integers(0, n, size=g.dim)
@@ -310,13 +327,10 @@ def _run_whitney_cz(cfg: dict, op) -> list:
             continue
         cover = whitney(g, mask)
         ratios = cover.distance_ratios()
-        if not cover.covers_exactly():
-            failures += 1
-        if ratios.size:
-            worst_lo = min(worst_lo, float(np.min(ratios)))
-            worst_hi = max(worst_hi, float(np.max(ratios)))
-    fam = mixed_family(g, int(cfg["family.seed"]) + 1, count=8,
-                       support_fraction=0.5)
+        exact &= cover.covers_exactly()
+        worst_lo = min(worst_lo, float(np.min(ratios, initial=np.inf)))
+        worst_hi = max(worst_hi, float(np.max(ratios, initial=0.0)))
+    fam = mixed_family(g, int(cfg["family.seed"]) + 1, count=8, support_fraction=0.5)
     worst_recon, worst_mean = 0.0, 0.0
     for f in fam.members:
         real = GridFunction(g, np.abs(f.values))
@@ -326,7 +340,7 @@ def _run_whitney_cz(cfg: dict, op) -> list:
         dec = cz_decomposition(real, lam)
         worst_recon = max(worst_recon, dec.reconstruction_error(real))
         worst_mean = max(worst_mean, float(np.max(dec.bad_means(), initial=0.0)))
-    passed = (failures == 0 and worst_hi <= 4.0 + 1e-12
+    passed = (exact and worst_hi <= 4.0 + 1e-12
               and worst_recon <= constants.RECONSTRUCTION_ATOL
               and worst_mean <= constants.MEAN_ZERO_ATOL)
     return [{"tag": "whitney_cz", "value": worst_recon, "ratio_low": worst_lo,
@@ -353,61 +367,55 @@ def _record(rep, **fields) -> dict:
     return rec
 
 
-def _setup(cfg: dict, op, count: int | None = None,
+def _setup(plan: _Plan, count: int | None = None,
            shapes: tuple = ("band", "bump", "spike", "packet")) -> tuple:
-    """(cone time grid, resolved family, weight suite) of a config.
-
-    The family has family.count members unless count says otherwise; the
-    weights use the seed family.seed + 100.
-    """
-    seed = int(cfg["family.seed"])
-    count = int(cfg["family.count"]) if count is None else count
-    fam = resolved_family(op, seed, count, shapes=shapes)
-    return _time_grid(cfg, op, "cone"), fam, weight_suite(op.grid, seed + 100)
+    """(resolved family, weight suite) of a run: family.count members unless
+    count says otherwise, and weights seeded family.seed + 100."""
+    seed = int(plan.cfg["family.seed"])
+    count = int(plan.cfg["family.count"]) if count is None else count
+    fam = resolved_family(plan.op, seed, count, shapes=shapes)
+    return fam, weight_suite(plan.op.grid, seed + 100)
 
 
-def _run_weighted_l2_mw(cfg: dict, op) -> list:
-    times, fam, ws = _setup(cfg, op)
-    mu = float(cfg["params.mu"])
-    return [_record(check_weighted_l2_mw(square_function_operator(k, op, times, mu=mu),
-                                         fam, ws, tag=f"weighted_l2_mw_{k}"))
-            for k in _names(cfg["params.kinds"])]
+def _run_weighted_l2_mw(plan: _Plan) -> list:
+    fam, ws = _setup(plan)
+    return [_record(check_weighted_l2_mw(plan.square(k), fam, ws, tag=f"weighted_l2_mw_{k}"))
+            for k in _names(plan.cfg["params.kinds"])]
 
 
-def _run_weak_lp(cfg: dict, op) -> list:
-    times, fam, ws = _setup(cfg, op)
-    T = square_function_operator("s_h", op, times)
+def _run_weak_lp(plan: _Plan) -> list:
+    fam, ws = _setup(plan)
+    T = plan.square("s_h")
     return [_record(check_weak_1_1(T, fam, ws))] + [
-        _record(check_lp_range(T, fam, ws, p)) for p in _entries(cfg["params.p_list"])]
+        _record(check_lp_range(T, fam, ws, p)) for p in _entries(plan.cfg["params.p_list"])]
 
 
-def _run_pointwise_domination(cfg: dict, op) -> list:
-    times, fam, _ = _setup(cfg, op)
-    gstar = square_function_operator("g_star", op, times, mu=float(cfg["params.mu"]))
+def _run_pointwise_domination(plan: _Plan) -> list:
+    fam, _ = _setup(plan)
     records = []
     for kind in ("s_h", "s_p", "S_H", "S_P"):
-        T = square_function_operator(kind, op, times)
-        rep = check_pointwise_domination(T, gstar, fam)
+        rep = check_pointwise_domination(plan.square(kind), plan.square("g_star"), fam)
         ok = (np.isfinite(rep.sup_ratio)
               and rep.excluded_fraction < constants.DOMINATION_EXCLUSION_MAX)
         records.append(_record(rep, tag=f"pointwise_domination_{kind}", passed=bool(ok)))
     return records
 
 
-def _run_growth_in_p(cfg: dict, op) -> list:
-    times, fam, _ = _setup(cfg, op)
-    T = square_function_operator("s_h", op, times)
-    return [_record(check_growth_in_p(T, fam, _entries(cfg["params.growth_p_list"])))]
+def _run_growth_in_p(plan: _Plan) -> list:
+    fam, _ = _setup(plan)
+    T = plan.square("s_h")
+    return [_record(check_growth_in_p(T, fam, _entries(plan.cfg["params.growth_p_list"])))]
 
 
-def _run_growth_in_ap(cfg: dict, op) -> list:
-    times, fam, _ = _setup(cfg, op)
-    T = square_function_operator("s_h", op, times)
-    return [_record(check_growth_in_ap(T, fam, power_weight_family(op.grid, p), p))
-            for p in _entries(cfg["params.ap_p_list"])]
+def _run_growth_in_ap(plan: _Plan) -> list:
+    fam, _ = _setup(plan)
+    T = plan.square("s_h")
+    return [_record(check_growth_in_ap(T, fam, power_weight_family(plan.op.grid, p), p))
+            for p in _entries(plan.cfg["params.ap_p_list"])]
 
 
-def _run_rubio_de_francia(cfg: dict, op) -> list:
+def _run_rubio_de_francia(plan: _Plan) -> list:
+    cfg, op = plan.cfg, plan.op
     q = float(cfg["params.q"])
     base_seed = int(cfg["family.seed"])
     mnorm = empirical_maximal_norm(op.grid, q)
@@ -425,12 +433,10 @@ def _run_rubio_de_francia(cfg: dict, op) -> list:
              "majorizes": majorizes}]
 
 
-def _run_sharp_maximal(cfg: dict, op) -> list:
-    times, fam, ws = _setup(cfg, op, min(int(cfg["family.count"]), 10),
-                            ("band", "bump", "packet"))
-    gstar = square_function_operator("g_star", op, times, mu=float(cfg["params.mu"]))
-    lam = float(cfg["params.lam"])
-    return [_record(check_sharp_maximal_domination(gstar, fam, lam)),
+def _run_sharp_maximal(plan: _Plan) -> list:
+    fam, ws = _setup(plan, min(int(plan.cfg["family.count"]), 10), ("band", "bump", "packet"))
+    lam = float(plan.cfg["params.lam"])
+    return [_record(check_sharp_maximal_domination(plan.square("g_star"), fam, lam)),
             _record(check_sharp_composite(fam, ws[:3], 4.0, lam))]
 
 
@@ -544,7 +550,7 @@ def run(cfg: dict) -> int:
                          "them in checks.enabled")
     for tag in tags:
         _require_check(tag, (cfg["operator.name"], int(cfg["operator.dim"])))
-    op = _build_operator(cfg)
+    plan = _Plan(cfg, _build_operator(cfg))
     digest = config_hash(cfg)
     out = cfg["output.directory"]
     with _writing(out):
@@ -552,20 +558,19 @@ def run(cfg: dict) -> int:
     all_records = []
     for tag in tags:
         start = time.perf_counter()
-        records = _CHECKS[tag]["runner"](cfg, op)
+        records = _CHECKS[tag]["runner"](plan)
         elapsed = time.perf_counter() - start
         all_records += [dict(rec, runtime_s=elapsed) for rec in records]
     header = {"config_hash": digest,
               "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-              "operator": {"name": cfg["operator.name"], "dim": op.grid.dim,
-                           "n": op.grid.points_per_axis, "r": op.grid.half_width,
-                           "truncation": getattr(op, "truncation", None)},
+              "operator": {"name": cfg["operator.name"], "dim": plan.op.grid.dim,
+                           "n": plan.op.grid.points_per_axis, "r": plan.op.grid.half_width,
+                           "truncation": getattr(plan.op, "truncation", None)},
               "python": platform.python_version(), "numpy": np.__version__}
     with open(os.path.join(out, "report.jsonl"), "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for rec in all_records:
-            body = {k: v for k, v in rec.items() if k != "dat"}
-            body["config_hash"] = digest
+            body = {k: v for k, v in rec.items() if k != "dat"} | {"config_hash": digest}
             fh.write(json.dumps(body, sort_keys=True) + "\n")
     with open(os.path.join(out, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -576,11 +581,9 @@ def run(cfg: dict) -> int:
                              f"{rec['runtime_s']:.3f}"])
     for rec in all_records:
         if "dat" in rec:
-            xs, ys = rec["dat"]
             with open(os.path.join(out, f"{rec['tag']}.dat"), "w") as fh:
                 fh.write(f"# {rec['tag']} config_hash={digest}\n")
-                for x, y in zip(xs, ys):
-                    fh.write(f"{x:.10g} {y:.10g}\n")
+                fh.writelines(f"{x:.10g} {y:.10g}\n" for x, y in zip(*rec["dat"]))
     failed = [rec["tag"] for rec in all_records if not rec["passed"]]
     for rec in all_records:
         status = "PASS" if rec["passed"] else "FAIL"
@@ -618,8 +621,7 @@ def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
         phi = square_symbol(symbol)
     except ParameterError as exc:
         raise UsageError(f"--symbol: {exc}") from None
-    op = _build_operator(cfg)
-    _, entries = op.kernel_matrix(lambda s: phi(t * s))
+    _, entries = _build_operator(cfg).kernel_matrix(lambda s: phi(t * s))
     with _writing(path), open(path, "w") as fh:
         np.savetxt(fh, np.asarray(entries, dtype=float), delimiter=",")
     print(f"wrote {entries.shape[0]}x{entries.shape[1]} kernel to {path}")
@@ -627,8 +629,7 @@ def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
 
 
 def _dump_function(cfg: dict, index: int, path: str) -> int:
-    op = _build_operator(cfg)
-    fam = resolved_family(op, int(cfg["family.seed"]), int(cfg["family.count"]))
+    fam = resolved_family(_build_operator(cfg), int(cfg["family.seed"]), int(cfg["family.count"]))
     if not (0 <= index < len(fam.members)):
         raise UsageError(f"member index must lie in [0, {len(fam.members)})")
     with _writing(path), open(path, "w") as fh:
@@ -668,8 +669,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "list-checks":
-            for tag in sorted(_CHECKS):
-                print(tag)
+            print("\n".join(sorted(_CHECKS)))
             return 0
         if args.command == "describe":
             return describe(args.tag)

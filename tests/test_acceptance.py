@@ -3,11 +3,11 @@
 Every test certifies one headline property with pinned tolerances and a
 runtime budget, prints a single PASS/FAIL line, and never loosens a
 bound to accommodate the measurement.  A property gates the records that
-``sqfn run`` writes: it runs the check's runner from ``cli._CHECKS`` on
-the operator ``cli._build_operator`` builds, so time grids, families,
-weights and tolerances are the CLI's own.  A sup-ratio record only says
-that its sup is finite, so those properties also pass the record values
-at N and 2N through ``verify.doubling``.  Finite propagation on the
+``sqfn run`` writes: it runs the check's runner from ``cli._CHECKS`` on a
+``cli._Plan`` of the operator ``cli._build_operator`` builds, so time grids,
+square functions, families, weights and tolerances are the CLI's own.  A
+sup-ratio record only says that its sup is finite, so those properties also
+pass the record values at N and 2N through ``verify.doubling``.  Finite propagation on the
 oscillator is measured beyond the source's own support widened by t, as
 the theorem states it, so that a source's width is not charged to the
 propagator.
@@ -19,12 +19,12 @@ import time
 import numpy as np
 
 from sqfn import constants
-from sqfn.cli import _CHECKS, _build_operator, _setup, parse_config
+from sqfn.cli import _CHECKS, _Plan, _build_operator, _setup, parse_config
 from sqfn.decomp import cz_decomposition, whitney
 from sqfn.grid import Grid, GridFunction
 from sqfn.multipliers import kappa, square_symbol
 from sqfn.verify import (check_lp_range, check_weighted_l2_mw, doubling,
-                         mixed_family, propagation_leak, square_function_operator)
+                         mixed_family, propagation_leak)
 
 SEED = 7
 FINE = {"times.per_octave": "12"}
@@ -54,9 +54,16 @@ def _operator(name, n):
     return _build_operator(_config(name, n))
 
 
+@functools.cache
+def _plan(name, n, settings=()):
+    """The plan sqfn run makes for operator name at N = n with the (key,
+    value) pairs of settings, made once: checks on it share square functions."""
+    return _Plan(_config(name, n, dict(settings)), _operator(name, n))
+
+
 def _records(tag, name, n, settings=None):
     """The records sqfn run writes for check tag on operator name at N = n."""
-    return _CHECKS[tag]["runner"](_config(name, n, settings), _operator(name, n))
+    return _CHECKS[tag]["runner"](_plan(name, n, tuple(sorted((settings or {}).items()))))
 
 
 def _doubling(tag, name, n):
@@ -208,9 +215,9 @@ def test_weak_and_lp_bounds():
     gate, finite = _doubling("weak_lp", "laplacian", 128)
     bit_identical = True
     for n in (128, 256):
-        op = _operator("laplacian", n)
-        times, fam, ws = _setup(_config("laplacian", n), op)
-        T = square_function_operator("s_h", op, times)
+        plan = _plan("laplacian", n)
+        fam, ws = _setup(plan)
+        T = plan.square("s_h")
         bit_identical &= (check_lp_range(T, fam, ws, 2.0).ratios
                           == check_weighted_l2_mw(T, fam, ws).ratios)
     _report("weak-and-lp-bounds", gate.passed and finite and bit_identical,

@@ -1,16 +1,19 @@
+import gc
 import json
 import os
 import platform
 import sys
+import weakref
+from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sqfn import constants
-from sqfn.cli import (_CHECKS, _build_operator, _require_check, _time_grid, config_hash,
-                      main, parse_config)
+from sqfn import cli, constants
+from sqfn.cli import (_CHECKS, _Plan, _build_operator, _require_check, _time_grid,
+                      config_hash, main, parse_config)
 from sqfn.errors import UsageError
 from sqfn.squarefuncs import KINDS
 
@@ -101,7 +104,7 @@ class _RecordingConfig(dict):
 def test_describe_lists_every_key_a_check_reads():
     for tag, meta in _CHECKS.items():
         cfg = _RecordingConfig(parse_config(None, {"operator.n": "128", "family.count": "8"}))
-        meta["runner"](cfg, _build_operator(cfg))
+        meta["runner"](_Plan(cfg, _build_operator(cfg)))
         patterns = [part.strip() for part in meta["keys"].split(",")]
         assert cfg.read, tag
         for key in cfg.read:
@@ -114,6 +117,13 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) == config_hash(parse_config(None))
     assert config_hash(a) != config_hash(b)
     assert len(config_hash(a)) == 12
+
+
+def test_config_hash_ignores_the_output_directory(tmp_path):
+    """output.directory changes no record, so it does not change the digest."""
+    a = parse_config(None, {"output.directory": str(tmp_path / "a")})
+    b = parse_config(None, {"output.directory": str(tmp_path / "b")})
+    assert config_hash(a) == config_hash(b) == config_hash(parse_config(None))
 
 
 def test_list_checks_and_describe(capsys):
@@ -155,13 +165,14 @@ def test_run_writes_reports(tmp_path, capsys):
 
 
 def test_run_jsonl_body_is_config_stable(tmp_path):
-    """Identical configurations produce identical records; only the
-    measured runtime_s may differ."""
+    """Identical configurations produce identical records, config_hash
+    included, whatever directory they are written to; only the measured
+    runtime_s may differ."""
     bodies = []
-    for _ in range(2):  # one directory: output.directory is part of the config
+    for sub in ("a", "b"):
         assert main(["run", "--check", "finite_propagation", "--set", "operator.n=128",
-                     "--set", f"output.directory={tmp_path}"]) == 0
-        lines = (tmp_path / "report.jsonl").read_text().splitlines()
+                     "--set", f"output.directory={tmp_path / sub}"]) == 0
+        lines = (tmp_path / sub / "report.jsonl").read_text().splitlines()
         records = [json.loads(line) for line in lines[1:]]
         for rec in records:
             assert rec.pop("runtime_s") > 0
@@ -219,6 +230,56 @@ def test_runtime_s_is_the_check_time_of_each_record(tmp_path):
     csv_runtime = {row.split(",")[0]: float(row.split(",")[-1]) for row in rows}
     for tag, seconds in runtime.items():
         assert csv_runtime[tag] == pytest.approx(seconds, abs=5e-4)
+
+
+def _records(path):
+    """The records of path/report.jsonl, without runtime_s and config_hash."""
+    lines = (path / "report.jsonl").read_text().splitlines()[1:]
+    return [{k: v for k, v in json.loads(line).items() if k not in ("runtime_s", "config_hash")}
+            for line in lines]
+
+
+def _counting_factory(monkeypatch):
+    """Rebind cli's square-function factory, as the benchmark tracer does;
+    the list it returns gets (kind, weak reference) per build."""
+    factory = cli.square_function_operator
+    builds = []
+
+    def counted(kind, *args, **kwargs):
+        T = factory(kind, *args, **kwargs)
+        builds.append((kind, weakref.ref(T)))
+        return T
+
+    monkeypatch.setattr(cli, "square_function_operator", counted)
+    return builds
+
+
+def test_a_run_builds_each_square_function_once(tmp_path, monkeypatch):
+    """All 12 checks at defaults share one build of each of the five square
+    functions they use (one run per check makes 15), with the records of
+    one run per check."""
+    builds = _counting_factory(monkeypatch)
+    args = ["run", "--set", f"output.directory={tmp_path / 'all'}"]
+    assert main(args + [arg for tag in _CHECKS for arg in ("--check", tag)]) in (0, 1)
+    assert Counter(kind for kind, _ in builds) == Counter(("s_h", "s_p", "S_H", "S_P", "g_star"))
+    one_by_one = []
+    for tag in _CHECKS:
+        main(["run", "--check", tag, "--set", f"output.directory={tmp_path / tag}"])
+        one_by_one += _records(tmp_path / tag)
+    assert len(builds) == 5 + 15
+    assert json.dumps(_records(tmp_path / "all")) == json.dumps(one_by_one)
+
+
+def test_a_run_drops_its_square_functions(tmp_path, monkeypatch):
+    """The plan's builds are not reachable once run returns."""
+    builds = _counting_factory(monkeypatch)
+    assert main(["run", "--check", "weighted_l2_mw", "--check", "pointwise_domination",
+                 "--check", "sharp_maximal", "--set", "operator.n=64",
+                 "--set", "family.count=4", "--set", "times.per_octave=4",
+                 "--set", f"output.directory={tmp_path}"]) == 0
+    gc.collect()
+    assert len(builds) == 5
+    assert [kind for kind, ref in builds if ref() is not None] == []
 
 
 def test_bare_run_is_usage_error(tmp_path, capsys):
@@ -404,7 +465,7 @@ def test_run_refuses_an_unwritable_output_directory(tmp_path, capsys, monkeypatc
     blocker.write_text("")
     ran = []
     monkeypatch.setitem(_CHECKS["finite_propagation"], "runner",
-                        lambda cfg, op: ran.append(cfg) or [])
+                        lambda plan: ran.append(plan) or [])
     out = str(blocker / "out")
     assert main(["run", "--check", "finite_propagation", "--set", "operator.n=64",
                  "--set", f"output.directory={out}"]) == 2
