@@ -10,9 +10,10 @@ Outputs: a JSON-lines report (one header line carrying the config hash,
 the timestamp, the resolved operator.* values and the Python and numpy
 versions, then one line per record), a CSV summary (tag, value,
 bound, passed, config_hash, runtime_s) and gnuplot-ready two-column .dat
-files for the growth fits.  runtime_s is the elapsed time of the check
-that produced the record, with any square function it was the first to ask
-the run's ``_Plan`` for; a sup-ratio record also carries its witness,
+files for the growth fits.  The run's ``_Plan`` builds and applies every
+square function; the checks read the (f, Tf) pairs it holds.  runtime_s is
+the elapsed time of the check that produced the record, with whatever it
+first asked the plan for.  A sup-ratio record also carries its witness,
 skipped and excluded_fraction (see ``_record``).  Exit status: 0 all
 passed, 1 some check failed, 2 usage.
 """
@@ -23,6 +24,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import os
@@ -147,6 +149,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
                 lines = fh.readlines()
         except OSError as exc:
             raise UsageError(f"cannot read config {path}: {exc}")
+        seen = {}
         for lineno, raw in enumerate(lines, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -162,6 +165,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
             full = f"{section}.{key}"
             if full not in _KEYS:
                 raise UsageError(f"{path}:{lineno}: unknown key {full!r}")
+            if full in seen:
+                raise UsageError(f"{path}:{lineno}: key {full!r} repeats line {seen[full]}")
+            seen[full] = lineno
             cfg[full] = _check_type(full, value, f"{path}:{lineno}: ")
     for full, value in (overrides or {}).items():
         if full not in _KEYS:
@@ -211,21 +217,37 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
 
 
 class _Plan:
-    """A run's config, its operator and the square functions its checks share:
-    square(kind) builds kind on the cone time grid when first asked (params.mu
-    is read only for g_star) and keeps it on the instance, to go with the plan."""
+    """A run's config, its operator and what its checks share, each made when
+    first asked for and kept on the instance: square(kind, role), kind on the
+    "cone" or "identity" time grid (params.mu is read only for g_star); the
+    resolved family; the weights, seeded family.seed + 100; and images(kind),
+    the family's images under square(kind) in member order."""
 
     def __init__(self, cfg: dict, op):
         self.cfg = cfg
         self.op = op
         self._built = {}
+        self._images = {}
 
-    def square(self, kind: str):
-        if kind not in self._built:
+    def square(self, kind: str, role: str = "cone"):
+        if (kind, role) not in self._built:
             kwargs = {"mu": float(self.cfg["params.mu"])} if kind == "g_star" else {}
-            self._built[kind] = square_function_operator(
-                kind, self.op, _time_grid(self.cfg, self.op, "cone"), **kwargs)
-        return self._built[kind]
+            self._built[kind, role] = square_function_operator(
+                kind, self.op, _time_grid(self.cfg, self.op, role), **kwargs)
+        return self._built[kind, role]
+
+    @functools.cached_property
+    def family(self):
+        return resolved_family(self.op, int(self.cfg["family.seed"]), int(self.cfg["family.count"]))
+
+    @functools.cached_property
+    def weights(self) -> list:
+        return weight_suite(self.op.grid, int(self.cfg["family.seed"]) + 100)
+
+    def images(self, kind: str) -> list:
+        if kind not in self._images:
+            self._images[kind] = [self.square(kind)(f) for f in self.family.members]
+        return self._images[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +255,19 @@ class _Plan:
 # ---------------------------------------------------------------------------
 
 
-def _run_spectral_identity(plan: _Plan) -> list:
+def _identity_ratios(plan: _Plan) -> tuple:
+    """check_spectral_identity's ratios on the band-limited family that the
+    identity time grid captures, under the plan's g_h on that grid."""
     cfg, op = plan.cfg, plan.op
-    times = _time_grid(cfg, op, "identity")
-    fam = band_limited_family(op, times, int(cfg["family.seed"]), int(cfg["family.count"]))
-    rep = check_spectral_identity(op, fam, times)
-    lo, hi = min(rep.ratios), max(rep.ratios)
+    fam = band_limited_family(op, _time_grid(cfg, op, "identity"),
+                              int(cfg["family.seed"]), int(cfg["family.count"]))
+    g_h = plan.square("g_h", "identity")
+    return check_spectral_identity([g_h(f) for f in fam.members], fam).ratios
+
+
+def _run_spectral_identity(plan: _Plan) -> list:
+    ratios = _identity_ratios(plan)
+    lo, hi = min(ratios), max(ratios)
     ok = 1.0 - constants.IDENTITY_RTOL <= lo and hi <= 1.0 + constants.IDENTITY_RTOL
     return [{"tag": "spectral_identity", "value": hi, "low": lo,
              "bound": 1.0 + constants.IDENTITY_RTOL, "passed": bool(ok)}]
@@ -246,14 +275,12 @@ def _run_spectral_identity(plan: _Plan) -> list:
 
 def _run_plancherel(plan: _Plan) -> list:
     cfg, op = plan.cfg, plan.op
-    seed, count = int(cfg["family.seed"]), int(cfg["family.count"])
-    ident_times = _time_grid(cfg, op, "identity")
-    fam_cone = band_limited_family(op, _time_grid(cfg, op, "cone"), seed, count,
+    fam_cone = band_limited_family(op, _time_grid(cfg, op, "cone"), int(cfg["family.seed"]),
+                                   int(cfg["family.count"]),
                                    capture=_OPERATORS[cfg["operator.name"]].capture)
-    fam_fine = band_limited_family(op, ident_times, seed, count)
     rs = [lp_norm(plan.square("s_h")(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
     kap = kappa(square_symbol("s_h"))
-    rg = [kap * r for r in check_spectral_identity(op, fam_fine, ident_times).ratios]
+    rg = [kap * r for r in _identity_ratios(plan)]
     ok_s = max(abs(v - 0.5) for v in rs) <= 0.5 * constants.AREA_PLANCHEREL_RTOL
     ok_g = max(abs(v - kap) for v in rg) <= kap * constants.IDENTITY_RTOL
     return [
@@ -367,34 +394,23 @@ def _record(rep, **fields) -> dict:
     return rec
 
 
-def _setup(plan: _Plan, count: int | None = None,
-           shapes: tuple = ("band", "bump", "spike", "packet")) -> tuple:
-    """(resolved family, weight suite) of a run: family.count members unless
-    count says otherwise, and weights seeded family.seed + 100."""
-    seed = int(plan.cfg["family.seed"])
-    count = int(plan.cfg["family.count"]) if count is None else count
-    fam = resolved_family(plan.op, seed, count, shapes=shapes)
-    return fam, weight_suite(plan.op.grid, seed + 100)
-
-
 def _run_weighted_l2_mw(plan: _Plan) -> list:
-    fam, ws = _setup(plan)
-    return [_record(check_weighted_l2_mw(plan.square(k), fam, ws, tag=f"weighted_l2_mw_{k}"))
+    return [_record(check_weighted_l2_mw(plan.images(k), plan.family, plan.weights,
+                                         tag=f"weighted_l2_mw_{k}"))
             for k in _names(plan.cfg["params.kinds"])]
 
 
 def _run_weak_lp(plan: _Plan) -> list:
-    fam, ws = _setup(plan)
-    T = plan.square("s_h")
-    return [_record(check_weak_1_1(T, fam, ws))] + [
-        _record(check_lp_range(T, fam, ws, p)) for p in _entries(plan.cfg["params.p_list"])]
+    images = plan.images("s_h")
+    return [_record(check_weak_1_1(images, plan.family, plan.weights))] + [
+        _record(check_lp_range(images, plan.family, plan.weights, p))
+        for p in _entries(plan.cfg["params.p_list"])]
 
 
 def _run_pointwise_domination(plan: _Plan) -> list:
-    fam, _ = _setup(plan)
     records = []
     for kind in ("s_h", "s_p", "S_H", "S_P"):
-        rep = check_pointwise_domination(plan.square(kind), plan.square("g_star"), fam)
+        rep = check_pointwise_domination(plan.images(kind), plan.images("g_star"), plan.family)
         ok = (np.isfinite(rep.sup_ratio)
               and rep.excluded_fraction < constants.DOMINATION_EXCLUSION_MAX)
         records.append(_record(rep, tag=f"pointwise_domination_{kind}", passed=bool(ok)))
@@ -402,15 +418,13 @@ def _run_pointwise_domination(plan: _Plan) -> list:
 
 
 def _run_growth_in_p(plan: _Plan) -> list:
-    fam, _ = _setup(plan)
-    T = plan.square("s_h")
-    return [_record(check_growth_in_p(T, fam, _entries(plan.cfg["params.growth_p_list"])))]
+    p_list = _entries(plan.cfg["params.growth_p_list"])
+    return [_record(check_growth_in_p(plan.images("s_h"), plan.family, p_list))]
 
 
 def _run_growth_in_ap(plan: _Plan) -> list:
-    fam, _ = _setup(plan)
-    T = plan.square("s_h")
-    return [_record(check_growth_in_ap(T, fam, power_weight_family(plan.op.grid, p), p))
+    return [_record(check_growth_in_ap(plan.images("s_h"), plan.family,
+                                       power_weight_family(plan.op.grid, p), p))
             for p in _entries(plan.cfg["params.ap_p_list"])]
 
 
@@ -434,10 +448,12 @@ def _run_rubio_de_francia(plan: _Plan) -> list:
 
 
 def _run_sharp_maximal(plan: _Plan) -> list:
-    fam, ws = _setup(plan, min(int(plan.cfg["family.count"]), 10), ("band", "bump", "packet"))
+    fam = resolved_family(plan.op, int(plan.cfg["family.seed"]),
+                          min(int(plan.cfg["family.count"]), 10), shapes=("band", "bump", "packet"))
     lam = float(plan.cfg["params.lam"])
-    return [_record(check_sharp_maximal_domination(plan.square("g_star"), fam, lam)),
-            _record(check_sharp_composite(fam, ws[:3], 4.0, lam))]
+    gstar = plan.square("g_star")
+    return [_record(check_sharp_maximal_domination([gstar(f) for f in fam.members], fam, lam)),
+            _record(check_sharp_composite(fam, plan.weights[:3], 4.0, lam))]
 
 
 # The N -> 2N gate the acceptance suite puts on the checks whose bound is inf.

@@ -106,19 +106,6 @@ class GridFunction:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        require_same_grid(self, other)
-        return GridFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "GridFunction") -> "GridFunction":
-        require_same_grid(self, other)
-        return GridFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c) -> "GridFunction":
-        return GridFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class Weight:

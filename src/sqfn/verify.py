@@ -3,7 +3,9 @@
 Every check turns one inequality into either a RatioReport (a supremum
 of measured ratios over a test family, with the index of the ratio that
 attains it) or a GrowthFit (a log-log slope compared against a declared
-exponent bound); doubling gates a check's values under N -> 2N.
+exponent bound); doubling gates a check's values under N -> 2N.  A check
+applies no square function: it reads (f, Tf) pairs, a family and the list
+of its images under T, aligned with family.members.
 Empirical suprema over finite families are lower bounds on true
 operator norms, so every pass criterion is one-sided.
 """
@@ -21,7 +23,8 @@ from .grid import (Grid, GridFunction, Weight, lp_norm, require_exponent,
                    weighted_lp_norm, weighted_superlevel_measure)
 from .multipliers import kappa, square_symbol
 from .spectral import HermiteOscillator1D, LaplacianTorus, SpectralOperator
-from .squarefuncs import TimeGrid, square_function_operator
+# sqfn re-exports the factory from here, and the benchmark tracer patches this binding
+from .squarefuncs import TimeGrid, square_function_operator  # noqa: F401
 from .weights import _maximal_stack, ap_constant, local_sharp_maximal
 
 
@@ -276,19 +279,17 @@ def power_weight_family(grid: Grid, p: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-def check_spectral_identity(op: SpectralOperator, family: TestFamily,
-                            times: TimeGrid) -> RatioReport:
+def check_spectral_identity(images: list, family: TestFamily) -> RatioReport:
     """Discretized (int ||psi(t sqrt(L)) f||_2^2 dt/t)^(1/2) versus kappa ||f||_2,
-    psi(z) = z^2 e^{-z^2}: the L2 norm of the g-function g_h."""
+    psi(z) = z^2 e^{-z^2}: images holds g_h f for each member f."""
     kap = kappa(square_symbol("s_h"))
-    g_h = square_function_operator("g_h", op, times)
     ratios, skipped = [], 0
-    for f in family.members:
+    for f, gf in zip(family.members, images, strict=True):
         denom = lp_norm(f, 2)
         if denom == 0.0:
             skipped += 1
             continue
-        ratios.append(lp_norm(g_h(f), 2) / (kap * denom))
+        ratios.append(lp_norm(gf, 2) / (kap * denom))
     return RatioReport("spectral_identity", tuple(ratios), skipped)
 
 
@@ -315,15 +316,14 @@ def _maximals(functions) -> list:
     return list(_maximal_stack(functions[0].grid, np.stack([f.values for f in functions])))
 
 
-def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
+def _weighted_power_ratios(images: list, family: TestFamily, weights: list, p: float):
     """Shared ratio loop: int |Tf|^p w over the p-dependent majorant of |f|^p.
 
     For 1 < p <= 2 the majorant is int |f|^p Mw; for p > 2 it is
     int |f|^p (Mw)^{p/2} w^{-(p/2 - 1)}.  check_weighted_l2_mw and
     check_lp_range at p = 2 both call this, so they agree bit for bit.
-    T runs once per member; the ratios stay in (weight, member) order.
+    The ratios stay in (weight, member) order.
     """
-    images = [T(f) for f in family.members]
     ratios, skipped = [], 0
     for w, mw in zip(weights, _maximals(weights)):
         if p > 2:
@@ -335,7 +335,7 @@ def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
         else:
             majorant = mw
         vol = w.grid.cell_volume
-        for f, tf in zip(family.members, images):
+        for f, tf in zip(family.members, images, strict=True):
             denom = float(np.sum(np.abs(f.values) ** p * majorant)) * vol
             if denom == 0.0:
                 skipped += 1
@@ -345,21 +345,20 @@ def _weighted_power_ratios(T, family: TestFamily, weights: list, p: float):
     return ratios, skipped
 
 
-def check_weighted_l2_mw(T, family: TestFamily, weights: list,
+def check_weighted_l2_mw(images: list, family: TestFamily, weights: list,
                          tag: str = "weighted_l2_mw") -> RatioReport:
     """Ratios of int (Tf)^2 w against int |f|^2 Mw over all (f, w) pairs."""
-    ratios, skipped = _weighted_power_ratios(T, family, weights, 2.0)
+    ratios, skipped = _weighted_power_ratios(images, family, weights, 2.0)
     return RatioReport(tag, tuple(ratios), skipped)
 
 
-def check_weak_1_1(T, family: TestFamily, weights: list) -> RatioReport:
+def check_weak_1_1(images: list, family: TestFamily, weights: list) -> RatioReport:
     """lambda * w{Tf > lambda} versus int |f| Mw, over six levels lambda
     from max Tf / 100 up to max Tf."""
-    images = [T(f) for f in family.members]
     ratios, skipped = [], 0
     for w, mw in zip(weights, _maximals(weights)):
         mw = Weight(GridFunction(w.grid, mw))
-        for f, tf in zip(family.members, images):
+        for f, tf in zip(family.members, images, strict=True):
             denom = weighted_lp_norm(f, mw, 1)
             if denom == 0.0:
                 skipped += 1
@@ -374,24 +373,24 @@ def check_weak_1_1(T, family: TestFamily, weights: list) -> RatioReport:
     return RatioReport("weak_1_1", tuple(ratios), skipped)
 
 
-def check_lp_range(T, family: TestFamily, weights: list, p: float) -> RatioReport:
+def check_lp_range(images: list, family: TestFamily, weights: list, p: float) -> RatioReport:
     """int (Tf)^p w versus the p-dependent majorant of |f|^p.
 
     For 1 < p <= 2 the majorant is int |f|^p Mw; for p > 2 it is
     int |f|^p (Mw)^{p/2} w^{-(p/2 - 1)} (which needs w > 0).
     """
     require_exponent("p", p)
-    ratios, skipped = _weighted_power_ratios(T, family, weights, p)
+    ratios, skipped = _weighted_power_ratios(images, family, weights, p)
     return RatioReport(f"lp_range_p{p:g}", tuple(ratios), skipped)
 
 
-def check_pointwise_domination(T, gstar, family: TestFamily) -> RatioReport:
+def check_pointwise_domination(images: list, gstar_images: list, family: TestFamily) -> RatioReport:
     """max_x Tf(x) / g*f(x), excluding points where g* is at the noise floor."""
     ratios, skipped = [], 0
     excluded_total, points_total = 0, 0
-    for f in family.members:
-        gv = gstar(f).values.real
-        tv = np.abs(T(f).values)
+    for _, tf, gf in zip(family.members, images, gstar_images, strict=True):
+        gv = gf.values.real
+        tv = np.abs(tf.values)
         top = float(np.max(gv))
         if top == 0.0:
             skipped += 1
@@ -412,16 +411,15 @@ def growth_exponents(p_list) -> list:
     return p_list
 
 
-def check_growth_in_p(T, family: TestFamily, p_list) -> GrowthFit:
+def check_growth_in_p(images: list, family: TestFamily, p_list) -> GrowthFit:
     """Empirical ||T||_{p->p} lower bounds fitted against p^(1/2) growth."""
     p_list = growth_exponents(p_list)
     if len(family.members) < 8:
         raise ParameterError("family too small for a growth fit (need >= 8)")
     norms = []
-    cache = [(f, T(f)) for f in family.members]
     for p in p_list:
         best = 0.0
-        for f, tf in cache:
+        for f, tf in zip(family.members, images, strict=True):
             denom = lp_norm(f, p)
             if denom > 0:
                 best = max(best, lp_norm(tf, p) / denom)
@@ -430,7 +428,7 @@ def check_growth_in_p(T, family: TestFamily, p_list) -> GrowthFit:
                      constants.P_GROWTH_SLACK)
 
 
-def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> GrowthFit:
+def check_growth_in_ap(images: list, family: TestFamily, weights: list, p: float) -> GrowthFit:
     """Empirical weighted norms fitted against the A_p-constant exponent.
 
     For p > 1 the y-values are L^p_w operator-norm lower bounds and the
@@ -440,12 +438,11 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> Growth
     """
     require_exponent("p", p, closed=True)
     norm_p = 2.0 if p == 1 else p
-    images = [T(f) for f in family.members]
     xs, ys = [], []
     for w in weights:
         ap = ap_constant(w, p).constant
         best = 0.0
-        for f, tf in zip(family.members, images):
+        for f, tf in zip(family.members, images, strict=True):
             denom = weighted_lp_norm(f, w, norm_p)
             if denom > 0:
                 best = max(best, weighted_lp_norm(tf, w, norm_p) / denom)
@@ -463,13 +460,12 @@ def check_growth_in_ap(T, family: TestFamily, weights: list, p: float) -> Growth
                      constants.AP_GROWTH_SLACK)
 
 
-def check_sharp_maximal_domination(gstar, family: TestFamily, lam: float) -> RatioReport:
+def check_sharp_maximal_domination(gstar_images: list, family: TestFamily, lam: float) -> RatioReport:
     """max_x of M#_lam((g* f)^2) / (Mf)^2 over the family."""
     ratios, skipped = [], 0
-    for f, mf in zip(family.members, _maximals(family.members)):
-        g2 = gstar(f)
+    for f, gf, mf in zip(family.members, gstar_images, _maximals(family.members), strict=True):
         sharp = local_sharp_maximal(
-            GridFunction(f.grid, g2.values.real**2), lam).values.real
+            GridFunction(f.grid, gf.values.real**2), lam).values.real
         if float(np.max(mf)) == 0.0:
             skipped += 1
             continue

@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from sqfn import constants
-from sqfn.cli import _CHECKS, _Plan, _build_operator, _setup, parse_config
+from sqfn.cli import _CHECKS, _Plan, _build_operator, parse_config
 from sqfn.decomp import cz_decomposition, whitney
 from sqfn.grid import Grid, GridFunction
 from sqfn.multipliers import kappa, square_symbol
@@ -57,7 +57,8 @@ def _operator(name, n):
 @functools.cache
 def _plan(name, n, settings=()):
     """The plan sqfn run makes for operator name at N = n with the (key,
-    value) pairs of settings, made once: checks on it share square functions."""
+    value) pairs of settings, made once: checks on it share square functions,
+    the family, its images and the weights."""
     return _Plan(_config(name, n, dict(settings)), _operator(name, n))
 
 
@@ -216,10 +217,9 @@ def test_weak_and_lp_bounds():
     bit_identical = True
     for n in (128, 256):
         plan = _plan("laplacian", n)
-        fam, ws = _setup(plan)
-        T = plan.square("s_h")
-        bit_identical &= (check_lp_range(T, fam, ws, 2.0).ratios
-                          == check_weighted_l2_mw(T, fam, ws).ratios)
+        images = plan.images("s_h")
+        bit_identical &= (check_lp_range(images, plan.family, plan.weights, 2.0).ratios
+                          == check_weighted_l2_mw(images, plan.family, plan.weights).ratios)
     _report("weak-and-lp-bounds", gate.passed and finite and bit_identical,
             f"weak (1,1) and p in {{1.5, 2, 4}} sup ratios finite; worst "
             f"doubling change {gate.worst_change:.3f}x (< {gate.factor:g}x); p = 2 "

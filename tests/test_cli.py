@@ -55,6 +55,18 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         parse_config(None, {"nope.nope": "1"})
 
 
+def test_parse_config_refuses_a_repeated_key(tmp_path):
+    """A key given twice in a file is a usage error naming the key and both
+    lines, not a silent last-value-wins."""
+    path = tmp_path / "cfg"
+    path.write_text("[operator]\nn = 128\n[family]\nseed = 3\n[operator]\nn = 64\n")
+    with pytest.raises(UsageError, match=r"cfg:6: key 'operator.n' repeats line 2"):
+        parse_config(str(path))
+    path.write_text("[operator]\nn = 128\n[family]\nseed = 3\n[operator]\ndim = 2\n")
+    cfg = parse_config(str(path))
+    assert (cfg["operator.n"], cfg["operator.dim"]) == ("128", "2")
+
+
 def test_parse_config_rejects_mistyped_numbers(tmp_path, capsys):
     """A numeric key that does not parse is a usage error naming the key
     (and the line, for a file); stored values stay the strings given."""
@@ -255,19 +267,45 @@ def _counting_factory(monkeypatch):
 
 
 def test_a_run_builds_each_square_function_once(tmp_path, monkeypatch):
-    """All 12 checks at defaults share one build of each of the five square
-    functions they use (one run per check makes 15), with the records of
-    one run per check."""
+    """All 12 checks at defaults share one build of each of the six square
+    functions they use, g_h on the identity time grid among them (one run
+    per check makes 17), with the records of one run per check."""
     builds = _counting_factory(monkeypatch)
     args = ["run", "--set", f"output.directory={tmp_path / 'all'}"]
     assert main(args + [arg for tag in _CHECKS for arg in ("--check", tag)]) in (0, 1)
-    assert Counter(kind for kind, _ in builds) == Counter(("s_h", "s_p", "S_H", "S_P", "g_star"))
+    assert Counter(kind for kind, _ in builds) == Counter(
+        ("s_h", "s_p", "S_H", "S_P", "g_star", "g_h"))
     one_by_one = []
     for tag in _CHECKS:
         main(["run", "--check", tag, "--set", f"output.directory={tmp_path / tag}"])
         one_by_one += _records(tmp_path / tag)
-    assert len(builds) == 5 + 15
+    assert len(builds) == 6 + 17
     assert json.dumps(_records(tmp_path / "all")) == json.dumps(one_by_one)
+
+
+def test_a_run_applies_each_square_function_once_per_member(tmp_path, monkeypatch):
+    """One run naming every check applies each square function it builds at
+    most once to any one function."""
+    factory = cli.square_function_operator
+    applies = Counter()
+    seen = []  # every f applied to, kept alive so that ids stay unique
+
+    def counted(kind, *args, **kwargs):
+        T = factory(kind, *args, **kwargs)
+
+        def apply(f):
+            seen.append(f)
+            applies[id(T), id(f)] += 1
+            return T(f)
+
+        return apply
+
+    monkeypatch.setattr(cli, "square_function_operator", counted)
+    assert main(["run", *(arg for tag in _CHECKS for arg in ("--check", tag)),
+                 "--set", "operator.n=128", "--set", "family.count=8",
+                 "--set", "times.per_octave=4",
+                 "--set", f"output.directory={tmp_path}"]) in (0, 1)
+    assert applies and max(applies.values()) == 1
 
 
 def test_a_run_drops_its_square_functions(tmp_path, monkeypatch):
