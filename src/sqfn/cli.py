@@ -220,8 +220,9 @@ class _Plan:
     """A run's config, its operator and what its checks share, each made when
     first asked for and kept on the instance: square(kind, role), kind on the
     "cone" or "identity" time grid (params.mu is read only for g_star); the
-    resolved family; the weights, seeded family.seed + 100; and images(kind),
-    the family's images under square(kind) in member order."""
+    resolved family; the band-limited family the identity grid captures; the
+    weights, seeded family.seed + 100; and images(kind, role), the role's
+    family's images under square(kind, role) in member order."""
 
     def __init__(self, cfg: dict, op):
         self.cfg = cfg
@@ -244,10 +245,16 @@ class _Plan:
     def weights(self) -> list:
         return weight_suite(self.op.grid, int(self.cfg["family.seed"]) + 100)
 
-    def images(self, kind: str) -> list:
-        if kind not in self._images:
-            self._images[kind] = [self.square(kind)(f) for f in self.family.members]
-        return self._images[kind]
+    @functools.cached_property
+    def identity_family(self):
+        return band_limited_family(self.op, _time_grid(self.cfg, self.op, "identity"),
+                                   int(self.cfg["family.seed"]), int(self.cfg["family.count"]))
+
+    def images(self, kind: str, role: str = "cone") -> list:
+        if (kind, role) not in self._images:
+            family = self.family if role == "cone" else self.identity_family
+            self._images[kind, role] = [self.square(kind, role)(f) for f in family.members]
+        return self._images[kind, role]
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +265,7 @@ class _Plan:
 def _identity_ratios(plan: _Plan) -> tuple:
     """check_spectral_identity's ratios on the band-limited family that the
     identity time grid captures, under the plan's g_h on that grid."""
-    cfg, op = plan.cfg, plan.op
-    fam = band_limited_family(op, _time_grid(cfg, op, "identity"),
-                              int(cfg["family.seed"]), int(cfg["family.count"]))
-    g_h = plan.square("g_h", "identity")
-    return check_spectral_identity([g_h(f) for f in fam.members], fam).ratios
+    return check_spectral_identity(plan.images("g_h", "identity"), plan.identity_family).ratios
 
 
 def _run_spectral_identity(plan: _Plan) -> list:

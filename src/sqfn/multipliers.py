@@ -8,6 +8,10 @@ used inside the dominating square function, the heat/Poisson
 square-function symbols, and the L^2 normalization constant kappa of a
 profile.  Bumps and their transforms integrate with one Clenshaw-Curtis
 rule; kappa with one fixed composite Gauss-Legendre rule on a log axis.
+A profile may take an array of any shape, such as the whole (time node x
+sqrt(L) level) grid of a square function's table; the bump transform
+answers a batch larger than its certified Chebyshev degree from that
+rule's values at the Chebyshev points, interpolated barycentrically.
 """
 
 from __future__ import annotations
@@ -85,11 +89,16 @@ class FourierBump:
 
     phi is even so Phi is real and even, Phi(0) = 1 and |Phi| <= 1.
     Evaluation is Clenshaw-Curtis quadrature over the bump's support,
-    vectorized over the requested spectral nodes.
+    vectorized over the requested spectral nodes.  A call runs it at
+    every live point, unless it has more live points than the n + 1
+    Chebyshev points of [0, max|s|] whose interpolant is certified to
+    hold the quadrature's own Phi there (``_chebyshev_degree``): then it
+    runs at those points only, and the rest is barycentric interpolation.
     """
 
     def __init__(self, bump: BumpProfile):
         a = bump.support_radius
+        self._radius = a
         self._nodes = a * _CC_NODES
         self._weights = a * _CC_WEIGHTS * bump(self._nodes)
         # Frequencies above intervals/(2a) alias through the quadrature;
@@ -102,15 +111,78 @@ class FourierBump:
         out = np.zeros_like(flat)
         live = np.abs(flat) <= self.valid_to
         src = flat[live]
-        res = np.empty_like(src)
-        # Chunked to bound the outer-product workspace, which cos overwrites.
-        step = 4096
-        for i in range(0, src.size, step):
-            phase = np.outer(src[i : i + step], self._nodes)
-            res[i : i + step] = np.cos(phase, out=phase) @ self._weights
-        out[live] = res
+        top = float(np.max(np.abs(src), initial=0.0))
+        n = _chebyshev_degree(self._radius * top / 2.0)
+        table = self._chebyshev_values(top, n) if 0 < top and n + 1 < src.size else None
+        out[live] = self._quadrature(src) if table is None else _barycentric(np.abs(src), *table)
         out = out.reshape(s.shape)
         return out if out.ndim else float(out)
+
+    def _quadrature(self, src: np.ndarray) -> np.ndarray:
+        """Phi at every point of src by the Clenshaw-Curtis sum."""
+        res = np.empty_like(src)
+        # Chunked to bound the outer-product workspace, which cos overwrites.
+        for i in range(0, src.size, _ROWS):
+            phase = np.outer(src[i : i + _ROWS], self._nodes)
+            res[i : i + _ROWS] = np.cos(phase, out=phase) @ self._weights
+        return res
+
+    def _chebyshev_values(self, top: float, n: int):
+        """(points, Phi there) at the n + 1 Chebyshev points of [0, top], or
+        None unless the values' last two Chebyshev coefficients confirm
+        the degree, each below _TRAILING_TOL."""
+        points = 0.5 * top * (1.0 + np.cos(np.pi * np.arange(n + 1) / n))
+        vals = self._quadrature(points)
+        # the DCT-I of the values by one FFT of their even extension
+        coeffs = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+        if not np.max(np.abs(coeffs[-2:])) <= _TRAILING_TOL:
+            return None
+        return points, vals
+
+
+# Rows per chunk of FourierBump's workspace: 4096 x 2001 quadrature nodes,
+# or 4096 x (n + 1) <= 4096 x 2001 Chebyshev points.
+_ROWS = 4096
+
+# The degree rule.  The quadrature's Phi is sum_j w_j cos(s x_j) with
+# every w_j >= 0, sum_j w_j = Phi(0) ~ 1 and |x_j| <= a.  On [0, S] with
+# s = S (1 + u) / 2, one cosine has Chebyshev coefficients in u of size
+# |a_k| <= 2 |J_k(x_j S / 2)| <= 2 (c/2)^k / k!, c = a S / 2 (Jacobi-Anger;
+# DLMF 10.14.4).  The degree-n interpolant at Chebyshev points errs by at
+# most 2 sum_{k > n} |a_k| (Trefethen, Approximation Theory and
+# Approximation Practice, ch. 4), which is <= 8 (c/2)^(n+1) / (n+1)! once
+# n + 1 >= c, as the terms then at least halve.  The degree holds that
+# below one unit roundoff; the trailing coefficients computed from the
+# values must confirm it.
+_CHEBYSHEV_TOL = 2.0**-53
+_TRAILING_TOL = 1e-14
+
+
+def _chebyshev_degree(c: float) -> int:
+    """The smallest n >= max(1, c - 1) with 8 (c/2)^(n+1) / (n+1)! <= _CHEBYSHEV_TOL."""
+    n, bound = 1, c * c
+    while n + 1 < c or bound > _CHEBYSHEV_TOL:
+        n += 1
+        bound *= 0.5 * c / (n + 1)
+    return n
+
+
+def _barycentric(x: np.ndarray, points: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The interpolant through vals at Chebyshev points of the second kind,
+    at x, by the second barycentric formula (Berrut-Trefethen, SIAM Review
+    46, 2004) in row chunks; an x on a point takes that point's value."""
+    w = (-1.0) ** np.arange(points.size)
+    w[[0, -1]] *= 0.5
+    out = np.empty_like(x)
+    for i in range(0, x.size, _ROWS):
+        diff = np.subtract.outer(x[i : i + _ROWS], points)
+        hit = diff == 0.0
+        diff[hit] = 1.0
+        q = np.divide(w, diff, out=diff)
+        out[i : i + _ROWS] = (q @ vals) / q.sum(axis=1)
+        rows, cols = np.nonzero(hit)
+        out[i + rows] = vals[cols]
+    return out
 
 
 def psi_vanishing(n: int):

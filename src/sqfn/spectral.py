@@ -88,15 +88,17 @@ class SpectralOperator:
 
     def profile_values(self, profile) -> np.ndarray:
         """F(sqrt(L)) at every spectral coefficient, evaluated once per
-        distinct value; NaN/Inf is an error naming the smallest spectral
-        value where F is not finite."""
-        vals = np.broadcast_to(np.asarray(profile(self._levels), dtype=np.complex128),
-                               self._levels.shape)
-        bad = ~np.isfinite(vals)
+        distinct value.  F may return leading axes of its own (one row per
+        time node, say), which the result keeps in front of the spectrum's
+        shape.  NaN/Inf is an error naming the smallest spectral value
+        where F is not finite."""
+        vals = np.asarray(profile(self._levels), dtype=np.complex128)
+        vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, self._levels.shape))
+        bad = ~np.isfinite(vals).reshape(-1, self._levels.size).all(axis=0)
         if np.any(bad):
             s = float(self._levels[bad][0])
             raise NonFiniteError(f"profile is NaN/Inf at the spectral value sqrt(L) = {s!r}")
-        return vals[self._where]
+        return vals[..., self._where]
 
     def _guard_budget(self):
         need = self.grid.size**2 * 16 / 2**20

@@ -7,7 +7,7 @@ semigroup with density t^2 |grad .|^2 (vertical kinds), or psi (g*).
 K_j is a delta (g-functions), the ball {|y| < t_j} over t_j^n (area
 integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
 ``SquareFunction`` says this once.  Built once, it tabulates phi on (time
-node x spectrum), each row on the distinct values of sqrt(L) only, and
+node x spectrum) in one call on the (node x distinct sqrt(L)) grid, and
 stacks the kernel FFTs.  Applied, it transforms f once, then takes the
 nodes in blocks of ``_BLOCK_ELEMENTS`` entries: one batched inverse, one
 FFT convolution, and the rows added in node order.  The oscillator keeps
@@ -103,10 +103,10 @@ class SquareFunction:
         self.op = op
         self.vertical = vertical
         self.nodes = [float(t) for t in times.nodes]
-        # one row per node, each evaluated on the distinct values of sqrt(L);
-        # the copy drops each complex row before the next is evaluated
-        self.table = np.stack([op.profile_values(lambda s: symbol(t * s)).real.copy()
-                               for t in self.nodes])
+        # the symbol on the whole (time node x distinct sqrt(L)) grid in one
+        # call, one row per node; the copy drops the complex table
+        self.table = op.profile_values(
+            lambda s: symbol(np.multiply.outer(self.nodes, s))).real.copy()
         self.kernels = kernels
         g, dt = op.grid, times.log_weight
         self.weights = [dt if kernels is None else g.cell_volume * dt / t**g.dim

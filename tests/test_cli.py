@@ -308,6 +308,28 @@ def test_a_run_applies_each_square_function_once_per_member(tmp_path, monkeypatc
     assert applies and max(applies.values()) == 1
 
 
+def test_identity_checks_share_one_family_and_its_images(tmp_path, monkeypatch):
+    """spectral_identity and plancherel in one run apply the identity-grid
+    g_h once to each of the family's members, not once per check."""
+    factory = cli.square_function_operator
+    applies = Counter()
+
+    def counted(kind, *args, **kwargs):
+        T = factory(kind, *args, **kwargs)
+
+        def apply(f):
+            applies[kind] += 1
+            return T(f)
+
+        return apply
+
+    monkeypatch.setattr(cli, "square_function_operator", counted)
+    assert main(["run", "--check", "spectral_identity", "--check", "plancherel",
+                 "--set", "operator.n=128", "--set", "family.count=8",
+                 "--set", f"output.directory={tmp_path}"]) == 0
+    assert applies["g_h"] == 8
+
+
 def test_a_run_drops_its_square_functions(tmp_path, monkeypatch):
     """The plan's builds are not reachable once run returns."""
     builds = _counting_factory(monkeypatch)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sqfn import cli, multipliers
 from sqfn.errors import ParameterError
 from sqfn.grid import Grid
 from sqfn.kernelbounds import _periodized, constant_variation, sweep
@@ -100,3 +101,14 @@ def test_compact_support_all_kappa_fine_grid():
     for kappa in (0, 1, 2):
         rec = _record(op, "compact_support", 0.8, kappa)
         assert rec["support_violation_mass"] < 1e-6
+
+
+def test_compact_support_sweeps_keep_the_direct_quadrature(torus, monkeypatch):
+    """The radius-1 bump's records sit at roundoff, so each of its 65-level
+    calls at the CLI's compact-support times must run the direct quadrature:
+    there n + 1 >= a max|s| / 2 exceeds the call's size."""
+    t_lo, t_hi, variants = cli._SWEEP_GRIDS["compact_support"]
+    monkeypatch.setattr(multipliers.FourierBump, "_chebyshev_values",
+                        lambda self, top, n: pytest.fail("took the Chebyshev path"))
+    for v in variants:
+        sweep(torus, "compact_support", np.geomspace(t_lo, t_hi, 5), v)

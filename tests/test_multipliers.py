@@ -1,10 +1,14 @@
+from math import lgamma
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sqfn import multipliers
 from sqfn.errors import DecayClassError, ParameterError
-from sqfn.multipliers import (BumpProfile, FourierBump, clenshaw_curtis,
-                              kappa, psi_vanishing, square_symbol)
+from sqfn.multipliers import (BumpProfile, FourierBump, _chebyshev_degree,
+                              clenshaw_curtis, kappa, psi_vanishing,
+                              square_symbol)
 
 
 def test_clenshaw_curtis_low_order():
@@ -105,3 +109,56 @@ def test_phi_hat_decay():
     prof = FourierBump(BumpProfile(0.1))
     # smooth-bump transform decay is subexponential in sqrt(s)
     assert abs(prof(1000.0)) < 1e-4 * abs(prof(0.0))
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batch_phi_matches_direct_quadrature(radius, seed):
+    """Batches large enough for the Chebyshev path agree with the direct
+    quadrature to 1e-14 over the whole live range, a * s <= 1000."""
+    phi = FourierBump(BumpProfile(radius))
+    rng = np.random.default_rng(seed)
+    for size in (800, 4097):
+        for top in np.array([1.0, 100.0, 1000.0]) / radius:
+            s = rng.uniform(-top, top, size)
+            s[0] = top
+            n = _chebyshev_degree(radius * top / 2)
+            assert n + 1 < size and phi._chebyshev_values(top, n) is not None
+            got = phi(s)
+            assert np.max(np.abs(got - phi._quadrature(s))) <= 1e-14, (size, top)
+
+
+@pytest.mark.parametrize("radius", [0.1, 1.0])
+def test_small_calls_keep_the_direct_quadrature_bits(radius):
+    """A call with no more live points than n + 1 runs the direct
+    quadrature, bit for bit; points past valid_to stay 0 and do not count."""
+    phi = FourierBump(BumpProfile(radius))
+    rng = np.random.default_rng(5)
+    for top in (0.5 / radius, 50.0 / radius, 900.0 / radius):
+        size = _chebyshev_degree(radius * top / 2) + 1
+        s = rng.uniform(0.0, top, size)
+        s[0] = top
+        padded = np.concatenate([s, [2.0 * phi.valid_to] * size])
+        direct = phi._quadrature(s)
+        assert np.array_equal(phi(s), direct)
+        assert np.array_equal(phi(padded), np.concatenate([direct, np.zeros(size)]))
+
+
+def test_uncertified_chebyshev_values_fall_back_to_direct(monkeypatch):
+    """Trailing coefficients above the tolerance send the call to the direct
+    quadrature: a degree too low for the batch cannot pass."""
+    phi = FourierBump(BumpProfile(0.1))
+    s = np.linspace(0.0, 5000.0, 3000)
+    assert phi._chebyshev_values(5000.0, 40) is None
+    monkeypatch.setattr(multipliers, "_chebyshev_degree", lambda c: 40)
+    assert np.array_equal(phi(s), phi._quadrature(s))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.3, 2.5, 28.8, 94.0, 500.0])
+def test_chebyshev_degree_meets_its_bound(c):
+    """n >= max(1, c - 1), 8 (c/2)^(n+1)/(n+1)! within one unit roundoff,
+    and n - 1 misses it (n = 1 or n - 1 < c - 1 aside)."""
+    n = _chebyshev_degree(c)
+    bound = lambda m: 8.0 * np.exp((m + 1) * np.log(c / 2) - lgamma(m + 2)) if c else 0.0
+    assert n >= max(1, c - 1) and bound(n) <= 2.0**-53
+    assert n == 1 or n - 1 < c - 1 or bound(n - 1) > 2.0**-53

@@ -280,6 +280,30 @@ def test_profile_values_names_the_nonfinite_spectral_value(op, profile, where):
     assert str(err.value).endswith(where)
 
 
+@pytest.mark.parametrize("op", [LaplacianTorus(Grid(1, 16, 1.0)), LaplacianTorus(Grid(2, 8, 1.0)),
+                                HermiteOscillator1D(Grid(1, 64, 12.0), 16)],
+                         ids=["torus1d", "torus2d", "oscillator"])
+def test_profile_values_keep_a_profiles_leading_axes(op):
+    """A profile with leading axes gives those axes in front of the
+    spectrum's shape, each row as if evaluated alone; a non-finite entry in
+    any row names its spectral value."""
+    ts = np.array([[0.01, 0.1, 1.0], [0.02, 0.2, 2.0]])
+    got = op.profile_values(lambda s: np.exp(-np.multiply.outer(ts, s)))
+    assert got.shape == ts.shape + op.profile_values(np.exp).shape
+    for i, j in np.ndindex(ts.shape):
+        assert np.array_equal(got[i, j], op.profile_values(lambda s: np.exp(-ts[i, j] * s)))
+    top = float(op.spectral_nodes()[-1])
+
+    def one_bad_row(s):
+        vals = np.multiply.outer(ts, s)
+        vals[1, 2, -1] = np.nan
+        return vals
+
+    with pytest.raises(NonFiniteError) as err:
+        op.profile_values(one_bad_row)
+    assert str(err.value).endswith(f"sqrt(L) = {top!r}")
+
+
 # ---------------------------------------------------------------------------
 # Distinct spectral levels and node-stacked transforms change no value
 # ---------------------------------------------------------------------------
