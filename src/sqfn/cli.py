@@ -3,11 +3,14 @@
 Configuration is a plain-text ``key = value`` file with ``[section]``
 headers.  Unknown keys, and numeric keys whose value does not parse, are
 rejected with the offending line number.  A stable digest of the
-canonicalized config, every key but output.directory, stamps every output
-file, so reports from different configurations can never be merged silently.
+canonicalized config, every key but output.directory and checks.enabled
+(which choose where a run writes and which records, not their values),
+stamps every output file, so reports from different configurations can
+never be merged silently.
 
 Outputs: a JSON-lines report (one header line carrying the config hash,
-the timestamp, the resolved operator.* values and the Python and numpy
+the timestamp, the resolved operator.* values, each time grid the run
+built by role (t_min, t_last, count, per_octave) and the Python and numpy
 versions, then one line per record), a CSV summary (tag, value,
 bound, passed, config_hash, runtime_s) and gnuplot-ready two-column .dat
 files for the growth fits.  The run's ``_Plan`` builds and applies every
@@ -177,7 +180,8 @@ def parse_config(path: str | None, overrides: dict | None = None) -> dict:
 
 
 def config_hash(cfg: dict) -> str:
-    canonical = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k != "output.directory")
+    unhashed = ("output.directory", "checks.enabled")  # they change no record's value
+    canonical = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg) if k not in unhashed)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
@@ -218,23 +222,37 @@ def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
 
 class _Plan:
     """A run's config, its operator and what its checks share, each made when
-    first asked for and kept on the instance: square(kind, role), kind on the
-    "cone" or "identity" time grid (params.mu is read only for g_star); the
-    resolved family; the band-limited family the identity grid captures; the
-    weights, seeded family.seed + 100; and images(kind, role), the role's
-    family's images under square(kind, role) in member order."""
+    first asked for and kept on the instance: times(role), the "cone" or
+    "identity" time grid; square(kind, role), kind on that grid (params.mu is
+    read only for g_star); the resolved family; the band-limited family the
+    identity grid captures; the weights, seeded family.seed + 100; and
+    images(kind, role), the role's family's images under square(kind, role)
+    in member order."""
 
     def __init__(self, cfg: dict, op):
         self.cfg = cfg
         self.op = op
+        self._times = {}
         self._built = {}
         self._images = {}
+
+    def times(self, role: str) -> TimeGrid:
+        if role not in self._times:
+            self._times[role] = _time_grid(self.cfg, self.op, role)
+        return self._times[role]
+
+    def time_grids(self) -> dict:
+        """Each time grid built so far, by role: its first and last node,
+        node count and nodes per octave."""
+        return {role: {"t_min": times.t_min, "t_last": float(times.nodes[-1]),
+                       "count": times.count, "per_octave": int(self.cfg["times.per_octave"])}
+                for role, times in self._times.items()}
 
     def square(self, kind: str, role: str = "cone"):
         if (kind, role) not in self._built:
             kwargs = {"mu": float(self.cfg["params.mu"])} if kind == "g_star" else {}
             self._built[kind, role] = square_function_operator(
-                kind, self.op, _time_grid(self.cfg, self.op, role), **kwargs)
+                kind, self.op, self.times(role), **kwargs)
         return self._built[kind, role]
 
     @functools.cached_property
@@ -247,7 +265,7 @@ class _Plan:
 
     @functools.cached_property
     def identity_family(self):
-        return band_limited_family(self.op, _time_grid(self.cfg, self.op, "identity"),
+        return band_limited_family(self.op, self.times("identity"),
                                    int(self.cfg["family.seed"]), int(self.cfg["family.count"]))
 
     def images(self, kind: str, role: str = "cone") -> list:
@@ -278,7 +296,7 @@ def _run_spectral_identity(plan: _Plan) -> list:
 
 def _run_plancherel(plan: _Plan) -> list:
     cfg, op = plan.cfg, plan.op
-    fam_cone = band_limited_family(op, _time_grid(cfg, op, "cone"), int(cfg["family.seed"]),
+    fam_cone = band_limited_family(op, plan.times("cone"), int(cfg["family.seed"]),
                                    int(cfg["family.count"]),
                                    capture=_OPERATORS[cfg["operator.name"]].capture)
     rs = [lp_norm(plan.square("s_h")(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
@@ -327,8 +345,7 @@ def _run_kernel_bounds(plan: _Plan) -> list:
     for lemma, (t_lo, t_hi, variants) in _SWEEP_GRIDS.items():
         ts = np.geomspace(t_lo, t_hi, 5)
         symbol = "rho" if lemma == "smoothed_difference" else "k"
-        for v in variants:
-            recs = sweep(plan.op, lemma, ts, v)
+        for v, recs in zip(variants, sweep(plan.op, lemma, ts, variants)):
             var = constant_variation(recs)
             rec = {"tag": f"{lemma}_{symbol}{v:g}", "value": var,
                    "bound": constants.KERNEL_FIT_VARIATION,
@@ -585,6 +602,7 @@ def run(cfg: dict) -> int:
               "operator": {"name": cfg["operator.name"], "dim": plan.op.grid.dim,
                            "n": plan.op.grid.points_per_axis, "r": plan.op.grid.half_width,
                            "truncation": getattr(plan.op, "truncation", None)},
+              "time_grids": plan.time_grids(),
               "python": platform.python_version(), "numpy": np.__version__}
     with open(os.path.join(out, "report.jsonl"), "w") as fh:
         fh.write(json.dumps(header) + "\n")

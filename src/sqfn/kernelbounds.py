@@ -1,10 +1,11 @@
 """Kernel-bound sweeps: fitted constants for four kernel estimates.
 
-``sweep(op, lemma, t_values, variant)`` samples the lemma's kernel at
-each t (oversampled on the 1-D torus, a dense matrix otherwise), fits the
-bound's shape and returns one record per t: lemma, t, r, kappa, C_fit,
-c_fit and support_violation_mass (None where unused).  ``_LEMMAS`` gives
-each lemma's variant and fit:
+``sweep(op, lemma, t_values, variants)`` samples the lemma's kernel at
+each t for each variant (oversampled on the 1-D torus, a dense matrix
+otherwise), fits the bound's shape and returns, per variant, one record
+per t: lemma, t, r, kappa, C_fit, c_fit and support_violation_mass (None
+where unused).  At each t the factor every variant shares is evaluated
+once.  ``_LEMMAS`` gives each lemma's variant, shared factor and fit:
 
 * compact support (kappa in {0, 1, 2}) — kernel of (t^2 L)^kappa
   Phi(t sqrt(L)), Phi a bump supported in (-1, 1): sup bounded by
@@ -69,10 +70,23 @@ def _kernel_samples(op: SpectralOperator, profile, gradient: bool = False):
     return dist.reshape(-1), vals.reshape(-1)
 
 
-def _compact_support(op: SpectralOperator, t: float, kappa: int) -> dict:
-    """Bump of radius 1: sup times t^n, and the mass outside t + halo."""
-    phi = FourierBump(BumpProfile(1.0))
-    dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * phi(t * s))
+def _dilate_once(profile, t: float):
+    """s -> profile(t s), evaluated once while it is called on one array: the
+    operator evaluates every profile on its own array of spectral levels."""
+    last = []
+
+    def dilate(s):
+        if not last or last[0] is not s:
+            last[:] = [s, profile(t * s)]
+        return last[1]
+
+    return dilate
+
+
+def _compact_support(op: SpectralOperator, t: float, kappa: int, phi_t) -> dict:
+    """Bump of radius 1, phi_t = Phi_1(t s): sup times t^n, and the mass
+    outside t + halo."""
+    dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * phi_t(s))
     mags = np.abs(vals)
     outside = dist > t + constants.SUPPORT_HALO_CELLS * op.grid.spacing
     total = float(np.sum(mags))
@@ -81,25 +95,25 @@ def _compact_support(op: SpectralOperator, t: float, kappa: int) -> dict:
                 float(np.sum(mags[outside])) / total if total > 0 else 0.0}
 
 
-def _smoothed_difference(op: SpectralOperator, t: float, r_over_t: float) -> dict:
-    """Psi = psi_vanishing, Phi the transform of the radius-1/10 bump."""
-    psi = psi_vanishing(op.dim)
+def _smoothed_difference(op: SpectralOperator, t: float, r_over_t: float, psi_t) -> dict:
+    """psi_t = Psi(t s), Psi = psi_vanishing; Phi the transform of the
+    radius-1/10 bump."""
     phi = FourierBump(BumpProfile(0.1))
     r = r_over_t * t
-    dist, vals = _kernel_samples(op, lambda s: psi(t * s) * (1.0 - phi(r * s)))
+    dist, vals = _kernel_samples(op, lambda s: psi_t(s) * (1.0 - phi(r * s)))
     n = op.dim
     envelope = lambda d: (r / t ** (n + 1)) * (1.0 + d**2 / t**2) ** (-(n + 1) / 2.0)
     return _sup_fit(op, dist, vals, envelope)
 
 
-def _poisson_decay(op: SpectralOperator, t: float, kappa: int) -> dict:
+def _poisson_decay(op: SpectralOperator, t: float, kappa: int, _shared) -> dict:
     dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * np.exp(-t * s))
     n = op.dim
     envelope = lambda d: t ** (-n) * (1.0 + d / t) ** (-(n + 2 * kappa + 1))
     return _sup_fit(op, dist, vals, envelope)
 
 
-def _gradient_heat(op: SpectralOperator, t: float, kappa: int) -> dict:
+def _gradient_heat(op: SpectralOperator, t: float, kappa: int, _shared) -> dict:
     """Two-stage Gaussian fit of |grad_x K| <= C t^{-(n+1)} exp(-d^2 / (c t^2))."""
     dist, vals = _kernel_samples(
         op, lambda s: (t * s) ** (2 * kappa) * np.exp(-((t * s) ** 2)), gradient=True
@@ -108,43 +122,56 @@ def _gradient_heat(op: SpectralOperator, t: float, kappa: int) -> dict:
     return {"C_fit": C, "c_fit": c}
 
 
-# lemma -> (variant key, variant check, (op, t, variant) -> the record's fit fields)
+# lemma -> (variant key, variant check, op -> the profile F whose dilate
+# F(t s) every variant shares or None, (op, t, variant, that dilate) -> the
+# record's fit fields)
 _LEMMAS = {
-    "compact_support": ("kappa", lambda v: v in (0, 1, 2), _compact_support),
-    "smoothed_difference": ("r_over_t", lambda v: v > 0, _smoothed_difference),
-    "poisson_decay": ("kappa", lambda v: v >= 0, _poisson_decay),
-    "gradient_heat": ("kappa", lambda v: v >= 0, _gradient_heat),
+    "compact_support": ("kappa", lambda v: v in (0, 1, 2),
+                        lambda op: FourierBump(BumpProfile(1.0)), _compact_support),
+    "smoothed_difference": ("r_over_t", lambda v: v > 0,
+                            lambda op: psi_vanishing(op.dim), _smoothed_difference),
+    "poisson_decay": ("kappa", lambda v: v >= 0, None, _poisson_decay),
+    "gradient_heat": ("kappa", lambda v: v >= 0, None, _gradient_heat),
 }
 
 
-def sweep(op: SpectralOperator, lemma: str, t_values, variant) -> list:
-    """Run one lemma's sweep over a time grid; returns the record list.
+def sweep(op: SpectralOperator, lemma: str, t_values, variants) -> list:
+    """Run one lemma's sweep over a time grid for each variant; returns one
+    record list per variant, in the order of ``variants``.
 
-    ``variant`` is kappa (0, 1 or 2 for compact support, >= 0 otherwise),
-    or r/t > 0 for the smoothed difference.
+    A variant is kappa (0, 1 or 2 for compact support, >= 0 otherwise),
+    or r/t > 0 for the smoothed difference.  At each t, Phi_1(t sqrt(L))
+    (compact support) or psi(t sqrt(L)) (smoothed difference) is evaluated
+    once for all the variants.
     """
     if lemma not in _LEMMAS:
         raise ParameterError(f"unknown kernel lemma {lemma!r}")
-    key, valid, fit = _LEMMAS[lemma]
-    if not valid(variant):
-        raise ParameterError(f"{lemma}: invalid {key} {variant!r}")
+    key, valid, shared, fit = _LEMMAS[lemma]
+    if len(variants) == 0:
+        raise ParameterError(f"{lemma}: no {key} to sweep")
+    for variant in variants:
+        if not valid(variant):
+            raise ParameterError(f"{lemma}: invalid {key} {variant!r}")
     if len(t_values) == 0:
         raise ParameterError(f"{lemma}: the time grid is empty")
-    records = []
+    profile = shared(op) if shared else None
+    records = [[] for _ in variants]
     for t in t_values:
         t = float(t)
         if not (t > 0):
             raise ParameterError(f"{lemma}: t must be positive, got {t}")
-        fields = fit(op, t, variant)
-        records.append({
-            "lemma": lemma,
-            "t": t,
-            "r": variant * t if key == "r_over_t" else None,
-            "kappa": variant if key == "kappa" else None,
-            "C_fit": fields["C_fit"],
-            "c_fit": fields.get("c_fit"),
-            "support_violation_mass": fields.get("support_violation_mass"),
-        })
+        dilate = _dilate_once(profile, t) if profile else None
+        for variant, recs in zip(variants, records):
+            fields = fit(op, t, variant, dilate)
+            recs.append({
+                "lemma": lemma,
+                "t": t,
+                "r": variant * t if key == "r_over_t" else None,
+                "kappa": variant if key == "kappa" else None,
+                "C_fit": fields["C_fit"],
+                "c_fit": fields.get("c_fit"),
+                "support_violation_mass": fields.get("support_violation_mass"),
+            })
     return records
 
 

@@ -7,7 +7,8 @@ supported bump, its Fourier transform, the high-order-vanishing profile
 used inside the dominating square function, the heat/Poisson
 square-function symbols, and the L^2 normalization constant kappa of a
 profile.  Bumps and their transforms integrate with one Clenshaw-Curtis
-rule; kappa with one fixed composite Gauss-Legendre rule on a log axis.
+rule, built at import in one cosine matrix filled in place; kappa with
+one fixed composite Gauss-Legendre rule on a log axis.
 A profile may take an array of any shape, such as the whole (time node x
 sqrt(L) level) grid of a square function's table; the bump transform
 answers a batch larger than its certified Chebyshev degree from that
@@ -34,7 +35,14 @@ def clenshaw_curtis(n: int):
     coeff = np.ones(n // 2 + 1)
     coeff[0] = 0.5
     coeff[-1] = 0.5
-    w = (2.0 / n) * (coeff * moments) @ np.cos(2.0 * np.pi * np.outer(j, k) / n)
+    # cos(2 pi j k / n), built in place in one matrix with no temporary
+    # beside it: j k is exact in float64, and each in-place step is the
+    # same IEEE operation as in 2.0 * np.pi * np.outer(j, k) / n, so the
+    # same bits.  The product stays one GEMV: splitting it moves the last bit.
+    cosines = np.outer(j, k, out=np.empty((j.size, k.size)))
+    cosines *= 2.0 * np.pi
+    cosines /= n
+    w = (2.0 / n) * (coeff * moments) @ np.cos(cosines, out=cosines)
     w[0] *= 0.5
     w[-1] *= 0.5
     return x, w

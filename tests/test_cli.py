@@ -138,6 +138,21 @@ def test_config_hash_ignores_the_output_directory(tmp_path):
     assert config_hash(a) == config_hash(b) == config_hash(parse_config(None))
 
 
+def test_config_hash_ignores_which_checks_run(tmp_path):
+    """checks.enabled chooses which records a run writes, not their values:
+    weak_lp's records carry one digest whether growth_in_p runs beside it."""
+    digests = []
+    for sub, checks in (("a", ["weak_lp"]), ("b", ["weak_lp", "growth_in_p"])):
+        argv = ["run", "--set", "operator.n=64", "--set", "family.count=8",
+                "--set", "times.per_octave=4", "--set", f"output.directory={tmp_path / sub}"]
+        for check in checks:
+            argv += ["--check", check]
+        assert main(argv) in (0, 1)
+        lines = (tmp_path / sub / "report.jsonl").read_text().splitlines()
+        digests.append({json.loads(line)["config_hash"] for line in lines})
+    assert len(digests[0]) == 1 and digests[0] == digests[1]
+
+
 def test_list_checks_and_describe(capsys):
     assert main(["list-checks"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -202,11 +217,36 @@ def test_report_header_describes_the_run(tmp_path, name, n, r, truncation):
                  "--set", f"operator.n={n}", "--set", "operator.truncation=32",
                  "--set", f"output.directory={tmp_path / 'out'}"]) in (0, 1)
     header = json.loads((tmp_path / "out" / "report.jsonl").read_text().splitlines()[0])
-    assert set(header) == {"config_hash", "timestamp", "operator", "python", "numpy"}
+    assert set(header) == {"config_hash", "timestamp", "operator", "time_grids",
+                           "python", "numpy"}
     assert header["operator"] == {"name": name, "dim": 1, "n": n, "r": r,
                                   "truncation": truncation}
+    assert header["time_grids"] == {}  # finite_propagation builds no time grid
     assert header["python"] == platform.python_version()
     assert header["numpy"] == np.__version__
+
+
+@pytest.mark.parametrize("checks, roles", [(["weak_lp"], {"cone"}),
+                                           (["spectral_identity"], {"identity"}),
+                                           (["plancherel"], {"cone", "identity"})])
+def test_report_header_records_each_time_grid(tmp_path, checks, roles):
+    """The header gives each time grid the run built, by role: t_min, the
+    last node, the node count and per_octave."""
+    overrides = {"operator.n": "128", "family.count": "2", "times.per_octave": "4",
+                 "output.directory": str(tmp_path / "out")}
+    argv = ["run"] + [arg for check in checks for arg in ("--check", check)]
+    for key, value in overrides.items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) in (0, 1)
+    header = json.loads((tmp_path / "out" / "report.jsonl").read_text().splitlines()[0])
+    cfg = parse_config(None, overrides)
+    op = _build_operator(cfg)
+    assert set(header["time_grids"]) == roles
+    for role in roles:
+        times = _time_grid(cfg, op, role)
+        assert header["time_grids"][role] == {
+            "t_min": times.t_min, "t_last": float(times.nodes[-1]),
+            "count": times.count, "per_octave": 4}
 
 
 def test_ratio_records_carry_witness_and_skipped(tmp_path):

@@ -14,8 +14,8 @@ def torus():
 
 
 def _record(op, lemma, t, variant):
-    """The record of a one-t sweep."""
-    (rec,) = sweep(op, lemma, [t], variant)
+    """The record of a one-t, one-variant sweep."""
+    ((rec,),) = sweep(op, lemma, [t], [variant])
     return rec
 
 
@@ -54,21 +54,23 @@ def test_gradient_heat_two_stage_fit(torus):
 
 def test_parameter_guards(torus):
     with pytest.raises(ParameterError):
-        sweep(torus, "compact_support", [0.8], 3)
+        sweep(torus, "compact_support", [0.8], [0, 3])
     with pytest.raises(ParameterError):
-        sweep(torus, "smoothed_difference", [-0.1], 5.0)
+        sweep(torus, "smoothed_difference", [-0.1], [5.0])
     with pytest.raises(ParameterError):
-        sweep(torus, "smoothed_difference", [0.1], 0.0)
+        sweep(torus, "smoothed_difference", [0.1], [0.0])
     with pytest.raises(ParameterError):
-        sweep(torus, "poisson_decay", [0.2], -1)
+        sweep(torus, "poisson_decay", [0.2], [-1])
     with pytest.raises(ParameterError):
-        sweep(torus, "nope", [0.5], 0)
+        sweep(torus, "nope", [0.5], [0])
     with pytest.raises(ParameterError, match="time grid is empty"):
-        sweep(torus, "poisson_decay", [], 0)
+        sweep(torus, "poisson_decay", [], [0])
+    with pytest.raises(ParameterError, match="no kappa to sweep"):
+        sweep(torus, "poisson_decay", [0.2], [])
 
 
 def test_sweep_and_variation(torus):
-    records = sweep(torus, "poisson_decay", np.geomspace(0.12, 0.3, 3), 0)
+    (records,) = sweep(torus, "poisson_decay", np.geomspace(0.12, 0.3, 3), [0])
     assert len(records) == 3
     var = constant_variation(records)
     assert 0.0 <= var < 0.2
@@ -110,5 +112,32 @@ def test_compact_support_sweeps_keep_the_direct_quadrature(torus, monkeypatch):
     t_lo, t_hi, variants = cli._SWEEP_GRIDS["compact_support"]
     monkeypatch.setattr(multipliers.FourierBump, "_chebyshev_values",
                         lambda self, top, n: pytest.fail("took the Chebyshev path"))
-    for v in variants:
-        sweep(torus, "compact_support", np.geomspace(t_lo, t_hi, 5), v)
+    sweep(torus, "compact_support", np.geomspace(t_lo, t_hi, 5), variants)
+
+
+@pytest.mark.parametrize("lemma, variants", [("compact_support", (0, 1, 2)),
+                                             ("smoothed_difference", (0.5, 1.0, 2.0)),
+                                             ("poisson_decay", (0, 2))])
+def test_one_sweep_equals_one_variant_sweeps(torus, lemma, variants):
+    """Sharing the variant-free factor at each t keeps every record's bits."""
+    ts = np.geomspace(0.4, 0.8, 3)
+    together = sweep(torus, lemma, ts, variants)
+    assert together == [sweep(torus, lemma, ts, [v])[0] for v in variants]
+
+
+@pytest.mark.parametrize("lemma, variants, calls", [("compact_support", (0, 1, 2), 1),
+                                                    ("smoothed_difference", (0.5, 1.0, 2.0), 4)])
+def test_shared_factor_is_evaluated_once_per_t(torus, monkeypatch, lemma, variants, calls):
+    """Compact support's Phi_1(t s) is one bump-transform call per t for all
+    three kappa; the smoothed difference makes one psi(t s) call per t and
+    one Phi(r s) call per rho."""
+    count = [0]
+    original = multipliers.FourierBump.__call__
+
+    def counted(self, s):
+        count[0] += 1
+        return original(self, s)
+
+    monkeypatch.setattr(multipliers.FourierBump, "__call__", counted)
+    sweep(torus, lemma, np.geomspace(0.5, 0.8, 5), variants)
+    assert count[0] == 5 * calls

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import lgamma
 
 import numpy as np
@@ -27,6 +28,38 @@ def test_clenshaw_curtis_polynomial_exactness():
 def test_clenshaw_curtis_rejects_odd():
     with pytest.raises(ParameterError):
         clenshaw_curtis(3)
+
+
+def _one_line_rule(n):
+    """The rule as one expression, the whole cosine matrix at once."""
+    k, j = np.arange(n + 1), np.arange(n // 2 + 1)
+    coeff = np.ones(n // 2 + 1)
+    coeff[[0, -1]] = 0.5
+    moments = 2.0 / (1.0 - 4.0 * j**2)
+    w = (2.0 / n) * (coeff * moments) @ np.cos(2.0 * np.pi * np.outer(j, k) / n)
+    w[[0, -1]] *= 0.5
+    return np.cos(np.pi * k / n), w
+
+
+@pytest.mark.parametrize("n", [2, 64, 2000])
+def test_clenshaw_curtis_equals_the_one_line_rule(n):
+    """The in-place build keeps every node's and weight's bits."""
+    for got, want in zip(clenshaw_curtis(n), _one_line_rule(n)):
+        assert np.array_equal(got, want)
+
+
+def test_clenshaw_curtis_build_holds_one_cosine_matrix():
+    """Building the import-time rule peaks at 1.25 cosine matrices; the whole
+    outer product with its temporaries peaks at 2."""
+    n = multipliers._CC_INTERVALS
+    matrix = (n // 2 + 1) * (n + 1) * 8
+    tracemalloc.start()
+    try:
+        clenshaw_curtis(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * matrix, f"peak {peak / matrix:.2f} cosine matrices"
 
 
 def test_bump_normalized_and_supported():

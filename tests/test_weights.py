@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ def test_local_sharp_maximal_brute_force(monkeypatch):
             fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
             np.testing.assert_allclose(fast, expected, rtol=0, atol=1e-12,
                                        err_msg=f"dim={dim} n={n} lam={lam} chunk={chunk}")
+
+
+def test_local_sharp_maximal_works_in_cache_sized_chunks(monkeypatch):
+    """At 2-D N=64 the call's traced peak stays under 2 MB (an 8 MiB chunk
+    peaks near 24 MB), and the chunk size changes no bit."""
+    g = Grid(2, 64, 1.0)
+    f = GridFunction(g, np.random.default_rng(3).standard_normal(g.shape))
+    tracemalloc.start()
+    try:
+        chunked = local_sharp_maximal(f, 0.25).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    monkeypatch.setattr(weights, "_SORT_CHUNK", 1 << 20)
+    assert np.array_equal(chunked, local_sharp_maximal(f, 0.25).values)
 
 
 def test_local_sharp_kills_constants():
