@@ -6,9 +6,11 @@ s -> F(t s) is ``lambda s: F(t * s)``.  Houses the smooth compactly
 supported bump, its Fourier transform, the high-order-vanishing profile
 used inside the dominating square function, the heat/Poisson
 square-function symbols, and the L^2 normalization constant kappa of a
-profile.  Bumps and their transforms integrate with one Clenshaw-Curtis
-rule, built at import in one cosine matrix filled in place; kappa with
-one fixed composite Gauss-Legendre rule on a log axis.
+profile.  Bumps and their transforms integrate with one 2000-interval
+Clenshaw-Curtis rule; kappa with one fixed composite Gauss-Legendre rule
+on a log axis.  Import computes the rule's nodes but reads its weights
+from ``clenshaw_curtis_2000.npy``, the exact bits ``clenshaw_curtis(2000)``
+returns, so no process builds the rule's cosine matrix.
 A profile may take an array of any shape, such as the whole (time node x
 sqrt(L) level) grid of a square function's table; the bump transform
 answers a batch larger than its certified Chebyshev degree from that
@@ -17,6 +19,7 @@ rule's values at the Chebyshev points, interpolated barycentrically.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,10 +51,18 @@ def clenshaw_curtis(n: int):
     return x, w
 
 
-# The one rule every bump and bump transform integrates with, built once
-# at import and read-only, since every caller shares it.
+# The one rule every bump and bump transform integrates with, read-only,
+# since every caller shares it.  The nodes are clenshaw_curtis's own
+# expression; the weights are its GEMV's output stored bit for bit, since
+# every Phi value inherits them and another summation order moves the last
+# bit.  Regenerate the file, from the root of the repository, with
+#   PYTHONPATH=src python -c "import numpy as np; from sqfn.multipliers import clenshaw_curtis; np.save('src/sqfn/clenshaw_curtis_2000.npy', clenshaw_curtis(2000)[1])"
+# tests/test_multipliers.py::test_shipped_rule_is_the_generators_bits ties
+# the file to the generator.
 _CC_INTERVALS = 2000
-_CC_NODES, _CC_WEIGHTS = clenshaw_curtis(_CC_INTERVALS)
+_CC_NODES = np.cos(np.pi * np.arange(_CC_INTERVALS + 1) / _CC_INTERVALS)
+_CC_WEIGHTS_FILE = os.path.join(os.path.dirname(__file__), "clenshaw_curtis_2000.npy")
+_CC_WEIGHTS = np.load(_CC_WEIGHTS_FILE)
 _CC_NODES.flags.writeable = False
 _CC_WEIGHTS.flags.writeable = False
 

@@ -15,7 +15,8 @@ side in cache-sized chunks of ``_SORT_CHUNK`` samples, or one window
 where a window is larger (gathered from a sliding view of the wrap-padded
 array), and takes half the least spread of consecutive order statistics;
 at the full side every window is the whole torus, so one sort serves
-every start.
+every start.  The full side is one cube, so M, M# and the A_1 constant
+take no running extremum there: its value holds at every point.
 """
 
 from __future__ import annotations
@@ -106,9 +107,12 @@ def _leading_min(a: np.ndarray, m: int) -> np.ndarray:
 def _maximal_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     """M of every function in a stack whose trailing axes are the grid's."""
     mags = np.abs(values)
-    best = np.array(mags)  # the one-cell cube is |f| itself
-    cs = _prefix_sums(mags, grid.points_per_axis // 2, -grid.dim)  # every side below N
-    for m in _dyadic_sides(grid)[1:]:
+    n = grid.points_per_axis
+    # the one-cell cube is |f| itself; the full side is one cube, whose mean holds
+    # everywhere (taken first, so its temporaries are gone before the prefix sums)
+    best = np.maximum(mags, _window_sums(mags, n, grid.dim) / float(n) ** grid.dim)
+    cs = _prefix_sums(mags, n // 2, -grid.dim)  # every side from 2 to N/2
+    for m in _dyadic_sides(grid)[1:-1]:
         means = _window_sums(mags, int(m), grid.dim, cs) / float(m) ** grid.dim
         best = np.maximum(best, _trailing_max(means, int(m), grid.dim))
     return best
@@ -152,6 +156,8 @@ def ap_constant(w: Weight, p: float) -> ApReport:
         mean_w = _window_sums(vals, m, dim) / float(m) ** dim
         if p > 1:
             field = mean_w * (_window_sums(dual, m, dim) / float(m) ** dim) ** (p - 1.0)
+        elif m == w.grid.points_per_axis:  # every window is the whole torus
+            field = mean_w / np.min(vals)
         else:
             field = mean_w / _leading_min(vals, m)
         idx = int(np.argmax(field))
@@ -270,6 +276,8 @@ def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
             idx = np.unravel_index(np.arange(lo, min(lo + rows, starts)), g.shape)
             s = np.sort(windows[idx].reshape(-1, count), axis=1)
             per_start[lo : lo + rows] = 0.5 * np.min(s[:, q - 1 :] - s[:, : count - q + 1], axis=1)
-        # np.resize repeats the single m = N value over the grid
-        best = np.maximum(best, _trailing_max(np.resize(per_start, g.shape), m, g.dim))
+        if starts == 1:  # one cube, so its value holds at every point
+            best = np.maximum(best, per_start[0])
+        else:
+            best = np.maximum(best, _trailing_max(per_start.reshape(g.shape), m, g.dim))
     return GridFunction(g, best)

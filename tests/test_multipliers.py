@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from math import lgamma
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,8 +53,8 @@ def test_clenshaw_curtis_equals_the_one_line_rule(n):
 
 
 def test_clenshaw_curtis_build_holds_one_cosine_matrix():
-    """Building the import-time rule peaks at 1.25 cosine matrices; the whole
-    outer product with its temporaries peaks at 2."""
+    """The generator builds the 2000-interval rule at a peak of 1.25 cosine
+    matrices; the whole outer product with its temporaries peaks at 2."""
     n = multipliers._CC_INTERVALS
     matrix = (n // 2 + 1) * (n + 1) * 8
     tracemalloc.start()
@@ -60,6 +64,58 @@ def test_clenshaw_curtis_build_holds_one_cosine_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * matrix, f"peak {peak / matrix:.2f} cosine matrices"
+
+
+def test_shipped_rule_is_the_generators_bits():
+    """The weights file, the weights loaded from it and the nodes computed at
+    import are clenshaw_curtis(2000) bit for bit, and both arrays are read-only."""
+    x, w = clenshaw_curtis(multipliers._CC_INTERVALS)
+    shipped = np.load(multipliers._CC_WEIGHTS_FILE)
+    assert shipped.dtype == w.dtype and np.array_equal(shipped, w)
+    assert np.array_equal(multipliers._CC_NODES, x)
+    assert np.array_equal(multipliers._CC_WEIGHTS, w)
+    assert not multipliers._CC_NODES.flags.writeable
+    assert not multipliers._CC_WEIGHTS.flags.writeable
+
+
+def test_import_builds_no_rule():
+    """A fresh interpreter imports sqfn without calling clenshaw_curtis, at a
+    traced peak of at most 10 MB over numpy: about 2.4 MB, where building the
+    rule's cosine matrix at import peaked at about 16.7 MB."""
+    code = "\n".join([
+        "import sys, tracemalloc",
+        "import numpy",
+        "calls = []",
+        "def hook(frame, event, arg):",
+        "    if event == 'call' and frame.f_code.co_name == 'clenshaw_curtis':",
+        "        calls.append(frame.f_code.co_filename)",
+        "sys.setprofile(hook)",
+        "tracemalloc.start()",
+        "import sqfn",
+        "peak = tracemalloc.get_traced_memory()[1]",
+        "tracemalloc.stop()",
+        "sys.setprofile(None)",
+        "print(len(calls), peak)",
+    ])
+    path = [str(Path(multipliers.__file__).parent.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120,
+                         capture_output=True, text=True).stdout
+    calls, peak = map(int, out.split())
+    assert calls == 0
+    assert peak <= 10e6, f"import sqfn peaked at {peak / 1e6:.1f} MB"
+
+
+def test_rule_file_is_package_data():
+    """The file the loader reads sits in the package and is listed as its
+    package data, so an installed sqfn ships it."""
+    tomllib = pytest.importorskip("tomllib")
+    weights = Path(multipliers._CC_WEIGHTS_FILE)
+    assert weights.parent == Path(multipliers.__file__).parent
+    assert weights.is_file()
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert weights.name in config["tool"]["setuptools"]["package-data"]["sqfn"]
 
 
 def test_bump_normalized_and_supported():
