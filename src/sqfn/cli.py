@@ -675,7 +675,10 @@ def _dump_function(cfg: dict, index: int, path: str) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """sqfn's argument parser, built once per process: parse_args leaves it
+    unchanged (an append action copies its default list before appending)."""
     parser = argparse.ArgumentParser(
         prog="sqfn",
         description="square-function laboratory: empirical inequality checks",
@@ -702,8 +705,11 @@ def main(argv=None) -> int:
                            help="write a test-family member as CSV")
     p_dfn.add_argument("--index", type=int, default=0)
     p_dfn.add_argument("--out", default="function.csv")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "list-checks":
             print("\n".join(sorted(_CHECKS)))

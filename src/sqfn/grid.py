@@ -3,7 +3,9 @@
 The domain is the torus [-R, R)^dim sampled on a uniform grid of N
 points per axis (N a power of two).  All spatial integrals are midpoint
 Riemann sums with cell volume h^dim, h = 2R/N, so weighted sums and
-superlevel counts are mutually consistent by construction.
+superlevel counts are mutually consistent by construction.  Grid
+functions serialize to CSV for output only (to_csv); the package reads
+no CSV back.
 """
 
 from __future__ import annotations
@@ -176,10 +178,11 @@ def weighted_superlevel_measure(f: GridFunction, w: Weight, level: float) -> flo
 
 
 # ---------------------------------------------------------------------------
-# Serialization: column-oriented CSV.
+# Serialization: column-oriented CSV, written only.
 #
 # Layout: one comment line "# dim=<d> N=<n> R=<r>", then a header row
-# with the index coordinate columns followed by re, im.
+# with the index coordinate columns followed by re, im; one row per grid
+# point in np.ndindex order, each float written by repr.
 # ---------------------------------------------------------------------------
 
 
@@ -192,53 +195,3 @@ def to_csv(f: GridFunction) -> str:
     for idx, v in zip(np.ndindex(g.shape), f.values.reshape(-1)):
         writer.writerow([*idx, repr(float(v.real)), repr(float(v.imag))])
     return buf.getvalue()
-
-
-def _parse(kind, text: str, what: str):
-    """kind(text), or a ParameterError naming the entry that does not parse."""
-    try:
-        return kind(text)
-    except ValueError:
-        kind_name = "an int" if kind is int else "a float"
-        raise ParameterError(f"CSV {what} {text!r} is not {kind_name}") from None
-
-
-def from_csv(text: str) -> GridFunction:
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ParameterError("missing CSV metadata line")
-    meta = {}
-    for item in lines[0][1:].split():
-        if "=" not in item:
-            raise ParameterError(f"CSV metadata token {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        if key in meta or key not in ("dim", "N", "R"):
-            raise ParameterError(f"CSV metadata key {key!r} is "
-                                 f"{'repeated' if key in meta else 'unknown'}")
-        meta[key] = value
-    missing = [key + "=" for key in ("dim", "N", "R") if key not in meta]
-    if missing:
-        raise ParameterError(f"CSV metadata line lacks {', '.join(missing)}")
-    grid = Grid(_parse(int, meta["dim"], "dim"), _parse(int, meta["N"], "N"),
-                _parse(float, meta["R"], "R"))
-    rows = list(csv.reader(lines[1:]))
-    if not rows:
-        raise ParameterError("CSV has no header row")
-    header, rows = rows[0], rows[1:]
-    if header[-2:] != ["re", "im"]:
-        raise ParameterError("CSV header must end with re, im columns")
-    n, width = grid.points_per_axis, grid.dim + 2
-    if any(len(row) != width for row in rows):
-        raise ParameterError(f"CSV rows must have {width} columns")
-    ints = [[_parse(int, i, "index") for i in row[: grid.dim]] for row in rows]
-    idx = tuple(np.array(ints, dtype=int).reshape(-1, grid.dim).T)
-    if not all(np.all((0 <= i) & (i < n)) for i in idx):
-        raise ParameterError(f"CSV index outside [0, {n})")
-    count = np.zeros(grid.shape, dtype=int)
-    np.add.at(count, idx, 1)
-    if np.any(count != 1):
-        raise ParameterError("CSV must list every grid point exactly once")
-    values = np.zeros(grid.shape, dtype=np.complex128)
-    values[idx] = [_parse(float, row[-2], "value") + 1j * _parse(float, row[-1], "value")
-                   for row in rows]
-    return GridFunction(grid, values)

@@ -61,8 +61,9 @@ class SpectralOperator:
 
     Subclasses give apply_function(profile, f) = F(sqrt(L)) f, gradient(f) as
     a tuple, kernel_matrix(profile) = (distances, entries) with op(f) ~
-    entries @ f * h^dim over flattened grid points, and the transform pair
-    forward(f) -> coefficients, inverse(coeffs), inverse_gradient(coeffs).
+    entries @ f * h^dim over flattened grid points, project(f) onto the
+    resolved band, and the transform pair forward(f) -> coefficients,
+    inverse(coeffs), inverse_gradient(coeffs).
     They set _levels, _where = np.unique(spectrum, return_inverse=True): the
     distinct values of sqrt(L) and the map back to the spectrum's shape.
     """
@@ -165,6 +166,11 @@ class LaplacianTorus(SpectralOperator):
     def forward(self, f: GridFunction) -> np.ndarray:
         require_same_grid(self, f)
         return np.fft.fftn(f.values)
+
+    def project(self, f: GridFunction) -> GridFunction:
+        """f itself: the torus grid is its own resolved band."""
+        require_same_grid(self, f)
+        return f
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return np.fft.ifftn(coeffs, axes=self.grid.axes)

@@ -84,10 +84,7 @@ class ConeQuadrature:
         self.times = times
 
 
-# Node block x grid size stays within this many entries (256 KiB a complex
-# stack), so a block stays in cache: on a 2-core x86-64 VM a 2-D N=128 S_H
-# call took 71 ms at 2**14, 90 ms at 2**18 and 105 ms at 2**20 entries.
-# A block holds 64 nodes at 1-D N=256, 4 at 2-D N=64 and 1 at 2-D N >= 128.
+# Entries (nodes x grid points) per block: a 256 KiB complex stack stays in cache.
 _BLOCK_ELEMENTS = 2**14
 
 

@@ -7,7 +7,9 @@ exponent bound); doubling gates a check's values under N -> 2N.  A check
 applies no square function: it reads (f, Tf) pairs, a family and the list
 of its images under T, aligned with family.members.
 Empirical suprema over finite families are lower bounds on true
-operator norms, so every pass criterion is one-sided.
+operator norms, so every pass criterion is one-sided.  A family member
+that is zero, as drawn or once windowed or projected onto the operator's
+band, is refused with a ParameterError naming its index, never replaced.
 """
 
 from __future__ import annotations
@@ -112,9 +114,9 @@ class TestFamily:
     members: tuple
 
     def __post_init__(self):
-        for f in self.members:
+        for i, f in enumerate(self.members):
             if float(np.max(np.abs(f.values))) == 0.0:
-                raise ParameterError("test families must not contain the zero function")
+                raise ParameterError(f"test family member {i} is the zero function")
 
 
 def mixed_family(grid: Grid, seed: int, count: int = 20,
@@ -126,7 +128,8 @@ def mixed_family(grid: Grid, seed: int, count: int = 20,
     band, bump and packet members describe the same continuum functions
     on every grid (only the lattice spikes are resolution-bound).
     support_fraction < 1 confines every member to the middle part of the
-    domain (needed by the non-periodic decomposition machinery).
+    domain (needed by the non-periodic decomposition machinery); a member
+    the window zeroes is refused by TestFamily, not replaced.
     """
     n = grid.points_per_axis
     if n < 32:
@@ -158,31 +161,16 @@ def mixed_family(grid: Grid, seed: int, count: int = 20,
             for c in coords:
                 window = window * (np.abs(c) <= cut)
             vals = vals * window
-            if float(np.max(np.abs(vals))) == 0.0:
-                vals = np.zeros(grid.shape)
-                vals[(n // 2,) * grid.dim] = 1.0
         members.append(GridFunction(grid, vals))
     return TestFamily(tuple(members))
 
 
 def resolved_family(op: SpectralOperator, seed: int, count: int = 20,
                     shapes: tuple = ("band", "bump", "spike", "packet")) -> TestFamily:
-    """A mixed family restricted to the operator's resolved band.
-
-    For the torus Laplacian the grid itself is the band, so the mixed
-    family passes through unchanged; oscillator members are projected
-    onto the eigenbasis so the functional calculus accepts them.
-    """
+    """A mixed family projected onto the operator's resolved band (op.project:
+    the torus grid is its own band, so its members pass through unchanged)."""
     fam = mixed_family(op.grid, seed, count, shapes=shapes)
-    if not isinstance(op, HermiteOscillator1D):
-        return fam
-    members = []
-    for f in fam.members:
-        proj = op.project(f)
-        if float(np.max(np.abs(proj.values))) == 0.0:
-            proj = op.synthesize(np.eye(op.truncation)[0])
-        members.append(proj)
-    return TestFamily(tuple(members))
+    return TestFamily(tuple(op.project(f) for f in fam.members))
 
 
 def _hermitian_noise(grid: Grid, rng, lo: int, hi: int, terms: int) -> np.ndarray:

@@ -32,11 +32,7 @@ from .errors import ConvergenceError, ParameterError, SingularWeightError
 from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent, require_same_grid
 
 
-# Window samples local_sharp_maximal sorts at once (256 KiB of float64), so
-# the gather and its sorted copy stay in cache; every row is sorted on its
-# own, so the chunk cannot change a value.  On a 2-core x86-64 VM a 2-D N=64
-# call at lambda = 1/4 took (min of 7) 35.9 ms at 2**20, 34.7 at 2**18, 35.0
-# at 2**17, 31.4 at 2**16, 29.1 at 2**15, 32.4 at 2**14 and 44.9 at 2**13.
+# Samples sorted per chunk: 256 KiB of float64 stays in cache; rows sort alone, so no value moves.
 _SORT_CHUNK = 2**15
 
 

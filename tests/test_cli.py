@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -513,6 +514,28 @@ def test_run_unknown_check_is_usage_error(capsys):
 def test_bad_set_syntax(capsys):
     assert main(["run", "--set", "garbage"]) == 2
     assert "--set expects" in capsys.readouterr().err
+
+
+def test_successive_calls_share_the_parser_but_not_its_values(monkeypatch):
+    """main builds its parsers once per process, and one call's --set and
+    --check values never reach the next (argparse shares an append action's
+    default list between calls)."""
+    seen = []
+    monkeypatch.setattr(cli, "run", lambda cfg: seen.append(cfg) or 0)
+    main(["list-checks"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert main(["run", "--set", "family.seed=3", "--check", "plancherel"]) == 0
+    assert main(["run", "--set", "family.count=5", "--check", "whitney_cz",
+                 "--check", "weak_lp"]) == 0
+    assert not built
+    first, second = seen
+    assert (first["family.seed"], first["family.count"], first["checks.enabled"]) == (
+        "3", "20", "plancherel")
+    assert (second["family.seed"], second["family.count"], second["checks.enabled"]) == (
+        "7", "5", "whitney_cz,weak_lp")
 
 
 def test_kernel_bounds_rejects_hermite(capsys):

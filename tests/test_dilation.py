@@ -1,0 +1,72 @@
+"""Dilation covariance: time has the units of length.
+
+The symbols are functions of t sqrt(L), so t is a length.  Dilating the
+torus by lambda at fixed N maps h, every family member, every weight and
+every time node to its dilate, and each record of a check is a ratio or an
+exponent that the dilation leaves alone.  So a run with operator.r = lambda
+and times.t_max = lambda/4, everything else at its default, must reproduce
+the R = 1 run's records to 1e-12 relative.  Powers of 2 keep h and the time
+nodes exact in binary.  kernel_bounds is left out: its sweep windows are
+absolute times.  A check that raises must raise the same error class.
+
+lambda = 1/2 is not checked: times.t_max = 1/8 passes the operator's trust
+budget R^2/4 = 1/16, which is a heat time, not a length.  A budget in units
+of R is an open change to the library.
+"""
+
+import numpy as np
+import pytest
+
+from sqfn.cli import _CHECKS, _PAIRS, _Plan, _build_operator, parse_config
+from sqfn.errors import SqfnError
+
+
+def _records(dim: int, n: int, overrides: dict) -> dict:
+    """{check: its records, or the class of what it raised} on the torus."""
+    cfg = parse_config(None, {"operator.dim": str(dim), "operator.n": str(n)} | overrides)
+    plan = _Plan(cfg, _build_operator(cfg))
+    out = {}
+    for tag, meta in _CHECKS.items():
+        if tag == "kernel_bounds" or ("laplacian", dim) not in meta.get("runs_on", _PAIRS):
+            continue
+        try:
+            out[tag] = meta["runner"](plan)
+        except SqfnError as exc:  # compared by class below
+            out[tag] = type(exc)
+    return out
+
+
+# passed is compared on its own.  rubio_de_francia's tail is the norm
+# ||v - partial sum||_q, which scales as lambda^(dim/q); its gate divides it
+# by ||v||_q, so its verdict is what must not move.
+_UNCOMPARED = ("passed", "tail")
+
+
+def _numbers(rec: dict) -> dict:
+    """The record's dimensionless numeric fields, with a growth fit's points
+    flattened."""
+    out = {k: v for k, v in rec.items()
+           if isinstance(v, (int, float)) and k not in _UNCOMPARED}
+    for axis, values in zip("xy", rec.get("dat", ())):
+        out |= {f"dat_{axis}{i}": v for i, v in enumerate(values)}
+    return out
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+def test_every_record_is_dilation_invariant(dim, n):
+    base = _records(dim, n, {})
+    for lam in (2, 4):
+        dilated = _records(dim, n, {"operator.r": str(lam), "times.t_max": str(lam / 4)})
+        assert dilated.keys() == base.keys()
+        for tag, recs in base.items():
+            if isinstance(recs, type):
+                assert dilated[tag] is recs, (lam, tag)
+                continue
+            assert [r["tag"] for r in dilated[tag]] == [r["tag"] for r in recs], (lam, tag)
+            for a, b in zip(recs, dilated[tag]):
+                assert a["passed"] == b["passed"], (lam, a["tag"])
+                x, y = _numbers(a), _numbers(b)
+                assert x.keys() == y.keys(), (lam, a["tag"])
+                for key in x:
+                    np.testing.assert_allclose(y[key], x[key], rtol=1e-12, atol=0,
+                                               err_msg=f"lambda={lam} {a['tag']} {key}")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import roots_genlaguerre
 
-from sqfn.errors import (NonFiniteError, ParameterError, ResolutionError,
-                         SpectralTailError)
+from sqfn.errors import (GridMismatchError, NonFiniteError, ParameterError,
+                         ResolutionError, SpectralTailError)
 from sqfn.grid import Grid, GridFunction
 from sqfn.multipliers import psi_vanishing, square_symbol
 from sqfn.spectral import (HermiteOscillator1D, LaplacianTorus, _half_laguerre_rule,
@@ -243,6 +243,18 @@ def test_hermite_projection_idempotent(hermite):
     p1 = hermite.project(f)
     p2 = hermite.project(p1)
     np.testing.assert_allclose(p1.values, p2.values, atol=1e-10)
+
+
+@pytest.mark.parametrize("grid", [Grid(1, 64, 1.0), Grid(2, 16, 0.7)])
+def test_torus_projection_is_the_identity(grid):
+    """The torus grid is its own band: project returns its input's values bit
+    for bit, and refuses a function on another grid."""
+    op = LaplacianTorus(grid)
+    rng = np.random.default_rng(3)
+    f = GridFunction(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    np.testing.assert_array_equal(op.project(f).values, f.values)
+    with pytest.raises(GridMismatchError):
+        op.project(GridFunction(Grid(grid.dim, 32, 1.0), np.ones((32,) * grid.dim)))
 
 
 def test_fit_gaussian_bound_recovers_planted_constants():

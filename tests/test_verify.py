@@ -137,6 +137,41 @@ def test_mixed_family_support_fraction():
         assert np.all(np.abs(f.values[np.abs(x) > 0.5]) == 0.0)
 
 
+def _spike_positions(fam, grid):
+    x = grid.axis_coords()
+    return [float(x[np.argmax(np.abs(f.values))]) for f in fam.members]
+
+
+def test_mixed_family_refuses_a_windowed_out_spike():
+    """A spike outside the support window is refused with its index, not
+    replaced by a centre spike: at seed 3 the second spike sits at -0.4375,
+    past the window |x| <= 0.3."""
+    g = Grid(1, 64, 1.0)
+    at = _spike_positions(mixed_family(g, seed=3, count=2, shapes=("spike",)), g)
+    assert abs(at[0]) <= 0.3 < abs(at[1])
+    with pytest.raises(ParameterError, match="member 1 is the zero function"):
+        mixed_family(g, seed=3, count=2, support_fraction=0.3, shapes=("spike",))
+
+
+def test_resolved_family_refuses_a_band_zeroed_member():
+    """An oscillator spike where every sampled eigenfunction underflows to 0
+    (|x| > 38.6) is refused with its index, not replaced by the ground state:
+    at seed 9 on R = 160 the second spike sits at x = 59."""
+    op = default_operator("hermite", Grid(1, 1024, 160.0), truncation=32)
+    at = _spike_positions(mixed_family(op.grid, seed=9, count=2, shapes=("spike",)), op.grid)
+    assert abs(at[0]) < 20.0 and abs(at[1]) > 38.6
+    with pytest.raises(ParameterError, match="member 1 is the zero function"):
+        resolved_family(op, seed=9, count=2, shapes=("spike",))
+
+
+def test_resolved_family_on_the_torus_is_the_mixed_family(torus):
+    """The torus grid is its own band: resolved members are the mixed ones, bit for bit."""
+    mixed = mixed_family(torus.grid, seed=7, count=8)
+    resolved = resolved_family(torus, seed=7, count=8)
+    for a, b in zip(mixed.members, resolved.members, strict=True):
+        np.testing.assert_array_equal(a.values, b.values)
+
+
 def test_resolved_family_hermite_members_are_in_band():
     op = default_operator("hermite", Grid(1, 256, 22.5))
     fam = resolved_family(op, seed=1, count=8)
