@@ -9,7 +9,8 @@ the records.)  Whitney cubes are dyadic, pairwise disjoint, tile the
 open set exactly, and satisfy diam(Q) <= dist(Q, F) <= 4 diam(Q) (tight
 in one dimension; at the single-cell floor in two dimensions the lower
 constant can dip below 1, which the cover reports rather than hides).
-A cover is two integer arrays, the cubes' lowest corners `starts` and
+A cover of a mask, or of a stack of masks on the trailing axes, is two
+integer arrays, the cubes' stack index and lowest corner `starts` and
 their sides `sides`, built in one sweep over the dyadic sides; the bad
 part of a decomposition is one grid function, zero off the cover.
 """
@@ -25,15 +26,16 @@ from .grid import Grid, GridFunction
 from .weights import _dyadic_sides, maximal
 
 
-def _blocks(a: np.ndarray, m: int) -> np.ndarray:
-    """A grid array viewed as side-m blocks: the block axes (n/m each), then
-    the in-block axes (m each).  Indexed on its block axes by start // m, it
-    gives those cubes' cells as a contiguous copy, one cube per row, whose
-    sums over the in-block axes have the bits of np.sum on each cube alone
-    (a sum over the strided view's in-block axes does not)."""
-    dim = a.ndim
-    split = a.reshape(sum(((n // m, m) for n in a.shape), ()))
-    return split.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)))
+def _blocks(a: np.ndarray, m: int, dim: int) -> np.ndarray:
+    """A stack of grid arrays (the trailing dim axes) viewed as side-m blocks: the
+    stack axes, the block axes (n/m each), then the in-block axes (m each).
+    Indexed by stack index and start // m, it gives those cubes' cells as a
+    contiguous copy, one cube per row, whose sums over the in-block axes have
+    the bits of np.sum on each cube alone (a sum over the strided view's
+    in-block axes does not)."""
+    lead = a.ndim - dim
+    split = a.reshape(a.shape[:lead] + sum(((n // m, m) for n in a.shape[lead:]), ()))
+    return split.transpose((*range(lead), *range(lead, split.ndim, 2), *range(lead + 1, split.ndim, 2)))
 
 
 @dataclass(frozen=True)
@@ -41,85 +43,91 @@ class WhitneyCover:
     """Disjoint dyadic cubes tiling an open set, distance-comparable to F."""
 
     grid: Grid
-    mask: np.ndarray = field(repr=False)
-    starts: np.ndarray = field(repr=False)    # cubes x dim: lowest-corner cell indices
+    mask: np.ndarray = field(repr=False)      # the open sets: a stack of grid masks
+    starts: np.ndarray = field(repr=False)    # cubes x (stack axes + dim): stack index, lowest corner
     sides: np.ndarray = field(repr=False)     # cubes: sides in cells
-    distance: np.ndarray = field(repr=False)  # each point's distance to F
+    distance: np.ndarray = field(repr=False)  # each point's distance to its mask's F
 
     def _by_side(self):
         """For each side m of the cover: m, which cubes have it, and their
-        block index into _blocks(a, m)."""
+        stack and block index into _blocks(a, m, dim)."""
+        lead = self.mask.ndim - self.grid.dim
         for m in np.unique(self.sides):
             chosen = self.sides == m
-            yield int(m), chosen, tuple((self.starts[chosen] // m).T)
+            yield int(m), chosen, tuple((self.starts[chosen] // ((1,) * lead + (m,) * self.grid.dim)).T)
 
     def distance_ratios(self) -> np.ndarray:
         """dist(Q, F) / diam(Q) for every cube."""
         out = np.empty(len(self.sides))
         for m, chosen, idx in self._by_side():
-            dist = _blocks(self.distance, m).min(axis=self.grid.axes)[idx]
+            dist = _blocks(self.distance, m, self.grid.dim).min(axis=self.grid.axes)[idx]
             out[chosen] = dist / (m * self.grid.spacing * np.sqrt(self.grid.dim))
         return out
 
     def covers_exactly(self) -> bool:
-        """True iff the cubes tile the open set exactly and disjointly: each
-        cell lies in one cube on the open set and in none on F."""
-        count = np.zeros(self.grid.shape, dtype=int)
+        """True iff the cubes tile every open set exactly and disjointly: each
+        cell lies in one cube on its open set and in none on its F."""
+        count = np.zeros(self.mask.shape, dtype=int)
         for m, _, idx in self._by_side():
-            np.add.at(_blocks(count, m), idx, 1)
+            np.add.at(_blocks(count, m, self.grid.dim), idx, 1)
         return bool(np.array_equal(count, self.mask))
 
 
 def _distance_to_complement(grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Euclidean distance of each grid point to the nearest point of F, separably:
-    the index distance d to F along axis 0, then in 2-D the least d^2 + (s h)^2
-    over offsets s along axis 1, until (s h)^2 reaches the largest value so far.
-    Each value is sqrt of (offset h)^2 summed in axis order, so it has the bits
-    of scipy.ndimage.distance_transform_edt(mask, sampling=h)."""
-    h, n = grid.spacing, grid.points_per_axis
-    idx = np.arange(n, dtype=float).reshape((-1,) + (1,) * (grid.dim - 1))
-    before = np.maximum.accumulate(np.where(mask, -np.inf, idx), axis=0)
-    after = np.minimum.accumulate(np.where(mask, np.inf, idx)[::-1], axis=0)[::-1]
+    """Euclidean distance of each grid point to the nearest point of F, separably,
+    on the trailing grid axes of a stack of masks: the index distance d to F
+    along the first grid axis, then in 2-D the least d^2 + (s h)^2 over offsets
+    s along the second, until (s h)^2 reaches the largest value so far.  Each
+    value is sqrt of (offset h)^2 summed in axis order, so it has the bits of
+    scipy.ndimage.distance_transform_edt(mask, sampling=h) on each mask."""
+    h, n, dim = grid.spacing, grid.points_per_axis, grid.dim
+    idx = np.arange(n, dtype=float).reshape((-1,) + (1,) * (dim - 1))
+    before = np.maximum.accumulate(np.where(mask, -np.inf, idx), axis=-dim)
+    ahead = np.flip(np.where(mask, np.inf, idx), -dim)
+    after = np.flip(np.minimum.accumulate(ahead, axis=-dim), -dim)
     d2 = (np.minimum(idx - before, after - idx) * h) ** 2
-    if grid.dim == 1:
+    if dim == 1:
         return np.sqrt(d2)
     best = d2.copy()
     for s in range(1, n):
-        if (s * h) ** 2 >= np.max(best):
+        if (s * h) ** 2 >= np.max(best, initial=0.0):
             break
-        np.minimum(best[:, s:], d2[:, :-s] + (s * h) ** 2, out=best[:, s:])
-        np.minimum(best[:, :-s], d2[:, s:] + (s * h) ** 2, out=best[:, :-s])
+        np.minimum(best[..., s:], d2[..., :-s] + (s * h) ** 2, out=best[..., s:])
+        np.minimum(best[..., :-s], d2[..., s:] + (s * h) ** 2, out=best[..., :-s])
     return np.sqrt(best)
 
 
 def whitney(grid: Grid, mask: np.ndarray) -> WhitneyCover:
-    """Whitney cover of the open set given by a boolean mask.
+    """Whitney cover of the open set of a boolean mask, or of each in a stack.
 
     One sweep over the dyadic sides, largest first: an aligned block is
     accepted when all its cells are in the open set and not yet taken,
     and its distance to F is at least its diameter (at the one-cell
     floor containment alone decides).  These are exactly the cubes that
     pass the test while no larger dyadic cube around them does.  Cubes
-    come ordered by side, largest first, then lexicographically.
+    come ordered by side, largest first, then lexicographically by stack
+    index and corner, so each mask's cubes keep their own cover's order.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != grid.shape:
+    if mask.shape[-grid.dim:] != grid.shape:
         raise GridMismatchError(
             f"mask has shape {mask.shape}, the grid has shape {grid.shape}")
-    if mask.all():
-        raise ParameterError("the open set must be a proper subset of the domain")
+    full = np.argwhere(mask.all(axis=grid.axes))
+    if len(full):
+        at = f" (mask {', '.join(map(str, full[0]))} of the stack is not)" if full.shape[1] else ""
+        raise ParameterError(f"the open set must be a proper subset of the domain{at}")
     edt = _distance_to_complement(grid, mask)
     free = mask.copy()
+    lead = mask.ndim - grid.dim
     starts, sides = [], []
     for m in _dyadic_sides(grid)[::-1]:
-        m = int(m)
-        blocks = _blocks(free, m)             # a view: clearing it clears free
+        blocks = _blocks(free, m, grid.dim)   # a view: clearing it clears free
         accept = blocks.all(axis=grid.axes)
         if m > 1:
             diam = m * grid.spacing * np.sqrt(grid.dim)
-            accept &= _blocks(edt, m).min(axis=grid.axes) >= diam
+            accept &= _blocks(edt, m, grid.dim).min(axis=grid.axes) >= diam
         blocks[accept] = False
-        starts.append(np.argwhere(accept) * m)
+        starts.append(np.argwhere(accept) * ((1,) * lead + (m,) * grid.dim))
         sides.append(np.full(len(starts[-1]), m))
     return WhitneyCover(grid, mask, np.concatenate(starts), np.concatenate(sides), edt)
 
@@ -141,7 +149,7 @@ class CZDecomposition:
         grid = self.cover.grid
         out = np.empty(len(self.cover.sides))
         for m, chosen, idx in self.cover._by_side():
-            s = _blocks(self.bad.values, m)[idx].sum(axis=grid.axes)
+            s = _blocks(self.bad.values, m, grid.dim)[idx].sum(axis=grid.axes)
             # abs() of each sum; np.abs of a complex array can differ in the last bit
             out[chosen] = np.hypot(s.real, s.imag) * grid.cell_volume
         return out
@@ -170,8 +178,8 @@ def cz_decomposition(f: GridFunction, lam: float) -> CZDecomposition:
     good = np.array(f.values)
     bad = np.zeros_like(good)
     for m, _, idx in cover._by_side():
-        cubes = _blocks(f.values, m)[idx]
+        cubes = _blocks(f.values, m, f.grid.dim)[idx]
         avg = cubes.mean(axis=f.grid.axes, keepdims=True)
-        _blocks(bad, m)[idx] = cubes - avg
-        _blocks(good, m)[idx] = avg
+        _blocks(bad, m, f.grid.dim)[idx] = cubes - avg
+        _blocks(good, m, f.grid.dim)[idx] = avg
     return CZDecomposition(lam, GridFunction(f.grid, good), GridFunction(f.grid, bad), cover)

@@ -74,13 +74,8 @@ class SpectralOperator:
     def dim(self) -> int:
         return self.grid.dim
 
-    @property
-    def t_max(self) -> float:
-        """Largest trustworthy time scale, R^2/4."""
-        return self.grid.half_width**2 / 4.0
-
     def trusts(self, t: float) -> bool:
-        """Whether time t lies within t_max, up to a 1e-9 relative slack."""
+        """Whether time t lies within the trust budget t_max, up to a 1e-9 relative slack."""
         return t <= self.t_max * (1.0 + 1e-9)
 
     def spectral_nodes(self) -> np.ndarray:
@@ -162,6 +157,11 @@ class LaplacianTorus(SpectralOperator):
         self._xi_axes = tuple(np.meshgrid(*(xi,) * grid.dim, indexing="ij"))
         self._levels, self._where = np.unique(np.abs(np.hypot.reduce(self._xi_axes)),
                                               return_inverse=True)
+
+    @property
+    def t_max(self) -> float:
+        """Largest trustworthy time, R/4: time is a length, as the symbols take t sqrt(L)."""
+        return self.grid.half_width / 4.0
 
     def forward(self, f: GridFunction) -> np.ndarray:
         require_same_grid(self, f)
@@ -286,6 +286,12 @@ class HermiteOscillator1D(SpectralOperator):
         deriv = -np.sqrt((k + 1) / 2.0) * basis[:, 1 : truncation + 1]
         deriv[:, 1:] += np.sqrt(k[1:] / 2.0) * basis[:, : truncation - 1]
         self._basis_deriv = deriv
+
+    @property
+    def t_max(self) -> float:
+        """Largest trustworthy time, R^2/4: x^2 fixes the unit of length, so no
+        dilation ties the budget to R, and it holds the auto t_max = 4 for R >= 4."""
+        return self.grid.half_width**2 / 4.0
 
     def coefficients(self, f: GridFunction) -> np.ndarray:
         """Eigen-coefficients of f, rejecting unresolved spectral tails."""

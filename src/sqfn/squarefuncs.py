@@ -178,7 +178,7 @@ def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
     top = float(times.nodes[-1])
     if not op.trusts(top):
         raise ParameterError(
-            f"largest time {top:g} exceeds the trust budget R^2/4 = {op.t_max:g}")
+            f"largest time {top:g} exceeds the trust budget t_max = {op.t_max:g}")
     symbol = psi_vanishing(op.dim) if key is None else square_symbol(key)
     return SquareFunction(op, times, symbol, vertical, kernel(op, times, mu))
 

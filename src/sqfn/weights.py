@@ -2,21 +2,22 @@
 
 Cubes are periodic dyadic windows: every power-of-two side from one
 cell up to the full domain, at every grid-aligned position.  Window
-sums use wrapped cumulative sums; the sup over cubes containing a point
-is a trailing running maximum, taken exactly by doubling (the max of
-two adjacent windows of k cells is the max over 2k cells, so a side of
-m cells takes log2(m) np.maximum calls), and M of N samples costs
-O(N log^2 N) rather than O(N^2).  The helpers act on the trailing grid
-axes, so M runs on a whole stack of functions in one call: np.cumsum
-adds in order, so one prefix sum along the first grid axis serves every
-side below N with that side's own bits (the full side keeps its np.sum).
-The local sharp maximal function sorts the samples of the windows of a
-side in cache-sized chunks of ``_SORT_CHUNK`` samples, or one window
-where a window is larger (gathered from a sliding view of the wrap-padded
-array), and takes half the least spread of consecutive order statistics;
-at the full side every window is the whole torus, so one sort serves
-every start.  The full side is one cube, so M, M# and the A_1 constant
-take no running extremum there: its value holds at every point.
+sums use wrapped cumulative sums.  With D_k(X)(x) = max(X(x), X(x - k))
+along each grid axis, wrapping, the max over the side-m cubes containing
+x is D_{m/2} o .. o D_1 of the side's values by lowest corner, so the
+sup over all sides nests as D_1(A_2 v D_2(A_4 v .. D_{N/4}(A_{N/2}))):
+one doubling per side, and M of N samples costs O(N log N).  The A_1
+minimum nests the same way, L_m(x) = min(L_{m/2}(x), L_{m/2}(x + m/2)).
+Max and min are exact, so no value depends on the order.  The helpers act
+on the trailing grid axes, so M runs on a whole stack of functions in
+one call: np.cumsum adds in order, so one prefix sum along the first
+grid axis serves every side below N with that side's own bits (the full
+side keeps its np.sum).  The local sharp maximal function sorts the
+samples of the windows of a side in cache-sized chunks of
+``_SORT_CHUNK`` samples, or one window where a window is larger
+(gathered from a sliding view of the wrap-padded array), and takes half
+the least spread of consecutive order statistics.  The full side is one
+cube, whose value holds at every point, so one sort or sum serves it.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent, require
 _SORT_CHUNK = 2**15
 
 
-def _dyadic_sides(grid: Grid) -> np.ndarray:
+def _dyadic_sides(grid: Grid) -> list:
     """Sides, in cells, of the grid's periodic dyadic cubes: 1, 2, 4, .., N."""
-    return 2 ** np.arange(int(np.log2(grid.points_per_axis)) + 1)
+    return [2**k for k in range(int(np.log2(grid.points_per_axis)) + 1)]
 
 
 def _cut(a: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
@@ -70,48 +71,26 @@ def _window_sums(a: np.ndarray, m: int, dim: int, cs=None) -> np.ndarray:
     return out
 
 
-def _running(a: np.ndarray, m: int, axis: int, shift: int, op) -> np.ndarray:
-    """out[..., i, ...] = op over the m entries from i + shift on, wrapping, along
-    axis: wrap the axis once, then join adjacent windows log2(m) times.  The
-    shifts in use, 1 - m and 0, need one wrapped piece: s + m - 1 <= axis length."""
-    a = a.swapaxes(axis, -1)
-    s = shift % a.shape[-1]
-    out = np.concatenate([a[..., s:], a[..., : s + m - 1]], axis=-1)
-    k = 1
-    while k < m:  # m is a dyadic side, so the doublings land on exactly m entries
-        out = op(out[..., :-k], out[..., k:])
-        k *= 2
-    return out.swapaxes(axis, -1)
-
-
-def _trailing_max(a: np.ndarray, m: int, dim: int) -> np.ndarray:
-    """out[x] = max over starts in (x-m, x] per trailing axis, i.e. over cubes containing x."""
-    out = a
+def _doubled(a: np.ndarray, k: int, dim: int, op) -> np.ndarray:
+    """op(a, a shifted by k cells) along each trailing grid axis in turn, wrapping:
+    out[x] = op(a[x], a[x - k]) per axis, so a negative k looks ahead."""
     for axis in range(-dim, 0):
-        out = _running(out, m, axis, 1 - m, np.maximum)
-    return out
-
-
-def _leading_min(a: np.ndarray, m: int) -> np.ndarray:
-    """out[i] = min over the window [i, i+m-1] per axis (wrapping)."""
-    out = a
-    for axis in range(a.ndim):
-        out = _running(out, m, axis, 0, np.minimum)
-    return out
+        a = op(a, np.roll(a, k, axis=axis))
+    return a
 
 
 def _maximal_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     """M of every function in a stack whose trailing axes are the grid's."""
     mags = np.abs(values)
-    n = grid.points_per_axis
-    # the one-cell cube is |f| itself; the full side is one cube, whose mean holds
-    # everywhere (taken first, so its temporaries are gone before the prefix sums)
-    best = np.maximum(mags, _window_sums(mags, n, grid.dim) / float(n) ** grid.dim)
-    cs = _prefix_sums(mags, n // 2, -grid.dim)  # every side from 2 to N/2
-    for m in _dyadic_sides(grid)[1:-1]:
-        means = _window_sums(mags, int(m), grid.dim, cs) / float(m) ** grid.dim
-        best = np.maximum(best, _trailing_max(means, int(m), grid.dim))
-    return best
+    n, dim = grid.points_per_axis, grid.dim
+    # the full side is one cube, whose mean holds everywhere (taken first, so its
+    # temporaries are gone before the prefix sums); the one-cell cube is |f| itself
+    best = _window_sums(mags, n, dim) / float(n) ** dim
+    cs = _prefix_sums(mags, n // 2, -dim)  # every side from 2 to N/2
+    for m in _dyadic_sides(grid)[-2:0:-1]:  # N/2 down to 2
+        means = _window_sums(mags, m, dim, cs) / float(m) ** dim
+        best = _doubled(np.maximum(best, means), m // 2, dim, np.maximum)
+    return np.maximum(mags, best)
 
 
 def maximal(f: GridFunction) -> GridFunction:
@@ -147,15 +126,14 @@ def ap_constant(w: Weight, p: float) -> ApReport:
         )
     best = -np.inf
     best_cube = (1, (0,) * dim)
+    low = vals  # p = 1: the least w on each cube, by lowest corner
     for m in _dyadic_sides(w.grid):
-        m = int(m)
         mean_w = _window_sums(vals, m, dim) / float(m) ** dim
         if p > 1:
             field = mean_w * (_window_sums(dual, m, dim) / float(m) ** dim) ** (p - 1.0)
-        elif m == w.grid.points_per_axis:  # every window is the whole torus
-            field = mean_w / np.min(vals)
         else:
-            field = mean_w / _leading_min(vals, m)
+            low = _doubled(low, -(m // 2), dim, np.minimum)  # a shift of 0 at m = 1
+            field = mean_w / low
         idx = int(np.argmax(field))
         if field.reshape(-1)[idx] > best:
             best = float(field.reshape(-1)[idx])
@@ -197,7 +175,7 @@ class RdFCertificate:
     norm_ratio: float        # ||v||_q / ||phi||_q, must be <= 2
     a1_ratio: float          # sup M v / v, must be <= 2 ||M||
     maximal_norm: float
-    tail: float
+    tail: float              # ||v - partial sum||_q / ||v||_q, must be <= 1e-8
 
 
 def rubio_de_francia(phis: Sequence[GridFunction], q: float,
@@ -222,11 +200,11 @@ def rubio_de_francia(phis: Sequence[GridFunction], q: float,
         total += term
     certificates = []
     for phi, last, v, mv in zip(phis, term, total, _maximal_stack(grid, total)):
-        tail = lp_norm(GridFunction(grid, last), q)
         size = lp_norm(GridFunction(grid, v), q)
-        if tail > 1e-8 * max(size, 1e-300):
+        tail = lp_norm(GridFunction(grid, last), q) / max(size, 1e-300)
+        if tail > 1e-8:
             raise ConvergenceError(
-                f"majorant series tail {tail:.2e} has not converged within {_RDF_TERMS} terms"
+                f"majorant series tail {tail:.2e} of ||v||_q has not converged within {_RDF_TERMS} terms"
             )
         weight = Weight(GridFunction(grid, v))
         positive = v > 0
@@ -257,23 +235,19 @@ def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
     vals = f.values.real
     g = f.grid
     best = np.zeros(g.shape)
-    for m in _dyadic_sides(g):
-        m = int(m)
+    for m in _dyadic_sides(g)[:0:-1]:  # N down to 2; one cell has no spread
         count = m**g.dim
         q = count - int(np.floor(lam * count))
-        if q <= 1:
-            continue  # every cube oscillation at this scale is zero
-        windows = sliding_window_view(np.pad(vals, (0, m - 1), mode="wrap"), (m,) * g.dim)
-        # At m = N every window is the whole torus, so one sort serves every start.
-        starts = 1 if m == g.points_per_axis else g.size
-        rows = max(1, _SORT_CHUNK // count)
-        per_start = np.empty(starts)
-        for lo in range(0, starts, rows):
-            idx = np.unravel_index(np.arange(lo, min(lo + rows, starts)), g.shape)
-            s = np.sort(windows[idx].reshape(-1, count), axis=1)
-            per_start[lo : lo + rows] = 0.5 * np.min(s[:, q - 1 :] - s[:, : count - q + 1], axis=1)
-        if starts == 1:  # one cube, so its value holds at every point
-            best = np.maximum(best, per_start[0])
-        else:
-            best = np.maximum(best, _trailing_max(per_start.reshape(g.shape), m, g.dim))
+        if q > 1:  # else every cube oscillation at this side is zero
+            windows = sliding_window_view(np.pad(vals, (0, m - 1), mode="wrap"), (m,) * g.dim)
+            # At m = N every window is the whole torus, so one sort serves every start.
+            starts = 1 if m == g.points_per_axis else g.size
+            rows = max(1, _SORT_CHUNK // count)
+            per_start = np.empty(starts)
+            for lo in range(0, starts, rows):
+                idx = np.unravel_index(np.arange(lo, min(lo + rows, starts)), g.shape)
+                s = np.sort(windows[idx].reshape(-1, count), axis=1)
+                per_start[lo : lo + rows] = 0.5 * np.min(s[:, q - 1 :] - s[:, : count - q + 1], axis=1)
+            best = np.maximum(per_start.reshape(g.shape) if starts > 1 else per_start[0], best)
+        best = _doubled(best, m // 2, g.dim, np.maximum)  # moves nothing at m = N
     return GridFunction(g, best)

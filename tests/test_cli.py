@@ -406,7 +406,7 @@ def test_run_growth_writes_dat(tmp_path):
 
 def test_empty_time_range_names_the_keys(tmp_path, capsys):
     """At N = 8 the cone grid's auto t_min (the spacing) reaches t_max =
-    R^2/4: an error (exit 1) giving both values and the keys that set them."""
+    R/4: an error (exit 1) giving both values and the keys that set them."""
     assert main(["run", "--check", "plancherel", "--set", "operator.n=8",
                  "--set", f"output.directory={tmp_path}"]) == 1
     err = capsys.readouterr().err
@@ -418,13 +418,14 @@ def test_empty_time_range_names_the_keys(tmp_path, capsys):
 @pytest.mark.parametrize("r", ["0.7", "1.5"])
 def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, r):
     """At R = 0.7 and 1.5, R N/8 and R N are not powers of two, so the rounded-up
-    node count would carry the auto grids past R^2/4; they end one node earlier."""
+    node count would carry the auto grids past the budget t_max = R/4; they end
+    one node earlier."""
     settings = {"operator.n": "64", "operator.r": r, "family.count": "4",
                 "params.kinds": "s_h", "times.per_octave": "4"}
     cfg = parse_config(None, settings)
     op = _build_operator(cfg)
     for role in ("cone", "identity"):
-        assert _time_grid(cfg, op, role).nodes[-1] <= float(r) ** 2 / 4.0
+        assert _time_grid(cfg, op, role).nodes[-1] <= op.t_max
     args = ["run", "--check", "weighted_l2_mw", "--check", "spectral_identity",
             "--set", f"output.directory={tmp_path}"]
     for key, value in settings.items():

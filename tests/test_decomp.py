@@ -151,6 +151,32 @@ def test_whitney_sweep_equals_recursive_subdivision(dim, n):
         assert got == sorted(got, key=lambda cube: (-cube[1], cube[0]))
 
 
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 16), (2, 64)])
+@pytest.mark.parametrize("lead", [(10,), (2, 5)], ids=["stack", "stack-of-stacks"])
+def test_a_stack_of_masks_is_each_masks_own_cover(dim, n, lead):
+    """One sweep over a stack gives each mask's own cubes, in order, under
+    its unscaled stack index: starts, sides, distance ratios and exactness.
+    An all-open member is refused by its index."""
+    g = Grid(dim, n, 1.0)
+    masks = _oracle_masks(dim, n, np.random.default_rng(7 * n + dim))[:10]
+    stack = np.stack(masks).reshape(lead + g.shape)
+    cover = whitney(g, stack)
+    assert cover.starts.shape == (len(cover.sides), len(lead) + dim)
+    index = np.ravel_multi_index(tuple(cover.starts[:, : len(lead)].T), lead)
+    ratios = cover.distance_ratios()
+    for k, mask in enumerate(masks):
+        own, mine = whitney(g, mask), index == k
+        assert np.array_equal(cover.starts[mine, len(lead) :], own.starts)
+        assert np.array_equal(cover.sides[mine], own.sides)
+        assert np.array_equal(ratios[mine], own.distance_ratios())
+        assert own.covers_exactly()
+    assert cover.covers_exactly()
+    stack.reshape((-1,) + g.shape)[7] = True
+    at = ", ".join(str(i) for i in np.unravel_index(7, lead))
+    with pytest.raises(ParameterError, match=re.escape(f"(mask {at} of the stack is not)")):
+        whitney(g, stack)
+
+
 @pytest.mark.parametrize("shape", [(32,), (8, 8)])
 def test_whitney_refuses_a_mask_of_another_shape(shape):
     with pytest.raises(GridMismatchError, match=rf"{re.escape(str(shape))}.*\(64,\)"):

@@ -67,9 +67,18 @@ def test_maximal_dominates_function_and_mean():
     assert np.all(mf >= np.mean(np.abs(vals)) - 1e-15)
 
 
+def _trailing_max(a, m, dim):
+    """The max over the side-m cubes that contain each point: scipy's wrapped
+    running max over starts in (x - m, x] on each of the trailing dim axes."""
+    for axis in range(-dim, 0):
+        a = maximum_filter1d(a, size=m, axis=axis, mode="wrap", origin=m - 1 - m // 2)
+    return a
+
+
 def _per_side_maximal(vals, dim):
     """M as one grid array was computed before stacks: its own wrapped
-    cumulative sum per side and axis, the full side by np.sum."""
+    cumulative sum per side and axis, the full side by np.sum, and the sup
+    over the cubes containing a point by scipy's running max per side."""
     mags = np.abs(vals)
     n = mags.shape[0]
     best = np.array(mags)
@@ -84,7 +93,7 @@ def _per_side_maximal(vals, dim):
             cs = np.cumsum(ext, axis=axis)
             cs = np.concatenate([np.zeros_like(np.take(cs, [0], axis=axis)), cs], axis=axis)
             out = np.take(cs, range(m, n + m), axis=axis) - np.take(cs, range(n), axis=axis)
-        best = np.maximum(best, weights._trailing_max(out / float(m) ** dim, m, dim))
+        best = np.maximum(best, _trailing_max(out / float(m) ** dim, m, dim))
         m *= 2
     return best
 
@@ -118,8 +127,8 @@ def _rubio_de_francia_one(phi, q, mnorm):
     for _ in range(29):
         term = maximal(GridFunction(phi.grid, term)).values.real / (2.0 * mnorm)
         total += term
-    tail = lp_norm(GridFunction(phi.grid, term), q)
     size = lp_norm(GridFunction(phi.grid, total), q)
+    tail = lp_norm(GridFunction(phi.grid, term), q) / max(size, 1e-300)
     mv = maximal(GridFunction(phi.grid, total)).values.real
     positive = total > 0
     a1 = float(np.max(mv[positive] / total[positive]))
@@ -272,6 +281,61 @@ def test_local_sharp_maximal_brute_force(monkeypatch):
                                        err_msg=f"dim={dim} n={n} lam={lam} chunk={chunk}")
 
 
+def _sorted_window_sharp(vals, lam):
+    """M#_lam side by side: half the least spread of consecutive order
+    statistics of each window's sorted samples, by lowest corner, then the
+    wrapped running max over the cubes that contain each point."""
+    n, dim = vals.shape[0], vals.ndim
+    best = np.zeros(vals.shape)
+    m = 2
+    while m <= n:
+        count = m**dim
+        q = count - int(np.floor(lam * count))
+        if q > 1:
+            spread = np.empty(vals.shape)
+            for start in itertools.product(range(n), repeat=dim):
+                s = np.sort(vals[np.ix_(*(np.arange(a, a + m) % n for a in start))].reshape(-1))
+                spread[start] = 0.5 * np.min(s[q - 1 :] - s[: count - q + 1])
+            best = np.maximum(best, _trailing_max(spread, m, dim))
+        m *= 2
+    return best
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 16), (1, 64), (2, 8), (2, 16)])
+@pytest.mark.parametrize("lam", [0.1, 0.25, 0.5, 0.9])
+def test_local_sharp_maximal_equals_the_sorted_windows_exactly(dim, n, lam):
+    """Every value has the bits of the per-side sorted windows and scipy's
+    running max, with ties among the samples."""
+    g = Grid(dim, n, 1.0)
+    vals = np.round(2.0 * np.random.default_rng(10 * n + dim).standard_normal(g.shape)) / 2.0
+    fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
+    assert np.array_equal(fast, _sorted_window_sharp(vals, lam))
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (1, 256), (2, 8), (2, 32), (2, 64)])
+def test_a1_constant_equals_the_per_side_minimum_filter(dim, n):
+    """At p = 1 the constant, the witness side and the witness start equal
+    those of scipy's wrapped running min over each side's cubes, side by
+    side, the first strict maximum winning; ties among the weight's values."""
+    g = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(n + dim)
+    w = np.exp(np.round(2.0 * rng.standard_normal(g.shape)) / 2.0)
+    best, side, start = -np.inf, None, None
+    m = 1
+    while m <= n:
+        low = w
+        for axis in range(dim):
+            low = minimum_filter1d(low, size=m, axis=axis, mode="wrap", origin=-(m // 2))
+        field = weights._window_sums(w, m, dim) / float(m) ** dim / low
+        idx = int(np.argmax(field))
+        if field.reshape(-1)[idx] > best:
+            best, side, start = float(field.reshape(-1)[idx]), m, np.unravel_index(idx, g.shape)
+        m *= 2
+    rep = ap_constant(Weight(GridFunction(g, w)), 1.0)
+    assert (rep.constant, rep.witness_side, rep.witness_start) == (
+        best, side * g.spacing, tuple(int(i) for i in start))
+
+
 def test_local_sharp_maximal_works_in_cache_sized_chunks(monkeypatch):
     """At 2-D N=64 the call's traced peak stays under 2 MB (an 8 MiB chunk
     peaks near 24 MB), and the chunk size changes no bit."""
@@ -303,7 +367,7 @@ def test_rubio_de_francia_certificate():
     assert np.all(cert.weight.values >= np.abs(phi.values) - 1e-12)
     assert cert.norm_ratio <= 2.0
     assert cert.a1_ratio <= 2.0 * cert.maximal_norm
-    assert cert.tail <= 1e-8 * 10
+    assert cert.tail <= 1e-8
 
 
 def test_empirical_maximal_norm_exceeds_one():
@@ -331,24 +395,3 @@ def test_ap_constant_at_least_one(seed, p):
     rng = np.random.default_rng(seed)
     w = Weight(GridFunction(g, np.exp(rng.standard_normal(32))))
     assert ap_constant(w, p).constant >= 1.0 - 1e-12
-
-
-@given(st.integers(0, 2**32 - 1),
-       st.sampled_from([((16,), 1), ((3, 64), 1), ((32, 32), 2), ((2, 16, 16), 2)]),
-       st.sampled_from([np.maximum, np.minimum]))
-@settings(max_examples=40, deadline=None, derandomize=True)
-def test_running_extremum_equals_scipy_filters(seed, stack, op):
-    """The doubling running max/min has the bits of scipy's wrapped filters
-    at the origins the trailing max (shift 1 - m) and leading min (shift 0)
-    stand for, on every trailing grid axis and every dyadic side."""
-    shape, dim = stack
-    scipy_filter = maximum_filter1d if op is np.maximum else minimum_filter1d
-    a = np.random.default_rng(seed).standard_normal(shape)
-    a[a > 1.0] = 1.0  # ties
-    for axis in range(-dim, 0):
-        for m in 2 ** np.arange(int(np.log2(shape[axis])) + 1):
-            m = int(m)
-            for shift, origin in ((1 - m, m - 1 - m // 2), (0, -(m // 2))):
-                ours = weights._running(a, m, axis, shift, op)
-                theirs = scipy_filter(a, size=m, axis=axis, mode="wrap", origin=origin)
-                assert np.array_equal(ours, theirs), (axis, m, shift)
