@@ -197,49 +197,45 @@ def _build_operator(cfg: dict):
         raise UsageError(f"{keys}: {exc}") from None
 
 
-def _time_grid(cfg: dict, op, role: str) -> TimeGrid:
-    """Per-role defaults: identity grids reach below the spacing, cone
-    grids start at it; t_max is the operator's (see _OPERATORS)."""
-    h = op.grid.spacing
-    t_min = cfg["times.t_min"]
-    t_max = cfg["times.t_max"]
-    if t_min == "auto":
-        t_min = h / 8.0 if role == "identity" else h
-    if t_max == "auto":
-        t_max = _OPERATORS[cfg["operator.name"]].t_max or op.t_max
-    t_min, t_max = float(t_min), float(t_max)
-    if not (0 < t_min < t_max):
-        raise ParameterError(
-            f"the {role} time grid needs 0 < t_min < t_max, got t_min = {t_min:g} "
-            f"and t_max = {t_max:g}; set times.t_min and times.t_max, or raise "
-            f"operator.n (auto t_min follows the spacing 2R/operator.n)")
-    times = TimeGrid.geometric(t_min, t_max, int(cfg["times.per_octave"]))
-    if op.trusts(t_max) and not op.trusts(float(times.nodes[-1])):
-        # the node count rounds up past a t_max within the budget: drop that node
-        times = TimeGrid(times.t_min, times.ratio, times.count - 1)
-    return times
-
-
 class _Plan:
-    """A run's config, its operator and what its checks share, each made when
-    first asked for and kept on the instance: times(role), the "cone" or
-    "identity" time grid; square(kind, role), kind on that grid (params.mu is
-    read only for g_star); the resolved family; the band-limited family the
-    identity grid captures; the weights, seeded family.seed + 100; and
-    images(kind, role), the role's family's images under square(kind, role)
-    in member order."""
+    """A run's config, the operator it configures (built with the plan) and
+    what its checks share, each made when first asked for and kept on the
+    instance: times(role), the "cone" or "identity" time grid; square(kind,
+    role), kind on that grid (params.mu is read only for g_star); the
+    resolved family; the band-limited family the identity grid captures; the
+    weights, seeded family.seed + 100; and images(kind, role), the role's
+    family's images under square(kind, role) in member order."""
 
-    def __init__(self, cfg: dict, op):
+    def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.op = op
+        self.op = _build_operator(cfg)
         self._times = {}
         self._built = {}
         self._images = {}
 
     def times(self, role: str) -> TimeGrid:
-        if role not in self._times:
-            self._times[role] = _time_grid(self.cfg, self.op, role)
-        return self._times[role]
+        """Per-role defaults: identity grids reach below the spacing, cone
+        grids start at it; t_max is the operator's (see _OPERATORS)."""
+        if role in self._times:
+            return self._times[role]
+        cfg, op = self.cfg, self.op
+        t_min, t_max = cfg["times.t_min"], cfg["times.t_max"]
+        if t_min == "auto":
+            t_min = op.grid.spacing / 8.0 if role == "identity" else op.grid.spacing
+        if t_max == "auto":
+            t_max = _OPERATORS[cfg["operator.name"]].t_max or op.t_max
+        t_min, t_max = float(t_min), float(t_max)
+        if not (0 < t_min < t_max):
+            raise ParameterError(
+                f"the {role} time grid needs 0 < t_min < t_max, got t_min = {t_min:g} "
+                f"and t_max = {t_max:g}; set times.t_min and times.t_max, or raise "
+                f"operator.n (auto t_min follows the spacing 2R/operator.n)")
+        times = TimeGrid.geometric(t_min, t_max, int(cfg["times.per_octave"]))
+        if op.trusts(t_max) and not op.trusts(float(times.nodes[-1])):
+            # the node count rounds up past a t_max within the budget: drop that node
+            times = TimeGrid(times.t_min, times.ratio, times.count - 1)
+        self._times[role] = times
+        return times
 
     def time_grids(self) -> dict:
         """Each time grid built so far, by role: its first and last node,
@@ -332,7 +328,7 @@ def _run_finite_propagation(plan: _Plan) -> list:
 
 
 _SWEEP_GRIDS = {
-    # per-lemma tuned geometric time grids (N = 128, R = 1 torus)
+    # per-lemma geometric time windows in units of R (first tuned at N = 128, R = 1)
     "compact_support": (0.7, 0.93, (0, 1, 2)),
     "smoothed_difference": (0.45, 0.8, (0.5, 1.0, 2.0)),
     "poisson_decay": (0.12, 0.3, (0, 1, 2)),
@@ -343,7 +339,7 @@ _SWEEP_GRIDS = {
 def _run_kernel_bounds(plan: _Plan) -> list:
     records = []
     for lemma, (t_lo, t_hi, variants) in _SWEEP_GRIDS.items():
-        ts = np.geomspace(t_lo, t_hi, 5)
+        ts = plan.op.grid.half_width * np.geomspace(t_lo, t_hi, 5)
         symbol = "rho" if lemma == "smoothed_difference" else "k"
         for v, recs in zip(variants, sweep(plan.op, lemma, ts, variants)):
             var = constant_variation(recs)
@@ -500,7 +496,7 @@ _CHECKS = {
     },
     "kernel_bounds": {
         "runner": _run_kernel_bounds,
-        "formula": "fitted constants of the four kernel bounds across tuned t (and r) log-grids",
+        "formula": "fitted constants of the four kernel bounds across t (and r) log-grids in units of R",
         "tolerance": f"variation < {constants.KERNEL_FIT_VARIATION:.0%}; support mass < {constants.SUPPORT_LEAK_TOL:g}",
         "keys": "operator.*",
         "runs_on": (("laplacian", 1),),
@@ -582,9 +578,11 @@ def run(cfg: dict) -> int:
     if not tags:
         raise UsageError("no check to run: name one with --check, or list "
                          "them in checks.enabled")
-    for tag in tags:
+    for i, tag in enumerate(tags):
         _require_check(tag, (cfg["operator.name"], int(cfg["operator.dim"])))
-    plan = _Plan(cfg, _build_operator(cfg))
+        if tag in tags[:i]:
+            raise UsageError(f"check {tag} is named more than once; name each check once")
+    plan = _Plan(cfg)
     digest = config_hash(cfg)
     out = cfg["output.directory"]
     with _writing(out):
@@ -656,7 +654,7 @@ def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
         phi = square_symbol(symbol)
     except ParameterError as exc:
         raise UsageError(f"--symbol: {exc}") from None
-    _, entries = _build_operator(cfg).kernel_matrix(lambda s: phi(t * s))
+    _, entries = _Plan(cfg).op.kernel_matrix(lambda s: phi(t * s))
     with _writing(path), open(path, "w") as fh:
         np.savetxt(fh, np.asarray(entries, dtype=float), delimiter=",")
     print(f"wrote {entries.shape[0]}x{entries.shape[1]} kernel to {path}")
@@ -664,7 +662,7 @@ def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
 
 
 def _dump_function(cfg: dict, index: int, path: str) -> int:
-    fam = resolved_family(_build_operator(cfg), int(cfg["family.seed"]), int(cfg["family.count"]))
+    fam = _Plan(cfg).family
     if not (0 <= index < len(fam.members)):
         raise UsageError(f"member index must lie in [0, {len(fam.members)})")
     with _writing(path), open(path, "w") as fh:

@@ -6,6 +6,10 @@ attains it) or a GrowthFit (a log-log slope compared against a declared
 exponent bound); doubling gates a check's values under N -> 2N.  A check
 applies no square function: it reads (f, Tf) pairs, a family and the list
 of its images under T, aligned with family.members.
+Two rules report every ratio: a RatioReport takes its (numerator,
+denominator) pairs in order, and a zero denominator adds no ratio and
+counts as skipped; a GrowthFit's point is the best ratio over the members
+whose denominator is positive.
 Empirical suprema over finite families are lower bounds on true
 operator norms, so every pass criterion is one-sided.  A family member
 that is zero, as drawn or once windowed or projected onto the operator's
@@ -102,6 +106,20 @@ def doubling(measure, n: int) -> Doubling:
     worst = max((max(b / a, a / b) if 0 < a < np.inf and 0 < b < np.inf else np.inf
                  for a, b in pairs), default=np.inf)
     return Doubling(at_n, at_2n, worst, worst < Doubling.factor)
+
+
+def _report(tag: str, pairs) -> RatioReport:
+    """The RatioReport of (numerator, denominator) pairs, in order: a zero
+    denominator adds no ratio and counts as skipped."""
+    pairs = list(pairs)
+    ratios = tuple(num / denom for num, denom in pairs if denom != 0.0)
+    return RatioReport(tag, ratios, len(pairs) - len(ratios))
+
+
+def _best(pairs) -> float:
+    """The largest ratio over the (numerator, denominator) pairs whose
+    denominator is positive, or 0."""
+    return max((num / denom for num, denom in pairs if denom > 0), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +289,8 @@ def check_spectral_identity(images: list, family: TestFamily) -> RatioReport:
     """Discretized (int ||psi(t sqrt(L)) f||_2^2 dt/t)^(1/2) versus kappa ||f||_2,
     psi(z) = z^2 e^{-z^2}: images holds g_h f for each member f."""
     kap = kappa(square_symbol("s_h"))
-    ratios, skipped = [], 0
-    for f, gf in zip(family.members, images, strict=True):
-        denom = lp_norm(f, 2)
-        if denom == 0.0:
-            skipped += 1
-            continue
-        ratios.append(lp_norm(gf, 2) / (kap * denom))
-    return RatioReport("spectral_identity", tuple(ratios), skipped)
+    return _report("spectral_identity", ((lp_norm(gf, 2), kap * lp_norm(f, 2))
+                                         for f, gf in zip(family.members, images, strict=True)))
 
 
 def propagation_leak(op: SpectralOperator, f: GridFunction, steps, radius: float) -> float:
@@ -304,40 +316,30 @@ def _maximals(functions) -> list:
     return list(_maximal_stack(functions[0].grid, np.stack([f.values for f in functions])))
 
 
-def _weighted_power_ratios(images: list, family: TestFamily, weights: list, p: float):
-    """Shared ratio loop: int |Tf|^p w over the p-dependent majorant of |f|^p.
+def _weighted_power_ratios(images: list, family: TestFamily, weights: list, p: float,
+                           tag: str) -> RatioReport:
+    """The report of int |Tf|^p w over the p-dependent majorant of |f|^p.
 
     For 1 < p <= 2 the majorant is int |f|^p Mw; for p > 2 it is
     int |f|^p (Mw)^{p/2} w^{-(p/2 - 1)}.  check_weighted_l2_mw and
     check_lp_range at p = 2 both call this, so they agree bit for bit.
     The ratios stay in (weight, member) order.
     """
-    ratios, skipped = [], 0
-    for w, mw in zip(weights, _maximals(weights)):
-        if p > 2:
-            if np.min(w.values) <= 0.0:
-                raise SingularWeightError(
-                    "the p > 2 majorant needs a strictly positive weight"
-                )
-            majorant = mw ** (p / 2.0) * w.values ** (-(p / 2.0 - 1.0))
-        else:
-            majorant = mw
-        vol = w.grid.cell_volume
-        for f, tf in zip(family.members, images, strict=True):
-            denom = float(np.sum(np.abs(f.values) ** p * majorant)) * vol
-            if denom == 0.0:
-                skipped += 1
-                continue
-            num = float(np.sum(np.abs(tf.values) ** p * w.values)) * vol
-            ratios.append(num / denom)
-    return ratios, skipped
+    if p > 2 and any(np.min(w.values) <= 0.0 for w in weights):
+        raise SingularWeightError("the p > 2 majorant needs a strictly positive weight")
+    majorants = [mw ** (p / 2.0) * w.values ** (-(p / 2.0 - 1.0)) if p > 2 else mw
+                 for w, mw in zip(weights, _maximals(weights))]
+    powers = [(np.abs(f.values) ** p, np.abs(tf.values) ** p)
+              for f, tf in zip(family.members, images, strict=True)]
+    return _report(tag, ((float(np.sum(tp * w.values)) * w.grid.cell_volume,
+                          float(np.sum(fp * majorant)) * w.grid.cell_volume)
+                         for w, majorant in zip(weights, majorants) for fp, tp in powers))
 
 
 def check_weighted_l2_mw(images: list, family: TestFamily, weights: list,
                          tag: str = "weighted_l2_mw") -> RatioReport:
     """Ratios of int (Tf)^2 w against int |f|^2 Mw over all (f, w) pairs."""
-    ratios, skipped = _weighted_power_ratios(images, family, weights, 2.0)
-    return RatioReport(tag, tuple(ratios), skipped)
+    return _weighted_power_ratios(images, family, weights, 2.0, tag)
 
 
 def check_weak_1_1(images: list, family: TestFamily, weights: list) -> RatioReport:
@@ -368,8 +370,7 @@ def check_lp_range(images: list, family: TestFamily, weights: list, p: float) ->
     int |f|^p (Mw)^{p/2} w^{-(p/2 - 1)} (which needs w > 0).
     """
     require_exponent("p", p)
-    ratios, skipped = _weighted_power_ratios(images, family, weights, p)
-    return RatioReport(f"lp_range_p{p:g}", tuple(ratios), skipped)
+    return _weighted_power_ratios(images, family, weights, p, f"lp_range_p{p:g}")
 
 
 def check_pointwise_domination(images: list, gstar_images: list, family: TestFamily) -> RatioReport:
@@ -404,14 +405,9 @@ def check_growth_in_p(images: list, family: TestFamily, p_list) -> GrowthFit:
     p_list = growth_exponents(p_list)
     if len(family.members) < 8:
         raise ParameterError("family too small for a growth fit (need >= 8)")
-    norms = []
-    for p in p_list:
-        best = 0.0
-        for f, tf in zip(family.members, images, strict=True):
-            denom = lp_norm(f, p)
-            if denom > 0:
-                best = max(best, lp_norm(tf, p) / denom)
-        norms.append(best)
+    norms = [_best((lp_norm(tf, p), lp_norm(f, p))
+                   for f, tf in zip(family.members, images, strict=True))
+             for p in p_list]
     return GrowthFit("growth_in_p", tuple(p_list), tuple(norms), 0.5,
                      constants.P_GROWTH_SLACK)
 
@@ -426,17 +422,10 @@ def check_growth_in_ap(images: list, family: TestFamily, weights: list, p: float
     """
     require_exponent("p", p, closed=True)
     norm_p = 2.0 if p == 1 else p
-    xs, ys = [], []
-    for w in weights:
-        ap = ap_constant(w, p).constant
-        best = 0.0
-        for f, tf in zip(family.members, images, strict=True):
-            denom = weighted_lp_norm(f, w, norm_p)
-            if denom > 0:
-                best = max(best, weighted_lp_norm(tf, w, norm_p) / denom)
-        xs.append(ap)
-        ys.append(best)
-    xs, ys = np.array(xs), np.array(ys)
+    xs = np.array([ap_constant(w, p).constant for w in weights])
+    ys = np.array([_best((weighted_lp_norm(tf, w, norm_p), weighted_lp_norm(f, w, norm_p))
+                         for f, tf in zip(family.members, images, strict=True))
+                   for w in weights])
     if np.max(xs) / np.min(xs) < 10.0:
         raise ParameterError("weight family must span at least a decade of A_p constant")
     if p == 1:
@@ -474,16 +463,11 @@ def check_sharp_composite(family: TestFamily, weights: list, p: float,
               for f in family.members]
     maxes = [GridFunction(f.grid, mf)
              for f, mf in zip(family.members, _maximals(family.members))]
-    ratios, skipped = [], 0
-    for w in weights:
-        apc = ap_constant(w, p).constant
-        for sharp, mf in zip(sharps, maxes):
-            denom = weighted_lp_norm(sharp, w, p / 2.0) ** 0.5 * apc**gamma
-            if denom == 0.0:
-                skipped += 1
-                continue
-            ratios.append(weighted_lp_norm(mf, w, p) / denom)
-    return RatioReport(f"sharp_composite_p{p:g}", tuple(ratios), skipped)
+    apcs = [ap_constant(w, p).constant for w in weights]
+    return _report(f"sharp_composite_p{p:g}",
+                   ((weighted_lp_norm(mf, w, p),
+                     weighted_lp_norm(sharp, w, p / 2.0) ** 0.5 * apc**gamma)
+                    for w, apc in zip(weights, apcs) for sharp, mf in zip(sharps, maxes)))
 
 
 def default_operator(name: str, grid: Grid, truncation: int = 128) -> SpectralOperator:

@@ -4,7 +4,7 @@ Every test certifies one headline property with pinned tolerances and a
 runtime budget, prints a single PASS/FAIL line, and never loosens a
 bound to accommodate the measurement.  A property gates the records that
 ``sqfn run`` writes: it runs the check's runner from ``cli._CHECKS`` on a
-``cli._Plan`` of the operator ``cli._build_operator`` builds, so time grids,
+``cli._Plan``, which builds the configured operator, so time grids,
 square functions, families, weights and tolerances are the CLI's own.  A
 sup-ratio record only says that its sup is finite, so those properties also
 pass the record values at N and 2N through ``verify.doubling``.  Finite propagation on the
@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from sqfn import constants
-from sqfn.cli import _CHECKS, _Plan, _build_operator, parse_config
+from sqfn.cli import _CHECKS, _Plan, parse_config
 from sqfn.decomp import cz_decomposition, whitney
 from sqfn.grid import Grid, GridFunction
 from sqfn.multipliers import kappa, square_symbol
@@ -44,22 +44,13 @@ def _report(name, ok, detail, elapsed, budget):
     assert elapsed < budget, f"{name} exceeded the {budget}s budget ({elapsed:.1f}s)"
 
 
-def _config(name, n, settings=None):
-    return parse_config(None, {"operator.name": name, "operator.n": str(n), **(settings or {})})
-
-
-@functools.cache
-def _operator(name, n):
-    """The operator sqfn run builds for operator.name and operator.n, built once."""
-    return _build_operator(_config(name, n))
-
-
 @functools.cache
 def _plan(name, n, settings=()):
     """The plan sqfn run makes for operator name at N = n with the (key,
-    value) pairs of settings, made once: checks on it share square functions,
-    the family, its images and the weights."""
-    return _Plan(_config(name, n, dict(settings)), _operator(name, n))
+    value) pairs of settings, made once: checks on it share its operator,
+    square functions, the family, its images and the weights."""
+    return _Plan(parse_config(None, {"operator.name": name, "operator.n": str(n),
+                                     **dict(settings)}))
 
 
 def _records(tag, name, n, settings=None):
@@ -231,7 +222,7 @@ def test_pointwise_g_star_domination():
     start = time.perf_counter()
     gate, passed = _doubling("pointwise_domination", "laplacian", 128)
     _report("pointwise-g-star-domination", gate.passed and passed,
-            f"Tf <= C g*_{_config('laplacian', 128)['params.mu']} f with fitted C per "
+            f"Tf <= C g*_{_plan('laplacian', 128).cfg['params.mu']} f with fitted C per "
             f"operator; exclusion < {constants.DOMINATION_EXCLUSION_MAX:.0%}; "
             f"worst doubling change {gate.worst_change:.3f}x (< {gate.factor:g}x)",
             time.perf_counter() - start, 180.0)
@@ -298,7 +289,7 @@ def test_hermite_finite_propagation():
     worst_residual = 0.0
     parts = []
     for n in (256, 512):
-        op = _operator("hermite", n)
+        op = _plan("hermite", n).op
         g = op.grid
         h = g.spacing
         x = g.axis_coords()

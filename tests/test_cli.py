@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from sqfn import cli, constants
-from sqfn.cli import (_CHECKS, _Plan, _build_operator, _require_check, _time_grid,
-                      config_hash, main, parse_config)
+from sqfn.cli import _CHECKS, _Plan, _require_check, config_hash, main, parse_config
 from sqfn.errors import UsageError
 from sqfn.squarefuncs import KINDS
 
@@ -117,7 +116,7 @@ class _RecordingConfig(dict):
 def test_describe_lists_every_key_a_check_reads():
     for tag, meta in _CHECKS.items():
         cfg = _RecordingConfig(parse_config(None, {"operator.n": "128", "family.count": "8"}))
-        meta["runner"](_Plan(cfg, _build_operator(cfg)))
+        meta["runner"](_Plan(cfg))
         patterns = [part.strip() for part in meta["keys"].split(",")]
         assert cfg.read, tag
         for key in cfg.read:
@@ -240,11 +239,10 @@ def test_report_header_records_each_time_grid(tmp_path, checks, roles):
         argv += ["--set", f"{key}={value}"]
     assert main(argv) in (0, 1)
     header = json.loads((tmp_path / "out" / "report.jsonl").read_text().splitlines()[0])
-    cfg = parse_config(None, overrides)
-    op = _build_operator(cfg)
+    plan = _Plan(parse_config(None, overrides))
     assert set(header["time_grids"]) == roles
     for role in roles:
-        times = _time_grid(cfg, op, role)
+        times = plan.times(role)
         assert header["time_grids"][role] == {
             "t_min": times.t_min, "t_last": float(times.nodes[-1]),
             "count": times.count, "per_octave": 4}
@@ -422,10 +420,9 @@ def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, r):
     one node earlier."""
     settings = {"operator.n": "64", "operator.r": r, "family.count": "4",
                 "params.kinds": "s_h", "times.per_octave": "4"}
-    cfg = parse_config(None, settings)
-    op = _build_operator(cfg)
+    plan = _Plan(parse_config(None, settings))
     for role in ("cone", "identity"):
-        assert _time_grid(cfg, op, role).nodes[-1] <= op.t_max
+        assert plan.times(role).nodes[-1] <= plan.op.t_max
     args = ["run", "--check", "weighted_l2_mw", "--check", "spectral_identity",
             "--set", f"output.directory={tmp_path}"]
     for key, value in settings.items():
@@ -680,6 +677,20 @@ def test_admission_refuses_the_whole_run(tmp_path, capsys, monkeypatch):
     assert "check growth_in_ap " in capsys.readouterr().err
     assert built == []
     assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("how", [["--check", "growth_in_p", "--check", "whitney_cz",
+                                  "--check", "growth_in_p"],
+                                 ["--set", "checks.enabled=growth_in_p,whitney_cz,growth_in_p"]],
+                         ids=["--check", "checks.enabled"])
+def test_a_check_named_twice_is_a_usage_error(tmp_path, capsys, monkeypatch, how):
+    """A repeated check is refused (exit 2) by name before any work, as a
+    repeated config key is: no operator is built and no report written."""
+    built = _no_build(monkeypatch)
+    assert main(["run", *how, "--set", f"output.directory={tmp_path / 'out'}"]) == 2
+    assert "check growth_in_p is named more than once" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_describe_prints_where_a_check_runs(capsys):

@@ -30,7 +30,7 @@ import itertools
 import numpy as np
 import pytest
 
-from sqfn.cli import _Plan, _build_operator, parse_config
+from sqfn.cli import _Plan, parse_config
 from sqfn.grid import GridFunction
 
 _IMAGES = 3  # images past |k| = 3 lie >= 7 away, below e^-130 at R = 1
@@ -64,8 +64,7 @@ def _periodized_heat(grid, sigma: float, t: float) -> tuple:
 def test_g_functions_match_the_periodized_closed_form(dim, n, role):
     """g_h^2 and G_H^2 on the lab's own time grid (default R = 1) equal the
     closed form's Riemann sum to 1e-12 of its maximum at every grid point."""
-    cfg = parse_config(None, {"operator.dim": str(dim), "operator.n": str(n)})
-    plan = _Plan(cfg, _build_operator(cfg))
+    plan = _Plan(parse_config(None, {"operator.dim": str(dim), "operator.n": str(n)}))
     grid, times = plan.op.grid, plan.times(role)
     sigma = 4.0 * grid.spacing
     f = GridFunction(grid, sum(np.exp(-sum(di**2 for di in d) / (2.0 * sigma**2))

@@ -8,7 +8,8 @@ from sqfn.grid import Grid, GridFunction
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
 from sqfn.weights import maximal
-from sqfn.verify import (Doubling, GrowthFit, RatioReport, _maximals, band_limited_family,
+from sqfn.verify import (Doubling, GrowthFit, RatioReport, _maximals,
+                         band_limited_family, check_growth_in_ap, check_growth_in_p,
                          check_lp_range, check_sharp_composite, check_spectral_identity,
                          check_weak_1_1, check_weighted_l2_mw, default_operator, doubling,
                          mixed_family, power_weight_family, resolved_family,
@@ -298,3 +299,68 @@ def test_default_operator_names():
                       LaplacianTorus)
     with pytest.raises(ParameterError):
         default_operator("nope", Grid(1, 64, 1.0))
+
+
+def _with_member(fam, images, member, image, at=3):
+    """fam and its images with member (and its image) put in at index at."""
+    from sqfn.verify import TestFamily
+
+    members, images = list(fam.members), list(images)
+    members.insert(at, member)
+    images.insert(at, image)
+    return TestFamily(tuple(members)), images
+
+
+@pytest.fixture(scope="module")
+def tiny_case(torus):
+    """A family with s_h images, and the same with a member of size 1e-200
+    put in: every power |f|^p, p >= 2, of that member underflows to 0."""
+    g = torus.grid
+    fam = mixed_family(g, seed=7, count=8)
+    T = square_function_operator("s_h", torus, TimeGrid.geometric(g.spacing, 0.25, 8))
+    images = [T(f) for f in fam.members]
+    tiny = GridFunction(g, 1e-200 * fam.members[0].values)
+    assert float(np.max(np.abs(tiny.values) ** 2)) == 0.0 != float(np.max(np.abs(tiny.values)))
+    return (fam, images) + _with_member(fam, images, tiny, T(tiny))
+
+
+def test_a_zero_denominator_is_skipped_once_per_pair(tiny_case):
+    """The tiny member adds no ratio and counts once as skipped in
+    spectral_identity, and once per weight in the weighted checks; the
+    other ratios keep their order and bits."""
+    fam, images, fam_t, images_t = tiny_case
+    weights = weight_suite(fam.members[0].grid, seed=107)
+    reports = [lambda f, i: check_spectral_identity(i, f),
+               lambda f, i: check_weighted_l2_mw(i, f, weights),
+               lambda f, i: check_lp_range(i, f, weights, 2.0),
+               lambda f, i: check_lp_range(i, f, weights, 4.0)]
+    for check, per_pair in zip(reports, (1, len(weights), len(weights), len(weights))):
+        base, rep = check(fam, images), check(fam_t, images_t)
+        assert base.skipped == 0 and rep.skipped == per_pair, rep.inequality_tag
+        assert rep.ratios == base.ratios, rep.inequality_tag
+
+
+def test_growth_fits_ignore_a_member_with_a_zero_denominator(tiny_case):
+    fam, images, fam_t, images_t = tiny_case
+    p_list = (2, 4, 8, 16)
+    assert (check_growth_in_p(images_t, fam_t, p_list).y_values
+            == check_growth_in_p(images, fam, p_list).y_values)
+    for p in (1.0, 2.0):
+        weights = power_weight_family(fam.members[0].grid, p)
+        base, fit = check_growth_in_ap(images, fam, weights, p), check_growth_in_ap(
+            images_t, fam_t, weights, p)
+        assert (fit.x_values, fit.y_values) == (base.x_values, base.y_values), p
+
+
+def test_sharp_composite_skips_a_constant_member_once_per_weight(torus):
+    """M# |f|^2 of a constant f vanishes, so its denominator is 0 on every
+    weight; the other ratios keep their (weight, member) order and bits."""
+    g = torus.grid
+    fam = mixed_family(g, seed=7, count=6)
+    weights = weight_suite(g, seed=107)[:3]
+    constant = GridFunction(g, np.full(g.shape, 0.5))
+    with_constant, _ = _with_member(fam, fam.members, constant, constant)
+    base = check_sharp_composite(fam, weights, 4.0)
+    rep = check_sharp_composite(with_constant, weights, 4.0)
+    assert (base.skipped, rep.skipped) == (0, len(weights))
+    assert rep.ratios == base.ratios
