@@ -6,10 +6,12 @@ attains it) or a GrowthFit (a log-log slope compared against a declared
 exponent bound); doubling gates a check's values under N -> 2N.  A check
 applies no square function: it reads (f, Tf) pairs, a family and the list
 of its images under T, aligned with family.members.
-Two rules report every ratio: a RatioReport takes its (numerator,
-denominator) pairs in order, and a zero denominator adds no ratio and
-counts as skipped; a GrowthFit's point is the best ratio over the members
-whose denominator is positive.
+Three rules report every ratio.  Pairs: a RatioReport takes (numerator,
+denominator) pairs in order; a zero denominator adds no ratio and counts
+as skipped.  Pointwise: of array pairs, each ratio is max num/den above
+the denominator's noise floor, the points below it make excluded_fraction
+and a denominator zero everywhere is skipped.  Growth point: a GrowthFit's
+point is the best ratio over the members whose denominator is positive.
 Empirical suprema over finite families are lower bounds on true
 operator norms, so every pass criterion is one-sided.  A family member
 that is zero, as drawn or once windowed or projected onto the operator's
@@ -114,6 +116,24 @@ def _report(tag: str, pairs) -> RatioReport:
     pairs = list(pairs)
     ratios = tuple(num / denom for num, denom in pairs if denom != 0.0)
     return RatioReport(tag, ratios, len(pairs) - len(ratios))
+
+
+def _pointwise(tag: str, pairs) -> RatioReport:
+    """The RatioReport of (numerator, denominator) array pairs, in order: a
+    denominator zero everywhere adds no ratio and counts as skipped; else
+    the ratio is max num/den over the points where den > 1e-14 max den,
+    and the other points count toward excluded_fraction."""
+    ratios, skipped, excluded, points = [], 0, 0, 0
+    for num, den in pairs:
+        top = float(np.max(den))
+        if top == 0.0:
+            skipped += 1
+            continue
+        ok = den > 1e-14 * top
+        excluded += int(np.sum(~ok))
+        points += den.size
+        ratios.append(float(np.max(num[ok] / den[ok])))
+    return RatioReport(tag, tuple(ratios), skipped, excluded / points if points else 0.0)
 
 
 def _best(pairs) -> float:
@@ -344,23 +364,15 @@ def check_weighted_l2_mw(images: list, family: TestFamily, weights: list,
 
 def check_weak_1_1(images: list, family: TestFamily, weights: list) -> RatioReport:
     """lambda * w{Tf > lambda} versus int |f| Mw, over six levels lambda
-    from max Tf / 100 up to max Tf."""
-    ratios, skipped = [], 0
-    for w, mw in zip(weights, _maximals(weights)):
-        mw = Weight(GridFunction(w.grid, mw))
-        for f, tf in zip(family.members, images, strict=True):
-            denom = weighted_lp_norm(f, mw, 1)
-            if denom == 0.0:
-                skipped += 1
-                continue
-            top = float(np.max(np.abs(tf.values)))
-            if top == 0.0:
-                skipped += 1
-                continue
-            for lam in np.geomspace(top / 100.0, top * 0.999, 6):
-                measure = weighted_superlevel_measure(tf, w, float(lam))
-                ratios.append(float(lam) * measure / denom)
-    return RatioReport("weak_1_1", tuple(ratios), skipped)
+    from max |Tf| / 100 up to max |Tf|; an image zero everywhere has none."""
+    tops = [float(np.max(np.abs(tf.values))) for tf in images]
+    levels = [np.geomspace(top / 100.0, top * 0.999, 6) if top else () for top in tops]
+    mws = [Weight(GridFunction(w.grid, mw)) for w, mw in zip(weights, _maximals(weights))]
+    denoms = [[weighted_lp_norm(f, mw, 1) for f in family.members] for mw in mws]
+    return _report("weak_1_1", ((float(lam) * weighted_superlevel_measure(tf, w, float(lam)), denom)
+                                for w, row in zip(weights, denoms)
+                                for tf, lams, denom in zip(images, levels, row, strict=True)
+                                for lam in lams))
 
 
 def check_lp_range(images: list, family: TestFamily, weights: list, p: float) -> RatioReport:
@@ -375,21 +387,9 @@ def check_lp_range(images: list, family: TestFamily, weights: list, p: float) ->
 
 def check_pointwise_domination(images: list, gstar_images: list, family: TestFamily) -> RatioReport:
     """max_x Tf(x) / g*f(x), excluding points where g* is at the noise floor."""
-    ratios, skipped = [], 0
-    excluded_total, points_total = 0, 0
-    for _, tf, gf in zip(family.members, images, gstar_images, strict=True):
-        gv = gf.values.real
-        tv = np.abs(tf.values)
-        top = float(np.max(gv))
-        if top == 0.0:
-            skipped += 1
-            continue
-        ok = gv > 1e-14 * top
-        excluded_total += int(np.sum(~ok))
-        points_total += gv.size
-        ratios.append(float(np.max(tv[ok] / gv[ok])))
-    fraction = excluded_total / points_total if points_total else 0.0
-    return RatioReport("pointwise_domination", tuple(ratios), skipped, fraction)
+    return _pointwise("pointwise_domination",
+                      ((np.abs(tf.values), gf.values.real)
+                       for _, tf, gf in zip(family.members, images, gstar_images, strict=True)))
 
 
 def growth_exponents(p_list) -> list:
@@ -438,17 +438,11 @@ def check_growth_in_ap(images: list, family: TestFamily, weights: list, p: float
 
 
 def check_sharp_maximal_domination(gstar_images: list, family: TestFamily, lam: float) -> RatioReport:
-    """max_x of M#_lam((g* f)^2) / (Mf)^2 over the family."""
-    ratios, skipped = [], 0
-    for f, gf, mf in zip(family.members, gstar_images, _maximals(family.members), strict=True):
-        sharp = local_sharp_maximal(
-            GridFunction(f.grid, gf.values.real**2), lam).values.real
-        if float(np.max(mf)) == 0.0:
-            skipped += 1
-            continue
-        ok = mf > 1e-14 * float(np.max(mf))
-        ratios.append(float(np.max(sharp[ok] / mf[ok] ** 2)))
-    return RatioReport("sharp_maximal_domination", tuple(ratios), skipped)
+    """max_x of M#_lam((g* f)^2) / (Mf)^2 over the family, above (Mf)^2's noise floor."""
+    sharps = [local_sharp_maximal(GridFunction(f.grid, gf.values.real**2), lam).values.real
+              for f, gf in zip(family.members, gstar_images, strict=True)]
+    return _pointwise("sharp_maximal_domination",
+                      zip(sharps, (mf**2 for mf in _maximals(family.members)), strict=True))
 
 
 def check_sharp_composite(family: TestFamily, weights: list, p: float,

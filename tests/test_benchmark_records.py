@@ -1,7 +1,7 @@
-"""The benchmark's stored records hold: one pass of each workload at seed 7,
-full settings, drifts from benchmarks/reference/ in no operation.  The
-benchmark's own copies of the auto operator.r rule build the grid that
-``sqfn run`` builds."""
+"""The benchmark's stored records hold: one pass of each workload at seeds
+0, 7 and 42, full settings, drifts from benchmarks/reference/ in no
+operation.  The benchmark's own copies of the auto operator.r rule build
+the grid that ``sqfn run`` builds."""
 
 import subprocess
 import sys
@@ -21,12 +21,15 @@ finally:
     sys.path.remove(_BENCH)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42])
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_a_pass_at_seed_7_matches_the_stored_records(tmp_path, monkeypatch, name):
+def test_a_pass_matches_the_stored_records(tmp_path, monkeypatch, name, seed):
     monkeypatch.setattr(harness, "OUT", tmp_path)
     workload = workloads.WORKLOADS[name]
-    outcomes = harness.run_pass(workload, 7, tmp_path)
-    attempted, failed, problems = harness.judge(outcomes, harness.load_reference(workload, 7))
+    reference = harness.load_reference(workload, seed)
+    assert reference is not None, f"no stored records at seed {seed}"
+    outcomes = harness.run_pass(workload, seed, tmp_path)
+    attempted, failed, problems = harness.judge(outcomes, reference)
     assert attempted > 0 and failed == 0, problems
 
 

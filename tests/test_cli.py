@@ -16,6 +16,7 @@ from sqfn import cli, constants
 from sqfn.cli import _CHECKS, _Plan, _require_check, config_hash, main, parse_config
 from sqfn.errors import UsageError
 from sqfn.squarefuncs import KINDS
+from sqfn.verify import RatioReport
 
 
 def test_defaults_without_file():
@@ -169,6 +170,11 @@ def test_list_checks_and_describe(capsys):
         tolerance = capsys.readouterr().out.split("tolerance: ")[1].splitlines()[0]
         assert f"N -> 2N change < {constants.STABILITY_FACTOR:g}x" in tolerance, tag
         assert "verify.doubling" in tolerance, tag
+    # Both pointwise checks are gated on their excluded fraction.
+    for tag in ("pointwise_domination", "sharp_maximal"):
+        assert main(["describe", tag]) == 0
+        bound = f"excluded fraction < {constants.DOMINATION_EXCLUSION_MAX:.0%}"
+        assert bound in capsys.readouterr().out.split("tolerance: ")[1], tag
 
 
 def test_run_writes_reports(tmp_path, capsys):
@@ -262,6 +268,24 @@ def test_ratio_records_carry_witness_and_skipped(tmp_path):
         assert 0 <= rec["witness"] < 4 * 5  # family x weight suite
         assert rec["skipped"] == 0
         assert rec["excluded_fraction"] == 0.0
+
+
+def test_a_ratio_record_fails_at_the_exclusion_bound():
+    """Every sup-ratio record passes only when less than
+    DOMINATION_EXCLUSION_MAX of its points were excluded."""
+    at, below = constants.DOMINATION_EXCLUSION_MAX, 0.0099
+    assert not cli._record(RatioReport("demo", (1.0,), 0, at))["passed"]
+    assert cli._record(RatioReport("demo", (1.0,), 0, below))["passed"]
+
+
+def test_a_band_record_passes_only_inside_both_ends():
+    """_within's value is the max, low the min and bound target (1 + rtol);
+    it fails when either end leaves target (1 -+ rtol)."""
+    rec = cli._within("demo", [0.98, 1.03, 1.0], 1.0, 0.05)
+    assert rec == {"tag": "demo", "value": 1.03, "low": 0.98, "bound": 1.0 * (1 + 0.05),
+                   "passed": True}
+    assert not cli._within("demo", [0.94, 1.0], 1.0, 0.05)["passed"]
+    assert not cli._within("demo", [1.0, 1.06], 1.0, 0.05)["passed"]
 
 
 def test_runtime_s_is_the_check_time_of_each_record(tmp_path):

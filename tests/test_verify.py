@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from sqfn.errors import BandError, ParameterError
-from sqfn.grid import Grid, GridFunction
+from sqfn.grid import Grid, GridFunction, Weight, weighted_lp_norm
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
-from sqfn.weights import maximal
+from sqfn.weights import local_sharp_maximal, maximal
 from sqfn.verify import (Doubling, GrowthFit, RatioReport, _maximals,
                          band_limited_family, check_growth_in_ap, check_growth_in_p,
-                         check_lp_range, check_sharp_composite, check_spectral_identity,
+                         check_lp_range, check_pointwise_domination, check_sharp_composite,
+                         check_sharp_maximal_domination, check_spectral_identity,
                          check_weak_1_1, check_weighted_l2_mw, default_operator, doubling,
                          mixed_family, power_weight_family, resolved_family,
                          square_function_operator, weight_suite)
@@ -364,3 +365,84 @@ def test_sharp_composite_skips_a_constant_member_once_per_weight(torus):
     rep = check_sharp_composite(with_constant, weights, 4.0)
     assert (base.skipped, rep.skipped) == (0, len(weights))
     assert rep.ratios == base.ratios
+
+
+def test_weak_1_1_gives_an_image_zero_everywhere_no_level(tiny_case):
+    """A member whose image is zero everywhere has no level: it adds no
+    ratio and is not skipped, and the other ratios keep their bits."""
+    fam, images, _, _ = tiny_case
+    g = fam.members[0].grid
+    weights = weight_suite(g, seed=107)
+    fam_z, images_z = _with_member(fam, images, fam.members[0], GridFunction(g, np.zeros(g.shape)))
+    base, rep = check_weak_1_1(images, fam, weights), check_weak_1_1(images_z, fam_z, weights)
+    assert (base.skipped, rep.skipped) == (0, 0)
+    assert rep.ratios == base.ratios
+
+
+def test_weak_1_1_skips_a_zero_denominator_once_per_level(tiny_case):
+    """A member whose one nonzero sample is the least subnormal has
+    int |f| Mw = 0 on every weight: paired with a nonzero image it is
+    skipped at each of its six levels per weight, and the other ratios
+    keep their bits."""
+    fam, images, _, _ = tiny_case
+    g = fam.members[0].grid
+    weights = weight_suite(g, seed=107)
+    vals = np.zeros(g.shape)
+    vals[g.points_per_axis // 2] = 5e-324
+    least = GridFunction(g, vals)
+    assert all(weighted_lp_norm(least, Weight(GridFunction(g, mw)), 1) == 0.0
+               for mw in _maximals(weights))
+    fam_l, images_l = _with_member(fam, images, least, images[0])
+    base, rep = check_weak_1_1(images, fam, weights), check_weak_1_1(images_l, fam_l, weights)
+    assert (base.skipped, rep.skipped) == (0, 6 * len(weights))
+    assert rep.ratios == base.ratios
+
+
+@pytest.fixture(scope="module")
+def gstar_images(torus, tiny_case):
+    """g*_mu images of tiny_case's base family, in member order."""
+    g = torus.grid
+    G = square_function_operator("g_star", torus, TimeGrid.geometric(g.spacing, 0.25, 8), mu=3.5)
+    return [G(f) for f in tiny_case[0].members]
+
+
+def test_pointwise_domination_skips_a_zero_g_star_image_once(tiny_case, gstar_images):
+    """A member whose g* image is zero everywhere adds no ratio and counts
+    once as skipped; the other ratios keep their bits."""
+    fam, images, _, _ = tiny_case
+    g = fam.members[0].grid
+    fam_z, images_z = _with_member(fam, images, fam.members[0], images[0])
+    _, gstar_z = _with_member(fam, gstar_images, fam.members[0], GridFunction(g, np.zeros(g.shape)))
+    base = check_pointwise_domination(images, gstar_images, fam)
+    rep = check_pointwise_domination(images_z, gstar_z, fam_z)
+    assert (base.skipped, rep.skipped) == (0, 1)
+    assert rep.ratios == base.ratios
+    assert rep.excluded_fraction == base.excluded_fraction == 0.0
+
+
+def test_pointwise_domination_excludes_the_points_below_the_floor(tiny_case, gstar_images):
+    """Points where g* f is at most 1e-14 of its max add nothing to the
+    ratio and count toward excluded_fraction, over every member's points."""
+    fam, images, _, _ = tiny_case
+    g = fam.members[0].grid
+    half = gstar_images[0].values.real.copy()
+    cut = half.size // 2
+    half[:cut] = 1e-15 * np.max(half)
+    rep = check_pointwise_domination(images, [GridFunction(g, half)] + gstar_images[1:], fam)
+    base = check_pointwise_domination(images, gstar_images, fam)
+    assert rep.ratios[0] == float(np.max(np.abs(images[0].values)[cut:] / half[cut:]))
+    assert rep.ratios[1:] == base.ratios[1:]
+    assert rep.excluded_fraction == cut / (half.size * len(fam.members))
+
+
+def test_sharp_maximal_ratios_are_the_max_over_all_points(tiny_case, gstar_images):
+    """On a torus family no point of (Mf)^2 is at the floor: each ratio is
+    the max of M#((g* f)^2) / (Mf)^2 over every point."""
+    fam = tiny_case[0]
+    rep = check_sharp_maximal_domination(gstar_images, fam, 0.25)
+    expected = tuple(
+        float(np.max(local_sharp_maximal(GridFunction(f.grid, gf.values.real**2), 0.25).values.real
+                     / maximal(f).values.real**2))
+        for f, gf in zip(fam.members, gstar_images, strict=True))
+    assert rep.ratios == expected
+    assert (rep.skipped, rep.excluded_fraction) == (0, 0.0)
