@@ -370,7 +370,7 @@ def _run_whitney_cz(plan: _Plan) -> list:
     exact = cover.covers_exactly()
     worst_lo, worst_hi = float(np.min(ratios, initial=np.inf)), float(np.max(ratios, initial=0.0))
     fam = mixed_family(g, int(cfg["family.seed"]) + 1, count=8, support_fraction=0.5)
-    worst_recon, worst_mean = 0.0, 0.0
+    worst_recon, worst_mean, worst_good = 0.0, 0.0, 0.0
     for f in fam.members:
         real = GridFunction(g, np.abs(f.values))
         lam = 2.0 * float(np.mean(np.abs(real.values))) + 1e-9
@@ -379,12 +379,13 @@ def _run_whitney_cz(plan: _Plan) -> list:
         dec = cz_decomposition(real, lam)
         worst_recon = max(worst_recon, dec.reconstruction_error(real))
         worst_mean = max(worst_mean, float(np.max(dec.bad_means(), initial=0.0)))
+        worst_good = max(worst_good, dec.good_bound_constant())
     passed = (exact and worst_hi <= 4.0 + 1e-12
               and worst_recon <= constants.RECONSTRUCTION_ATOL
               and worst_mean <= constants.MEAN_ZERO_ATOL)
     return [{"tag": "whitney_cz", "value": worst_recon, "ratio_low": worst_lo,
-             "ratio_high": worst_hi, "bound": constants.RECONSTRUCTION_ATOL,
-             "passed": bool(passed)}]
+             "ratio_high": worst_hi, "good_bound": worst_good,
+             "bound": constants.RECONSTRUCTION_ATOL, "passed": bool(passed)}]
 
 
 def _record(rep, **fields) -> dict:

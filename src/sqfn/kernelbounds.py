@@ -70,23 +70,10 @@ def _kernel_samples(op: SpectralOperator, profile, gradient: bool = False):
     return dist.reshape(-1), vals.reshape(-1)
 
 
-def _dilate_once(profile, t: float):
-    """s -> profile(t s), evaluated once while it is called on one array: the
-    operator evaluates every profile on its own array of spectral levels."""
-    last = []
-
-    def dilate(s):
-        if not last or last[0] is not s:
-            last[:] = [s, profile(t * s)]
-        return last[1]
-
-    return dilate
-
-
 def _compact_support(op: SpectralOperator, t: float, kappa: int, phi_t) -> dict:
-    """Bump of radius 1, phi_t = Phi_1(t s): sup times t^n, and the mass
-    outside t + halo."""
-    dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * phi_t(s))
+    """Bump of radius 1, phi_t = Phi_1(t s) on the spectral levels s: sup
+    times t^n, and the mass outside t + halo."""
+    dist, vals = _kernel_samples(op, lambda s: (t * s) ** (2 * kappa) * phi_t)
     mags = np.abs(vals)
     outside = dist > t + constants.SUPPORT_HALO_CELLS * op.grid.spacing
     total = float(np.sum(mags))
@@ -96,11 +83,11 @@ def _compact_support(op: SpectralOperator, t: float, kappa: int, phi_t) -> dict:
 
 
 def _smoothed_difference(op: SpectralOperator, t: float, r_over_t: float, psi_t) -> dict:
-    """psi_t = Psi(t s), Psi = psi_vanishing; Phi the transform of the
-    radius-1/10 bump."""
+    """psi_t = Psi(t s) on the spectral levels s, Psi = psi_vanishing; Phi
+    the transform of the radius-1/10 bump."""
     phi = FourierBump(BumpProfile(0.1))
     r = r_over_t * t
-    dist, vals = _kernel_samples(op, lambda s: psi_t(s) * (1.0 - phi(r * s)))
+    dist, vals = _kernel_samples(op, lambda s: psi_t * (1.0 - phi(r * s)))
     n = op.dim
     envelope = lambda d: (r / t ** (n + 1)) * (1.0 + d**2 / t**2) ** (-(n + 1) / 2.0)
     return _sup_fit(op, dist, vals, envelope)
@@ -123,8 +110,8 @@ def _gradient_heat(op: SpectralOperator, t: float, kappa: int, _shared) -> dict:
 
 
 # lemma -> (variant key, variant check, op -> the profile F whose dilate
-# F(t s) every variant shares or None, (op, t, variant, that dilate) -> the
-# record's fit fields)
+# F(t s) every variant shares or None, (op, t, variant, the values of F(t s)
+# on the spectral levels s) -> the record's fit fields)
 _LEMMAS = {
     "compact_support": ("kappa", lambda v: v in (0, 1, 2),
                         lambda op: FourierBump(BumpProfile(1.0)), _compact_support),
@@ -142,7 +129,7 @@ def sweep(op: SpectralOperator, lemma: str, t_values, variants) -> list:
     A variant is kappa (0, 1 or 2 for compact support, >= 0 otherwise),
     or r/t > 0 for the smoothed difference.  At each t, Phi_1(t sqrt(L))
     (compact support) or psi(t sqrt(L)) (smoothed difference) is evaluated
-    once for all the variants.
+    once on the operator's spectral levels, before the variants' calls.
     """
     if lemma not in _LEMMAS:
         raise ParameterError(f"unknown kernel lemma {lemma!r}")
@@ -160,9 +147,9 @@ def sweep(op: SpectralOperator, lemma: str, t_values, variants) -> list:
         t = float(t)
         if not (t > 0):
             raise ParameterError(f"{lemma}: t must be positive, got {t}")
-        dilate = _dilate_once(profile, t) if profile else None
+        dilated = profile(t * op.spectral_nodes()) if profile else None
         for variant, recs in zip(variants, records):
-            fields = fit(op, t, variant, dilate)
+            fields = fit(op, t, variant, dilated)
             recs.append({
                 "lemma": lemma,
                 "t": t,

@@ -131,11 +131,7 @@ class SquareFunction:
         return GridFunction(op.grid, np.sqrt(np.maximum(acc, 0.0)))
 
 
-# The spatial kernel FFTs stacked on a leading node axis, None for a delta.
-def _delta(op: SpectralOperator, times: TimeGrid, mu: float):
-    return None
-
-
+# The spatial kernel FFTs stacked on a leading node axis.
 def _ball(op: SpectralOperator, times: TimeGrid, mu: float):
     ConeQuadrature(op.grid, times)  # refuses cross-sections below the spacing
     return _transformed(op, times, lambda t, dist: dist < t)
@@ -153,12 +149,13 @@ def _transformed(op: SpectralOperator, times: TimeGrid, kernel) -> np.ndarray:
     return np.fft.fftn(stack, axes=op.grid.axes, out=stack)
 
 
-# kind: (square_symbol key, vertical, spatial kernel per node); None is psi_vanishing
+# kind: (square_symbol key, vertical, spatial kernel per node); a None key
+# is psi_vanishing, and a None kernel is a delta
 KINDS = {
     "s_h": ("s_h", False, _ball), "s_p": ("s_p", False, _ball),
     "S_H": ("S_H-scalar", True, _ball), "S_P": ("S_P-scalar", True, _ball),
-    "g_h": ("s_h", False, _delta), "g_p": ("s_p", False, _delta),
-    "G_H": ("S_H-scalar", True, _delta), "G_P": ("S_P-scalar", True, _delta),
+    "g_h": ("s_h", False, None), "g_p": ("s_p", False, None),
+    "G_H": ("S_H-scalar", True, None), "G_P": ("S_P-scalar", True, None),
     "g_star": (None, False, _g_star_weight),
 }
 
@@ -180,7 +177,7 @@ def square_function_operator(kind: str, op: SpectralOperator, times: TimeGrid,
         raise ParameterError(
             f"largest time {top:g} exceeds the trust budget t_max = {op.t_max:g}")
     symbol = psi_vanishing(op.dim) if key is None else square_symbol(key)
-    return SquareFunction(op, times, symbol, vertical, kernel(op, times, mu))
+    return SquareFunction(op, times, symbol, vertical, kernel and kernel(op, times, mu))
 
 
 def _of_family(kind: str, kernel) -> str:
@@ -210,7 +207,7 @@ def g_function(kind: str, f: GridFunction, op: SpectralOperator,
     g_h, g_p are the horizontal heat/Poisson versions; G_H, G_P the
     vertical ones with the factor t|grad|.
     """
-    return square_function_operator(_of_family(kind, _delta), op, times)(f)
+    return square_function_operator(_of_family(kind, None), op, times)(f)
 
 
 def g_star(f: GridFunction, op: SpectralOperator, mu: float,

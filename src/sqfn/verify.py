@@ -58,9 +58,9 @@ class RatioReport:
         return int(np.argmax(self.ratios)) if self.ratios else -1
 
     def __post_init__(self):
-        vals = np.asarray(self.ratios, dtype=float)
-        if vals.size and (not np.all(np.isfinite(vals)) or np.min(vals) < 0):
-            raise ParameterError("ratios must be finite and non-negative")
+        # a ratio that overflows to inf is kept (its record fails); NaN is not
+        if not np.all(np.asarray(self.ratios, dtype=float) >= 0):
+            raise ParameterError("ratios must be non-negative, not NaN")
 
 
 @dataclass(frozen=True)

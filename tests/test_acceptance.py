@@ -20,13 +20,10 @@ import numpy as np
 
 from sqfn import constants
 from sqfn.cli import _CHECKS, _Plan, parse_config
-from sqfn.decomp import cz_decomposition, whitney
-from sqfn.grid import Grid, GridFunction
+from sqfn.grid import GridFunction
 from sqfn.multipliers import kappa, square_symbol
-from sqfn.verify import (check_lp_range, check_weighted_l2_mw, doubling,
-                         mixed_family, propagation_leak)
+from sqfn.verify import check_lp_range, check_weighted_l2_mw, doubling, propagation_leak
 
-SEED = 7
 FINE = {"times.per_octave": "12"}
 
 _hermite_elapsed = []
@@ -140,55 +137,17 @@ def test_kernel_bound_sweeps():
 
 def test_whitney_cz_exactness():
     start = time.perf_counter()
-    g = Grid(1, 256, 1.0)
-    rng = np.random.default_rng(SEED)
-    n = g.points_per_axis
-    checked = 0
-    ok_covers = True
-    ok_ratios = True
-    while checked < 50:
-        mask = np.zeros(n, dtype=bool)
-        for _ in range(rng.integers(1, 5)):
-            a = int(rng.integers(0, n))
-            b = int(rng.integers(1, n // 2))
-            mask[a : min(a + b, n)] = True
-        if mask.all() or not mask.any():
-            continue
-        checked += 1
-        cover = whitney(g, mask)
-        ok_covers &= cover.covers_exactly()
-        ratios = cover.distance_ratios()
-        above = cover.sides > 1
-        ok_ratios &= bool(np.all(ratios <= 4.0 + 1e-12))
-        if above.any():
-            ok_ratios &= bool(np.all(ratios[above] >= 1.0 - 1e-12))
-
-    def cz_stats(points):
-        grid = Grid(1, points, 1.0)
-        fam = mixed_family(grid, SEED + 1, count=8, support_fraction=0.5)
-        worst_recon, worst_mean, worst_c = 0.0, 0.0, 0.0
-        for f in fam.members:
-            real = GridFunction(grid, np.abs(f.values))
-            lam = 2.0 * float(np.mean(np.abs(real.values))) + 1e-9
-            if not (np.max(np.abs(real.values)) > lam):
-                continue
-            dec = cz_decomposition(real, lam)
-            worst_recon = max(worst_recon, dec.reconstruction_error(real))
-            worst_mean = max(worst_mean, float(np.max(dec.bad_means(), initial=0.0)))
-            worst_c = max(worst_c, dec.good_bound_constant())
-        return worst_recon, worst_mean, worst_c
-
-    recon128, mean128, c128 = cz_stats(128)
-    recon256, mean256, c256 = cz_stats(256)
-    recon = max(recon128, recon256)
-    mean = max(mean128, mean256)
-    drift = abs(c256 / c128 - 1.0)
-    ok = (ok_covers and ok_ratios and recon <= 1e-12 and mean <= 1e-12
-          and drift <= 0.25)
+    records = [rec for n in (128, 256) for rec in _records("whitney_cz", "laplacian", n)]
+    coarse, fine = records
+    low = min(rec["ratio_low"] for rec in records)
+    high = max(rec["ratio_high"] for rec in records)
+    drift = abs(fine["good_bound"] / coarse["good_bound"] - 1.0)
+    ok = all(rec["passed"] for rec in records) and low >= 1.0 - 1e-12 and drift <= 0.25
     _report("whitney-cz-exactness", ok,
-            f"50 exact covers with 1 <= dist/diam <= 4, reconstruction "
-            f"{recon:.2g} (<= 1e-12), bad means {mean:.2g} (<= 1e-12), "
-            f"good-bound constant drift {drift:.3f} under doubling (<= 0.25)",
+            f"exact covers at N = 128 and 256 with dist/diam in [{low:.3g}, {high:.3g}] "
+            f"(required [1, 4]), reconstruction {max(rec['value'] for rec in records):.2g} "
+            f"(<= {coarse['bound']:g}), good-bound constant drift {drift:.3f} under "
+            f"doubling (<= 0.25)",
             time.perf_counter() - start, 60.0)
 
 

@@ -14,9 +14,11 @@ import pytest
 
 from sqfn import cli, constants
 from sqfn.cli import _CHECKS, _Plan, _require_check, config_hash, main, parse_config
+from sqfn.decomp import cz_decomposition
 from sqfn.errors import UsageError
+from sqfn.grid import GridFunction
 from sqfn.squarefuncs import KINDS
-from sqfn.verify import RatioReport
+from sqfn.verify import RatioReport, mixed_family
 
 
 def test_defaults_without_file():
@@ -271,11 +273,45 @@ def test_ratio_records_carry_witness_and_skipped(tmp_path):
 
 
 def test_a_ratio_record_fails_at_the_exclusion_bound():
-    """Every sup-ratio record passes only when less than
-    DOMINATION_EXCLUSION_MAX of its points were excluded."""
+    """Every sup-ratio record passes only when its sup is finite and less
+    than DOMINATION_EXCLUSION_MAX of its points were excluded."""
     at, below = constants.DOMINATION_EXCLUSION_MAX, 0.0099
     assert not cli._record(RatioReport("demo", (1.0,), 0, at))["passed"]
     assert cli._record(RatioReport("demo", (1.0,), 0, below))["passed"]
+    assert cli._record(RatioReport("demo", (1.0, np.inf)))["passed"] is False
+
+
+def test_an_overflowing_ratio_fails_its_record_and_the_run_goes_on(tmp_path, monkeypatch):
+    """A weak (1,1) ratio that overflows to inf writes a FAIL record with
+    value inf; the other records of weak_lp and the next check are written."""
+    monkeypatch.setattr(cli, "check_weak_1_1",
+                        lambda *args: RatioReport("weak_1_1", (1.0, np.inf)))
+    assert main(["run", "--check", "weak_lp", "--check", "growth_in_p",
+                 "--set", "operator.n=64", "--set", "family.count=8",
+                 "--set", "times.per_octave=4",
+                 "--set", f"output.directory={tmp_path}"]) == 1
+    records = {rec["tag"]: rec for rec in _records(tmp_path)}
+    assert records["weak_1_1"]["passed"] is False
+    assert records["weak_1_1"]["value"] == np.inf
+    assert records["weak_1_1"]["witness"] == 1
+    assert {"lp_range_p1.5", "lp_range_p2", "lp_range_p4", "growth_in_p"} <= set(records)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+def test_whitney_cz_records_the_worst_good_bound_constant(dim, n):
+    """good_bound is the max of |good| / lam over the members the check
+    decomposes, bit for bit."""
+    plan = _Plan(parse_config(None, {"operator.dim": str(dim), "operator.n": str(n)}))
+    (rec,) = _CHECKS["whitney_cz"]["runner"](plan)
+    g = plan.op.grid
+    good = []
+    for f in mixed_family(g, int(plan.cfg["family.seed"]) + 1, count=8,
+                          support_fraction=0.5).members:
+        real = GridFunction(g, np.abs(f.values))
+        lam = 2.0 * float(np.mean(np.abs(real.values))) + 1e-9
+        if np.max(np.abs(real.values)) > lam:
+            good.append(cz_decomposition(real, lam).good_bound_constant())
+    assert good and rec["good_bound"] == max(good)
 
 
 def test_a_band_record_passes_only_inside_both_ends():

@@ -29,10 +29,12 @@ def test_ratio_report_invariants():
     empty = RatioReport("empty", ())
     assert empty.sup_ratio == 0.0
     assert empty.witness == -1
-    with pytest.raises(ParameterError):
-        RatioReport("bad", (1.0, np.inf))
-    with pytest.raises(ParameterError):
-        RatioReport("bad", (-0.5,))
+    overflow = RatioReport("overflow", (1.0, np.inf))
+    assert overflow.sup_ratio == np.inf
+    assert overflow.witness == 1
+    for bad in ((1.0, np.nan), (-0.5,)):
+        with pytest.raises(ParameterError):
+            RatioReport("bad", bad)
 
 
 def test_growth_fit_recovers_planted_slope():
