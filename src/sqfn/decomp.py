@@ -3,16 +3,18 @@
 The fundamental cell [-R, R)^dim is treated as a plain (non-periodic)
 box here: distances to the closed complement F are the non-periodic
 Euclidean ones, computed separably in numpy with the bits of scipy's
-exact distance transform.  (Whether a Whitney cover of the torus should
-use the periodic distance is a separate question; its answer changes
-the records.)  Whitney cubes are dyadic, pairwise disjoint, tile the
-open set exactly, and satisfy diam(Q) <= dist(Q, F) <= 4 diam(Q) (tight
-in one dimension; at the single-cell floor in two dimensions the lower
-constant can dip below 1, which the cover reports rather than hides).
-A cover of a mask, or of a stack of masks on the trailing axes, is two
-integer arrays, the cubes' stack index and lowest corner `starts` and
-their sides `sides`, built in one sweep over the dyadic sides; the bad
-part of a decomposition is one grid function, zero off the cover.
+exact distance transform.  A stack of masks runs in chunks
+(``weights._by_chunks``), each to its own largest offset.  (Whether a
+Whitney cover of the torus should use the periodic distance is a
+separate question; its answer changes the records.)  Whitney cubes are
+dyadic, pairwise disjoint, tile the open set exactly, and satisfy
+diam(Q) <= dist(Q, F) <= 4 diam(Q) (tight in one dimension; at the
+single-cell floor in two dimensions the lower constant can dip below 1,
+which the cover reports rather than hides).  A cover of a mask, or of a
+stack of masks on the trailing axes, is two integer arrays, the cubes'
+stack index and lowest corner `starts` and their sides `sides`, built in
+one sweep over the dyadic sides; the bad part of a decomposition is one
+grid function, zero off the cover.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import GridMismatchError, ParameterError
 from .grid import Grid, GridFunction
-from .weights import _dyadic_sides, maximal
+from .weights import _by_chunks, _dyadic_sides, maximal
 
 
 def _blocks(a: np.ndarray, m: int, dim: int) -> np.ndarray:
@@ -73,6 +75,7 @@ class WhitneyCover:
         return bool(np.array_equal(count, self.mask))
 
 
+@_by_chunks
 def _distance_to_complement(grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Euclidean distance of each grid point to the nearest point of F, separably,
     on the trailing grid axes of a stack of masks: the index distance d to F

@@ -13,9 +13,10 @@ semigroups (the latter also via subordination quadrature), gradients,
 the even wave propagator cos(t sqrt(L)), and dense kernel matrices for
 kernel-bound fits, returned as (distances, entries) like the torus's
 oversampled kernel_profile (the torus matrix by one path in every
-dimension).  forward / inverse / inverse_gradient expose the transform
-pair, so a square function can transform f once per call; inverse and
-inverse_gradient also take a stack with a leading node axis.
+dimension).  level_values gives F once per distinct sqrt(L), and
+profile_values spreads it to every coefficient.  forward / inverse /
+inverse_gradient expose the transform pair, so a square function can
+transform f once per call; both inverses take a leading node axis.
 """
 
 from __future__ import annotations
@@ -82,19 +83,21 @@ class SpectralOperator:
         """The distinct values of sqrt(L) on the resolved spectrum, ascending."""
         return self._levels
 
-    def profile_values(self, profile) -> np.ndarray:
-        """F(sqrt(L)) at every spectral coefficient, evaluated once per
-        distinct value.  F may return leading axes of its own (one row per
-        time node, say), which the result keeps in front of the spectrum's
-        shape.  NaN/Inf is an error naming the smallest spectral value
-        where F is not finite."""
+    def level_values(self, profile) -> np.ndarray:
+        """F at each distinct sqrt(L), as complex, on a trailing level axis after
+        any leading axes F returns (one row per time node, say).  NaN/Inf is
+        an error naming the smallest spectral value where F is not finite."""
         vals = np.asarray(profile(self._levels), dtype=np.complex128)
         vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, self._levels.shape))
         bad = ~np.isfinite(vals).reshape(-1, self._levels.size).all(axis=0)
         if np.any(bad):
             s = float(self._levels[bad][0])
             raise NonFiniteError(f"profile is NaN/Inf at the spectral value sqrt(L) = {s!r}")
-        return vals[..., self._where]
+        return vals
+
+    def profile_values(self, profile) -> np.ndarray:
+        """level_values(profile), its level axis spread to the spectrum's shape."""
+        return self.level_values(profile)[..., self._where]
 
     def _guard_budget(self):
         need = self.grid.size**2 * 16 / 2**20

@@ -6,18 +6,20 @@ z^2 e^{-z^2} or z e^{-z} (horizontal heat/Poisson kinds), the bare
 semigroup with density t^2 |grad .|^2 (vertical kinds), or psi (g*).
 K_j is a delta (g-functions), the ball {|y| < t_j} over t_j^n (area
 integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
-``SquareFunction`` says this once.  Built once, it tabulates phi on (time
-node x spectrum) in one call on the (node x distinct sqrt(L)) grid, and
+``SquareFunction`` says this once.  Built once, it keeps phi as a real
+table on the (time node x distinct sqrt(L)) grid, from one call, and
 stacks the kernel FFTs.  Applied, it transforms f once, then takes the
-nodes in blocks of ``_BLOCK_ELEMENTS`` entries: one batched inverse, one
-FFT convolution, and the rows added in node order.  The oscillator keeps
-one GEMV per row, batched in one matmul, as a GEMM would move the last
-bits.  Which phi, which density and which K_j each of the nine kinds
-takes is one table, ``KINDS``, and ``square_function_operator``, the one
-factory that reads it, is the only way to build a square function.  It
-refuses a time grid whose largest node passes the operator's trust
-budget t_max before it builds any kernel; ``area_integral``,
-``g_function`` and ``g_star`` are one call into it.
+nodes in blocks of ``_BLOCK_ELEMENTS`` entries: the rows' spectrum
+gathered from the table by the operator's level map, one batched
+inverse, one FFT convolution, and the rows added in node order.  The
+oscillator keeps one GEMV per row, batched in one matmul, as a GEMM
+would move the last bits.  Which phi, which density and which K_j each of
+the nine kinds takes is one table, ``KINDS``, and
+``square_function_operator``, the one factory that reads it, is the only
+way to build a square function.  It refuses a time grid whose largest
+node passes the operator's trust budget t_max before it builds any
+kernel; ``area_integral``, ``g_function`` and ``g_star`` are one call
+into it.
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class SquareFunction:
         self.vertical = vertical
         self.nodes = [float(t) for t in times.nodes]
         # the symbol on the whole (time node x distinct sqrt(L)) grid in one
-        # call, one row per node; the copy drops the complex table
-        self.table = op.profile_values(
+        # call, one row per node; a block spreads its rows by the level map
+        self.table = op.level_values(
             lambda s: symbol(np.multiply.outer(self.nodes, s))).real.copy()
         self.kernels = kernels
         g, dt = op.grid, times.log_weight
@@ -117,7 +119,7 @@ class SquareFunction:
         acc = np.zeros(op.grid.shape)
         for lo in range(0, len(self.nodes), self.block):
             rows = slice(lo, lo + self.block)
-            part = self.table[rows] * coeffs
+            part = np.take(self.table[rows], op._where, axis=-1) * coeffs
             if self.vertical:
                 dens = sum(np.abs(c) ** 2 for c in op.inverse_gradient(part))
                 dens *= np.reshape([t**2 for t in self.nodes[rows]], (-1,) + (1,) * op.dim)

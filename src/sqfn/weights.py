@@ -12,16 +12,19 @@ Max and min are exact, so no value depends on the order.  The helpers act
 on the trailing grid axes, so M runs on a whole stack of functions in
 one call: np.cumsum adds in order, so one prefix sum along the first
 grid axis serves every side below N with that side's own bits (the full
-side keeps its np.sum).  The local sharp maximal function sorts the
-samples of the windows of a side in cache-sized chunks of
-``_SORT_CHUNK`` samples, or one window where a window is larger
-(gathered from a sliding view of the wrap-padded array), and takes half
-the least spread of consecutive order statistics.  The full side is one
-cube, whose value holds at every point, so one sort or sum serves it.
+side keeps its np.sum).  So M of a function does not depend on its
+stack, and a stack of more than ``_STACK_CELLS`` cells runs in balanced
+chunks.  The local sharp maximal function sorts the samples of the
+windows of a side in cache-sized chunks of ``_SORT_CHUNK`` samples, or
+one window where a window is larger (gathered from a sliding view of the
+wrap-padded array), and takes half the least spread of consecutive order
+statistics.  The full side is one cube, whose value holds at every
+point, so one sort or sum serves it.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -35,6 +38,8 @@ from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent, require
 
 # Samples sorted per chunk: 256 KiB of float64 stays in cache; rows sort alone, so no value moves.
 _SORT_CHUNK = 2**15
+# Cells per stack chunk (_by_chunks), 256 KiB of float64: 2**16 outgrew glibc's heap trim in 2-D.
+_STACK_CELLS = 2**15
 
 
 def _dyadic_sides(grid: Grid) -> list:
@@ -79,6 +84,23 @@ def _doubled(a: np.ndarray, k: int, dim: int, op) -> np.ndarray:
     return a
 
 
+def _by_chunks(func):
+    """func(grid, stack), for a func of real results that acts on each grid
+    array of a stack alone, in one call within _STACK_CELLS cells, else one
+    call per balanced chunk of the first axis, written into one array."""
+    @functools.wraps(func)
+    def chunked(grid: Grid, stack: np.ndarray) -> np.ndarray:
+        count = min(-(-stack.size // _STACK_CELLS), len(stack)) if stack.ndim > grid.dim else 1
+        if count <= 1:
+            return func(grid, stack)
+        out = np.empty(stack.shape)
+        for part, dst in zip(np.array_split(stack, count), np.array_split(out, count)):
+            dst[...] = func(grid, part)
+        return out
+    return chunked
+
+
+@_by_chunks
 def _maximal_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     """M of every function in a stack whose trailing axes are the grid's."""
     mags = np.abs(values)
@@ -152,11 +174,11 @@ def empirical_maximal_norm(grid: Grid, q: float) -> float:
     require_exponent("q", q)
     rng = np.random.default_rng(7)
     best = 0.0
-    candidates = [np.abs(rng.standard_normal(grid.shape)) for _ in range(32)]
-    spike = np.zeros(grid.shape)
-    spike[(0,) * grid.dim] = 1.0
-    candidates.append(spike)
-    for v, mv in zip(candidates, _maximal_stack(grid, np.stack(candidates))):
+    candidates = np.zeros((33,) + grid.shape)  # 32 trials, then the spike
+    for v in candidates[:32]:
+        np.abs(rng.standard_normal(grid.shape), out=v)
+    candidates[(32,) + (0,) * grid.dim] = 1.0
+    for v, mv in zip(candidates, _maximal_stack(grid, candidates)):
         ratio = lp_norm(GridFunction(grid, mv), q) / max(lp_norm(GridFunction(grid, v), q), 1e-300)
         best = max(best, ratio)
     return best * constants.MAXIMAL_NORM_MARGIN

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import distance_transform_edt
 
+from sqfn import cli, weights
+from sqfn.cli import _Plan, parse_config
 from sqfn.decomp import WhitneyCover, _distance_to_complement, cz_decomposition, whitney
 from sqfn.errors import GridMismatchError, ParameterError
 from sqfn.grid import Grid, GridFunction
@@ -332,3 +335,47 @@ def test_cover_checks_equal_the_per_cube_loops(grid):
                 broken = WhitneyCover(grid, cover.mask, cover.starts[keep], cover.sides[keep],
                                       cover.distance)
                 assert not broken.covers_exactly()
+
+
+@pytest.fixture(scope="module")
+def runner_masks():
+    """The stack of masks the whitney_cz check covers at 2-D N=64, seed 7."""
+    seen = []
+
+    def recording(grid, mask):
+        seen.append((grid, np.array(mask)))
+        return whitney(grid, mask)
+
+    cfg = parse_config(None, {"operator.dim": "2", "operator.n": "64", "family.seed": "7"})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "whitney", recording)
+        cli._CHECKS["whitney_cz"]["runner"](_Plan(cfg))
+    ((grid, masks),) = seen
+    assert masks.shape == (50, 64, 64)
+    return grid, masks
+
+
+def test_distance_chunks_change_no_bits(runner_masks, monkeypatch):
+    """whitney's starts, sides and distance have the same bits with a chunk of
+    one mask and with one chunk of all the check's masks."""
+    grid, masks = runner_masks
+    covers = []
+    for cells in (grid.size, 2**30):
+        monkeypatch.setattr(weights, "_STACK_CELLS", cells)
+        covers.append(whitney(grid, masks))
+    one, whole = covers
+    for name in ("starts", "sides", "distance"):
+        assert np.array_equal(getattr(one, name), getattr(whole, name)), name
+
+
+def test_whitney_works_in_bounded_chunks(runner_masks):
+    """The cover of the check's 50 masks traces under 5 MiB (one distance
+    transform of the whole stack peaks near 9.5 MiB)."""
+    grid, masks = runner_masks
+    tracemalloc.start()
+    try:
+        whitney(grid, masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqfn import squarefuncs
-from sqfn.errors import ParameterError, ResolutionError
+from sqfn.errors import NonFiniteError, ParameterError, ResolutionError
 from sqfn.grid import Grid, GridFunction, lp_norm
 from sqfn.multipliers import psi_vanishing, square_symbol
 from sqfn.spectral import HermiteOscillator1D, LaplacianTorus
@@ -265,15 +267,52 @@ def test_node_blocks_change_no_bits(op, monkeypatch):
 
 @pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
 def test_one_call_table_equals_per_row_tables(op):
-    """The symbol tabulated on the whole (node x level) grid in one call
-    equals one profile_values row per node, bit for bit, for every kind
-    whose symbol is elementwise (all but g*, whose Phi takes the batch path)."""
+    """The symbol tabulated on the whole (node x level) grid in one call,
+    spread by the operator's level map as a block spreads it, equals one
+    profile_values row per node, bit for bit, for every kind whose symbol
+    is elementwise (all but g*, whose Phi takes the batch path)."""
     times = TimeGrid(op.grid.spacing, (0.99 * op.t_max / op.grid.spacing) ** (1 / 6), 7)
     for kind in ORACLE_KINDS[:-1]:
         symbol = square_symbol(squarefuncs.KINDS[kind][0])
         rows = np.stack([op.profile_values(lambda s: symbol(t * s)).real
                          for t in map(float, times.nodes)])
-        assert np.array_equal(square_function_operator(kind, op, times).table, rows), kind
+        T = square_function_operator(kind, op, times)
+        assert T.table.shape == (times.count, op.spectral_nodes().size), kind
+        spread = np.take(T.table, op._where, axis=-1)
+        assert np.array_equal(spread, rows), kind
+
+
+@pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
+def test_a_nonfinite_symbol_fails_the_build_at_its_smallest_level(op):
+    """A symbol that is NaN at two levels of one node row is a NonFiniteError
+    from the SquareFunction build, naming the smaller of the two levels."""
+    times = TimeGrid(op.grid.spacing, 1.5, 5)
+    low = float(op.spectral_nodes()[2])
+
+    def symbol(z):
+        out = np.array(z)
+        out[3, [5, 2]] = np.nan
+        return out
+
+    with pytest.raises(NonFiniteError) as err:
+        squarefuncs.SquareFunction(op, times, symbol, False, None)
+    assert str(err.value).endswith(f"sqrt(L) = {low!r}")
+
+
+def test_a_build_holds_the_table_on_levels_only():
+    """An identity-grid g_h build at 2-D N=64 (t from h/8 to t_max, 8 per
+    octave) traces under 1.5 MiB: the table lives on the (node x level)
+    grid, and no complex (node x spectrum) array is made (one was 4.6 MiB)."""
+    op = LaplacianTorus(Grid(2, 64, 1.0))
+    times = TimeGrid.geometric(op.grid.spacing / 8.0, op.t_max)
+    tracemalloc.start()
+    try:
+        T = square_function_operator("g_h", op, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert T.table.shape == (times.count, op.spectral_nodes().size)
 
 
 def test_g_star_build_calls_psi_once(torus, monkeypatch):

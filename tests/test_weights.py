@@ -120,6 +120,37 @@ def test_maximal_stack_equals_per_function(dim, n, kind):
     assert np.array_equal(alone[0], together[0])
 
 
+def test_stack_chunks_change_no_bits(monkeypatch):
+    """M of a 2-D N=64 stack of 33 real and of 33 complex functions, and
+    empirical_maximal_norm, have the same bits in chunks of one function
+    and in one call of the whole stack."""
+    g = Grid(2, 64, 1.0)
+    rng = np.random.default_rng(33)
+    real = rng.standard_normal((33,) + g.shape)
+    stacks = (real, real + 1j * rng.standard_normal(real.shape))
+    results = []
+    for cells in (g.size, 2**30):
+        monkeypatch.setattr(weights, "_STACK_CELLS", cells)
+        results.append([weights._maximal_stack(g, a) for a in stacks]
+                       + [empirical_maximal_norm(g, 2.0)])
+    (m_real, m_complex, norm), (w_real, w_complex, whole_norm) = results
+    assert np.array_equal(m_real, w_real) and np.array_equal(m_complex, w_complex)
+    assert norm == whole_norm
+
+
+def test_empirical_maximal_norm_works_in_bounded_chunks():
+    """At 2-D N=64 the 33-function stack runs in chunks: the call's traced
+    peak stays under 7 MiB (one call of the whole stack peaks near 10 MiB)."""
+    g = Grid(2, 64, 1.0)
+    tracemalloc.start()
+    try:
+        empirical_maximal_norm(g, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
 def _rubio_de_francia_one(phi, q, mnorm):
     """The series and certificate of one phi, as they were computed per phi."""
     term = np.abs(phi.values)
