@@ -40,7 +40,7 @@ import numpy as np
 
 from . import constants
 from .decomp import cz_decomposition, whitney
-from .errors import ParameterError, SqfnError, UsageError
+from .errors import NonFiniteError, ParameterError, SqfnError, UsageError
 from .grid import Grid, GridFunction, lp_norm, require_exponent, to_csv
 from .kernelbounds import constant_variation, sweep
 from .multipliers import kappa, square_symbol
@@ -651,7 +651,10 @@ def _dump_operator(cfg: dict, symbol: str, t: float, path: str) -> int:
         phi = square_symbol(symbol)
     except ParameterError as exc:
         raise UsageError(f"--symbol: {exc}") from None
-    _, entries = _Plan(cfg).op.kernel_matrix(lambda s: phi(t * s))
+    try:
+        _, entries = _Plan(cfg).op.kernel_matrix(lambda s: phi(t * s))
+    except NonFiniteError as exc:
+        raise UsageError(f"--t {t:g}: {exc}") from None
     with _writing(path), open(path, "w") as fh:
         np.savetxt(fh, np.asarray(entries, dtype=float), delimiter=",")
     print(f"wrote {entries.shape[0]}x{entries.shape[1]} kernel to {path}")

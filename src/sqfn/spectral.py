@@ -16,7 +16,10 @@ oversampled kernel_profile (the torus matrix by one path in every
 dimension).  level_values gives F once per distinct sqrt(L), and
 profile_values spreads it to every coefficient.  forward / inverse /
 inverse_gradient expose the transform pair, so a square function can
-transform f once per call; both inverses take a leading node axis.
+transform f once per call; both inverses take a leading node axis.  The
+oscillator's eigenbasis matrices are real and its data complex, so each
+of its products views the data as (re, im) float64 pairs and runs one real
+matmul per vector or row (``_rows``), never a complex cast of the matrix.
 """
 
 from __future__ import annotations
@@ -86,8 +89,11 @@ class SpectralOperator:
     def level_values(self, profile) -> np.ndarray:
         """F at each distinct sqrt(L), as complex, on a trailing level axis after
         any leading axes F returns (one row per time node, say).  NaN/Inf is
-        an error naming the smallest spectral value where F is not finite."""
-        vals = np.asarray(profile(self._levels), dtype=np.complex128)
+        an error naming the smallest spectral value where F is not finite;
+        NumPy's overflow and invalid-value warnings on the way there are not
+        raised, as that error reports them."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(profile(self._levels), dtype=np.complex128)
         vals = np.broadcast_to(vals, np.broadcast_shapes(vals.shape, self._levels.shape))
         bad = ~np.isfinite(vals).reshape(-1, self._levels.size).all(axis=0)
         if np.any(bad):
@@ -300,8 +306,8 @@ class HermiteOscillator1D(SpectralOperator):
         """Eigen-coefficients of f, rejecting unresolved spectral tails."""
         require_same_grid(self, f)
         v = f.values
-        c = self._band.T @ v * self.grid.spacing
-        resolved = self._band @ c
+        c = self._rows(self._band.T, v) * self.grid.spacing
+        resolved = self._rows(self._band, c)
         total = float(np.sum(np.abs(v) ** 2))
         if total > 0:
             tail = float(np.sum(np.abs(v - resolved) ** 2)) / total
@@ -315,8 +321,8 @@ class HermiteOscillator1D(SpectralOperator):
     def project(self, f: GridFunction) -> GridFunction:
         """Orthogonal projection onto the resolved band (no tail check)."""
         require_same_grid(self, f)
-        c = self._band.T @ f.values * self.grid.spacing
-        return GridFunction(self.grid, self._band @ c)
+        c = self._rows(self._band.T, f.values) * self.grid.spacing
+        return GridFunction(self.grid, self._rows(self._band, c))
 
     def synthesize(self, coeffs: np.ndarray) -> GridFunction:
         coeffs = np.asarray(coeffs)
@@ -328,10 +334,16 @@ class HermiteOscillator1D(SpectralOperator):
         return self.coefficients(f)
 
     @staticmethod
-    def _rows(matrix: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-        """matrix @ c for a vector c or each row c of a stack: one batched matmul
-        of per-row GEMVs, as bit-exact as matrix @ c; a GEMM sums in another order."""
-        return np.matmul(matrix, coeffs[..., None])[..., 0]
+    def _rows(matrix: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """matrix @ c for a complex vector c or each row c of a stack, in real
+        arithmetic: c viewed as (..., K, 2) float64 (re, im) pairs, one real
+        matmul, the result viewed back as complex.  The real matrix is never
+        cast to complex.  Each row is its own (M, K) x (K, 2) product, so a
+        stack gives the bits of its rows one at a time; a real input (made
+        complex) comes back with an imaginary part of exactly 0."""
+        c = np.ascontiguousarray(c, dtype=np.complex128)
+        pairs = c.view(np.float64).reshape(c.shape + (2,))
+        return np.matmul(matrix, pairs).view(np.complex128)[..., 0]
 
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return self._rows(self._band, coeffs)
@@ -348,7 +360,7 @@ class HermiteOscillator1D(SpectralOperator):
 
     def gradient(self, f: GridFunction) -> tuple:
         c = self.coefficients(f)
-        return (GridFunction(self.grid, self._basis_deriv @ c),)
+        return (GridFunction(self.grid, self._rows(self._basis_deriv, c)),)
 
     def kernel_matrix(self, profile) -> tuple:
         return self._kernel(profile, gradient=False)
@@ -360,7 +372,7 @@ class HermiteOscillator1D(SpectralOperator):
         self._guard_budget()
         vals = self.profile_values(profile)
         left = self._basis_deriv if gradient else self._band
-        entries = _real_if_close((left * vals) @ self._band.T, 1e-13)
+        entries = _real_if_close(self._rows(self._band, left * vals), 1e-13)
         x = self.grid.axis_coords()
         dist = np.abs(x[:, None] - x[None, :])
         return dist, entries

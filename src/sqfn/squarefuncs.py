@@ -7,14 +7,15 @@ semigroup with density t^2 |grad .|^2 (vertical kinds), or psi (g*).
 K_j is a delta (g-functions), the ball {|y| < t_j} over t_j^n (area
 integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
 ``SquareFunction`` says this once.  Built once, it keeps phi as a real
-table on the (time node x distinct sqrt(L)) grid, from one call, and
-stacks the kernel FFTs.  Applied, it transforms f once, then takes the
-nodes in blocks of ``_BLOCK_ELEMENTS`` entries: the rows' spectrum
-gathered from the table by the operator's level map, one batched
-inverse, one FFT convolution, and the rows added in node order.  The
-oscillator keeps one GEMV per row, batched in one matmul, as a GEMM
-would move the last bits.  Which phi, which density and which K_j each of
-the nine kinds takes is one table, ``KINDS``, and
+table on the (time node x distinct sqrt(L)) grid, from one call, with
+its subnormal entries set to 0, and stacks the kernel FFTs.  Applied, it
+transforms f once, then takes the nodes in blocks of ``_BLOCK_ELEMENTS``
+entries: the rows' spectrum gathered from the table by the operator's
+level map, one batched inverse, one FFT convolution, and the rows added
+in node order.  The oscillator's batched inverse is one real product of
+its band with each row's (re, im) pairs, batched in one matmul, as a
+GEMM over all rows would move the last bits.  Which phi, which density
+and which K_j each of the nine kinds takes is one table, ``KINDS``, and
 ``square_function_operator``, the one factory that reads it, is the only
 way to build a square function.  It refuses a time grid whose largest
 node passes the operator's trust budget t_max before it builds any
@@ -103,9 +104,12 @@ class SquareFunction:
         self.vertical = vertical
         self.nodes = [float(t) for t in times.nodes]
         # the symbol on the whole (time node x distinct sqrt(L)) grid in one
-        # call, one row per node; a block spreads its rows by the level map
+        # call, one row per node; a block spreads its rows by the level map.
+        # Subnormal entries are flushed to 0 once here, as each one slows
+        # every product it enters.
         self.table = op.level_values(
             lambda s: symbol(np.multiply.outer(self.nodes, s))).real.copy()
+        self.table[np.abs(self.table) < np.finfo(float).tiny] = 0.0
         self.kernels = kernels
         g, dt = op.grid, times.log_weight
         self.weights = [dt if kernels is None else g.cell_volume * dt / t**g.dim

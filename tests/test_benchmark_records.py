@@ -21,7 +21,7 @@ finally:
     sys.path.remove(_BENCH)
 
 
-@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("seed", [0, 7, 16, 42])
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_a_pass_matches_the_stored_records(tmp_path, monkeypatch, name, seed):
     monkeypatch.setattr(harness, "OUT", tmp_path)

@@ -679,6 +679,17 @@ def test_dump_operator_refuses_t_outside_its_domain(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+def test_dump_operator_refuses_a_t_whose_symbol_overflows(tmp_path, capsys):
+    """--t 1e300 overflows the symbol to NaN at every nonzero level: a usage
+    error (exit 2) naming --t and the level, with no numpy warning."""
+    out = tmp_path / "k.csv"
+    assert main(["dump-operator", "--t", "1e300", "--out", str(out),
+                 "--set", "operator.n=64"]) == 2
+    assert capsys.readouterr().err == ("usage error: --t 1e+300: profile is NaN/Inf at "
+                                       f"the spectral value sqrt(L) = {np.pi!r}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("symbol", ["nope", "g_star"])
 def test_dump_operator_refuses_an_unknown_symbol(tmp_path, capsys, monkeypatch, symbol):
     """An unknown --symbol is a usage error (exit 2) naming --symbol and

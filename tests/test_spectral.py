@@ -356,11 +356,16 @@ def test_profile_values_on_levels_equal_the_full_spectrum(op):
 
 
 def _per_row_transforms(op, c):
-    """(inverse, inverse_gradient) of one coefficient row, written out: the
-    matrix @ c products on the oscillator, the FFT of the row on the torus."""
+    """(inverse, inverse_gradient) of one coefficient row, written out: on the
+    oscillator each real matrix times the row's (re, im) pairs, one real
+    product per row; on the torus the FFT of the row."""
     if isinstance(op, HermiteOscillator1D):
-        u = op._band @ c
-        return u, (op._basis_deriv @ ((op._band.T @ u) * op.grid.spacing),)
+        def times(matrix, row):
+            pairs = matrix @ np.stack([row.real, row.imag], axis=-1)
+            return pairs[:, 0] + 1j * pairs[:, 1]
+
+        u = times(op._band, c)
+        return u, (times(op._basis_deriv, times(op._band.T, u) * op.grid.spacing),)
     g = op.grid
     n = g.points_per_axis
     xi = np.pi * (np.fft.fftfreq(n) * n) / g.half_width
@@ -373,7 +378,8 @@ def _per_row_transforms(op, c):
 def test_stacked_inverse_transforms_equal_the_per_row_calls(op):
     """inverse and inverse_gradient on a (T, ...) stack give the bits of the
     per-row transforms: batched FFTs on the torus, and on the oscillator one
-    batched matmul whose items are the per-row GEMVs.  The inputs are complex
+    batched real matmul whose items are the per-row products of the (re, im)
+    pairs.  The inputs are complex
     noise, float64, complex with a zero imaginary part, a strided stack and
     one row, at both oscillator sizes the benchmark runs."""
     rng = np.random.default_rng(11)
@@ -390,3 +396,59 @@ def test_stacked_inverse_transforms_equal_the_per_row_calls(op):
         assert len(got_gradient) == op.dim
         for axis, got in enumerate(got_gradient):
             assert np.array_equal(got, np.stack([w[1][axis] for w in want])), name
+
+
+# ---------------------------------------------------------------------------
+# The oscillator's real products against NumPy's mixed complex products
+# ---------------------------------------------------------------------------
+
+def _agrees(got, want, real_input):
+    """got equals want within 1e-13 times the largest |want|, and from a real
+    input its imaginary part is exactly 0."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert not real_input or np.all(got.imag == 0)
+
+
+@pytest.mark.parametrize("op", (STACK_OPS[-1], HermiteOscillator1D(Grid(1, 256, 22.5), 128)),
+                         ids=["oscillator", "oscillator256"])
+def test_oscillator_transforms_agree_with_the_complex_formulas(op):
+    """coefficients, project, inverse, inverse_gradient, gradient,
+    apply_function and the kernel matrices, done as real matrices times
+    (re, im) pairs, agree within 1e-13 x max with the same formulas in
+    NumPy's mixed real-complex products, on complex, float64, zero-imaginary,
+    strided and single-vector inputs.  A real input gives an imaginary part
+    of exactly 0, and an input outside the band still raises
+    SpectralTailError."""
+    band, deriv, h = op._band, op._basis_deriv, op.grid.spacing
+    heat = lambda s: np.exp(-0.3 * s**2)  # noqa: E731
+    heat_vals = np.exp(-0.3 * (2.0 * np.arange(op.truncation) + 1.0))
+    rng = np.random.default_rng(17)
+    real = rng.standard_normal((6, op.truncation))
+    noise = real + 1j * rng.standard_normal(real.shape)
+    inputs = {"complex": noise, "float64": real, "zero-imaginary": real + 0j,
+              "strided": noise[::2], "vector": noise[0]}
+    for name, c in inputs.items():
+        real_input = name in ("float64", "zero-imaginary")
+        u = np.matmul(band, c[..., None])[..., 0]
+        back = np.matmul(band.T, u[..., None])[..., 0] * h
+        _agrees(op.inverse(c), u, real_input)
+        _agrees(op.inverse_gradient(c)[0], np.matmul(deriv, back[..., None])[..., 0], real_input)
+        for v in np.reshape(u.real if name == "float64" else u, (-1, u.shape[-1])):
+            f = GridFunction(op.grid, v)
+            coeffs = band.T @ f.values * h
+            _agrees(op.coefficients(f), coeffs, real_input)
+            _agrees(op.project(f).values, band @ coeffs, real_input)
+            _agrees(op.gradient(f)[0].values, deriv @ coeffs, real_input)
+            _agrees(op.apply_function(heat, f).values, band @ (heat_vals * coeffs), real_input)
+    for left, kernel in ((band, op.kernel_matrix), (deriv, op.kernel_gradient_matrix)):
+        _, entries = kernel(heat)
+        assert entries.dtype == np.float64
+        _agrees(entries, (left * heat_vals.astype(complex)) @ band.T, True)
+    spike = np.zeros(op.grid.shape)
+    spike[op.grid.points_per_axis // 2] = 1.0
+    for values in (spike, (1.0 + 2.0j) * spike):
+        f = GridFunction(op.grid, values)
+        for transform in (op.coefficients, op.gradient, lambda g: op.apply_function(heat, g)):
+            with pytest.raises(SpectralTailError):
+                transform(f)
