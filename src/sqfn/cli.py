@@ -42,7 +42,7 @@ from . import constants
 from .decomp import cz_decomposition, whitney
 from .errors import NonFiniteError, ParameterError, SqfnError, UsageError
 from .grid import Grid, GridFunction, lp_norm, require_exponent, to_csv
-from .kernelbounds import constant_variation, sweep
+from .kernelbounds import _LEMMAS, constant_variation, sweep
 from .multipliers import kappa, square_symbol
 from .squarefuncs import KINDS, TimeGrid
 from .verify import (GrowthFit, band_limited_family, check_growth_in_ap,
@@ -86,6 +86,14 @@ def _positive(text: str) -> float:
     return float(text)
 
 
+def _exponent(text: str, name: str = "p", closed: bool = False) -> float:
+    """The exponent text names, if the library's rule takes it and it is at most P_MAX."""
+    p = require_exponent(name, float(text), closed)
+    if p > constants.P_MAX:
+        raise ParameterError(f"{name} must be at most {constants.P_MAX}, got {p}")
+    return p
+
+
 # Every operator: its dims, auto operator.r, auto times.t_max (None: the
 # operator's trust budget t_max) and the capture of the plancherel cone family.
 _Operator = namedtuple("_Operator", "dims r t_max capture")
@@ -117,13 +125,12 @@ _KEYS = {
     "params.mu": ("3.5", ("a float", lambda text: require_exponent("mu", float(text)))),
     "params.kinds": ("s_h,s_p,S_H,S_P,g_star", (f"a comma-separated list of {', '.join(KINDS)}",
                                                  lambda text: _entries(text, list(KINDS).index))),
-    "params.p_list": ("1.5,2,4", (_LIST, lambda text: _entries(
-        text, lambda p: require_exponent("p", float(p))))),
+    "params.p_list": ("1.5,2,4", (_LIST, lambda text: _entries(text, _exponent))),
     "params.growth_p_list": ("2,4,8,16,32", (_LIST, lambda text: growth_exponents(_entries(text)))),
     "params.ap_p_list": ("1,2,3", (_LIST, lambda text: _entries(
-        text, lambda p: require_exponent("p", float(p), closed=True)))),
+        text, lambda p: _exponent(p, closed=True)))),
     "params.lam": ("0.25", ("a float", lambda text: sharp_lambda(float(text)))),
-    "params.q": ("2", ("a float", lambda text: require_exponent("q", float(text)))),
+    "params.q": ("2", ("a float", lambda text: _exponent(text, "q"))),
     "params.masks": ("50", ("an int >= 1", _count)),
     "output.directory": ("sqfn-out", None),
 }
@@ -325,27 +332,15 @@ def _run_finite_propagation(plan: _Plan) -> list:
              "passed": bool(worst < constants.SUPPORT_LEAK_TOL)}]
 
 
-_SWEEP_GRIDS = {
-    # per-lemma geometric time windows in units of R (first tuned at N = 128, R = 1)
-    "compact_support": (0.7, 0.93, (0, 1, 2)),
-    "smoothed_difference": (0.45, 0.8, (0.5, 1.0, 2.0)),
-    "poisson_decay": (0.12, 0.3, (0, 1, 2)),
-    "gradient_heat": (0.03, 0.078, (0, 1)),
-}
-
-
 def _run_kernel_bounds(plan: _Plan) -> list:
     records = []
-    for lemma, (t_lo, t_hi, variants) in _SWEEP_GRIDS.items():
-        ts = plan.op.grid.half_width * np.geomspace(t_lo, t_hi, 5)
-        symbol = "rho" if lemma == "smoothed_difference" else "k"
-        for v, recs in zip(variants, sweep(plan.op, lemma, ts, variants)):
-            var = constant_variation(recs)
-            rec = {"tag": f"{lemma}_{symbol}{v:g}", "value": var,
-                   "bound": constants.KERNEL_FIT_VARIATION,
+    for lemma in _LEMMAS:
+        for tag, fits in sweep(plan.op, lemma).items():
+            var = constant_variation(fits)
+            rec = {"tag": tag, "value": var, "bound": constants.KERNEL_FIT_VARIATION,
                    "passed": bool(var < constants.KERNEL_FIT_VARIATION)}
-            if lemma == "compact_support" and v == 0:
-                viol = max(r["support_violation_mass"] for r in recs)
+            if tag == "compact_support_k0":
+                viol = max(f["support_violation_mass"] for f in fits)
                 rec["support_violation_mass"] = viol
                 rec["passed"] = bool(rec["passed"] and viol < constants.SUPPORT_LEAK_TOL)
             records.append(rec)

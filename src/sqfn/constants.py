@@ -18,6 +18,9 @@ P_GROWTH_SLACK = 0.15
 # Slack added to beta_p + 1/(p-1) for growth in the A_p constant.
 AP_GROWTH_SLACK = 0.2
 
+# Largest L^p exponent a check takes; the L^p sums overflow well above it.
+P_MAX = 64
+
 # Allowed multiplicative change of a sup ratio under grid doubling.
 STABILITY_FACTOR = 2.0
 

@@ -1,20 +1,20 @@
 """Kernel-bound sweeps: fitted constants for four kernel estimates.
 
-``sweep(op, lemma, t_values, variants)`` samples the lemma's kernel at
-each t for each variant (oversampled on the 1-D torus, a dense matrix
-otherwise), fits the bound's shape and returns, per variant, one record
-per t: lemma, t, r, kappa, C_fit, c_fit and support_violation_mass (None
-where unused).  At each t the factor every variant shares is evaluated
-once.  ``_LEMMAS`` gives each lemma's variant, shared factor and fit:
+``sweep(op, lemma)`` samples the lemma's kernel at five times of its
+window for each variant (oversampled on the 1-D torus, a dense matrix
+otherwise), fits the bound's shape and returns, per record tag, C_fit and
+any c_fit or support_violation_mass at each time.  ``_LEMMAS`` is the
+whole table: each lemma's window in units of R, variants, tag letter,
+shared factor (evaluated once per t) and fit:
 
 * compact support (kappa in {0, 1, 2}) — kernel of (t^2 L)^kappa
   Phi(t sqrt(L)), Phi a bump supported in (-1, 1): sup bounded by
   C t^{-n}, mass outside |x-y| <= t + SUPPORT_HALO_CELLS h measured;
-* smoothed difference (r/t > 0) — kernel of Psi(t sqrt(L))(1 -
+* smoothed difference (r/t in {1/2, 1, 2}) — kernel of Psi(t sqrt(L))(1 -
   Phi(r sqrt(L))): |K| <= C (r / t^{n+1}) (1 + |x-y|^2/t^2)^{-(n+1)/2};
-* Poisson decay (kappa >= 0) — kernel of (t sqrt(L))^{2 kappa}
+* Poisson decay (kappa in {0, 1, 2}) — kernel of (t sqrt(L))^{2 kappa}
   e^{-t sqrt(L)}: |K| <= C t^{-n} (1 + |x-y|/t)^{-(n + 2 kappa + 1)};
-* gradient heat (kappa >= 0, 1-D) — gradient kernel of (t^2 L)^kappa
+* gradient heat (kappa in {0, 1}, 1-D) — gradient kernel of (t^2 L)^kappa
   e^{-t^2 L}: two-stage Gaussian fit with prefactor t^{-(n+1)}.
 """
 
@@ -109,57 +109,34 @@ def _gradient_heat(op: SpectralOperator, t: float, kappa: int, _shared) -> dict:
     return {"C_fit": C, "c_fit": c}
 
 
-# lemma -> (variant key, variant check, op -> the profile F whose dilate
-# F(t s) every variant shares or None, (op, t, variant, the values of F(t s)
-# on the spectral levels s) -> the record's fit fields)
+# lemma -> (time window (lo, hi) in units of R, first tuned at N = 128, R = 1;
+# variants; their tag letter; op -> the profile F whose dilate F(t s) every
+# variant shares, or None; (op, t, variant, F(t s) on the spectral levels s)
+# -> the fit fields)
 _LEMMAS = {
-    "compact_support": ("kappa", lambda v: v in (0, 1, 2),
+    "compact_support": ((0.7, 0.93), (0, 1, 2), "k",
                         lambda op: FourierBump(BumpProfile(1.0)), _compact_support),
-    "smoothed_difference": ("r_over_t", lambda v: v > 0,
+    "smoothed_difference": ((0.45, 0.8), (0.5, 1.0, 2.0), "rho",
                             lambda op: psi_vanishing(op.dim), _smoothed_difference),
-    "poisson_decay": ("kappa", lambda v: v >= 0, None, _poisson_decay),
-    "gradient_heat": ("kappa", lambda v: v >= 0, None, _gradient_heat),
+    "poisson_decay": ((0.12, 0.3), (0, 1, 2), "k", None, _poisson_decay),
+    "gradient_heat": ((0.03, 0.078), (0, 1), "k", None, _gradient_heat),
 }
 
 
-def sweep(op: SpectralOperator, lemma: str, t_values, variants) -> list:
-    """Run one lemma's sweep over a time grid for each variant; returns one
-    record list per variant, in the order of ``variants``.
-
-    A variant is kappa (0, 1 or 2 for compact support, >= 0 otherwise),
-    or r/t > 0 for the smoothed difference.  At each t, Phi_1(t sqrt(L))
-    (compact support) or psi(t sqrt(L)) (smoothed difference) is evaluated
-    once on the operator's spectral levels, before the variants' calls.
-    """
-    if lemma not in _LEMMAS:
-        raise ParameterError(f"unknown kernel lemma {lemma!r}")
-    key, valid, shared, fit = _LEMMAS[lemma]
-    if len(variants) == 0:
-        raise ParameterError(f"{lemma}: no {key} to sweep")
-    for variant in variants:
-        if not valid(variant):
-            raise ParameterError(f"{lemma}: invalid {key} {variant!r}")
-    if len(t_values) == 0:
-        raise ParameterError(f"{lemma}: the time grid is empty")
+def sweep(op: SpectralOperator, lemma: str) -> dict:
+    """The lemma's fit fields at the five times R * geomspace(lo, hi, 5) of
+    its window, per variant, keyed by record tag (``compact_support_k0``,
+    ``smoothed_difference_rho0.5``, ...).  At each t the shared factor,
+    Phi_1(t sqrt(L)) or psi(t sqrt(L)), is evaluated once on the operator's
+    spectral levels, before the variants' calls."""
+    (lo, hi), variants, letter, shared, fit = _LEMMAS[lemma]
     profile = shared(op) if shared else None
-    records = [[] for _ in variants]
-    for t in t_values:
-        t = float(t)
-        if not (t > 0):
-            raise ParameterError(f"{lemma}: t must be positive, got {t}")
+    fits = {f"{lemma}_{letter}{v:g}": [] for v in variants}
+    for t in map(float, op.grid.half_width * np.geomspace(lo, hi, 5)):
         dilated = profile(t * op.spectral_nodes()) if profile else None
-        for variant, recs in zip(variants, records):
-            fields = fit(op, t, variant, dilated)
-            recs.append({
-                "lemma": lemma,
-                "t": t,
-                "r": variant * t if key == "r_over_t" else None,
-                "kappa": variant if key == "kappa" else None,
-                "C_fit": fields["C_fit"],
-                "c_fit": fields.get("c_fit"),
-                "support_violation_mass": fields.get("support_violation_mass"),
-            })
-    return records
+        for variant, each in zip(variants, fits.values()):
+            each.append(fit(op, t, variant, dilated))
+    return fits
 
 
 def constant_variation(records: list) -> float:

@@ -13,13 +13,14 @@ semigroups (the latter also via subordination quadrature), gradients,
 the even wave propagator cos(t sqrt(L)), and dense kernel matrices for
 kernel-bound fits, returned as (distances, entries) like the torus's
 oversampled kernel_profile (the torus matrix by one path in every
-dimension).  level_values gives F once per distinct sqrt(L), and
-profile_values spreads it to every coefficient.  forward / inverse /
-inverse_gradient expose the transform pair, so a square function can
-transform f once per call; both inverses take a leading node axis.  The
-oscillator's eigenbasis matrices are real and its data complex, so each
-of its products views the data as (re, im) float64 pairs and runs one real
-matmul per vector or row (``_rows``), never a complex cast of the matrix.
+dimension).  level_values gives F once per distinct sqrt(L), spread
+takes a level axis to every coefficient, and profile_values is both.
+forward / inverse / inverse_gradient expose the transform pair, so a
+square function can transform f once per call; both inverses take a
+leading node axis.  The oscillator's eigenbasis matrices are real and its
+data complex, so each of its products views the data as (re, im) float64
+pairs and runs one real matmul per vector or row (``_rows``), never a
+complex cast of the matrix.
 """
 
 from __future__ import annotations
@@ -101,9 +102,13 @@ class SpectralOperator:
             raise NonFiniteError(f"profile is NaN/Inf at the spectral value sqrt(L) = {s!r}")
         return vals
 
+    def spread(self, levels) -> np.ndarray:
+        """An array on a trailing level axis, that axis spread to the spectrum's shape."""
+        return np.take(levels, self._where, axis=-1)
+
     def profile_values(self, profile) -> np.ndarray:
-        """level_values(profile), its level axis spread to the spectrum's shape."""
-        return self.level_values(profile)[..., self._where]
+        """spread(level_values(profile))."""
+        return self.spread(self.level_values(profile))
 
     def _guard_budget(self):
         need = self.grid.size**2 * 16 / 2**20

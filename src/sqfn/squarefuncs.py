@@ -123,7 +123,7 @@ class SquareFunction:
         acc = np.zeros(op.grid.shape)
         for lo in range(0, len(self.nodes), self.block):
             rows = slice(lo, lo + self.block)
-            part = np.take(self.table[rows], op._where, axis=-1) * coeffs
+            part = op.spread(self.table[rows]) * coeffs
             if self.vertical:
                 dens = sum(np.abs(c) ** 2 for c in op.inverse_gradient(part))
                 dens *= np.reshape([t**2 for t in self.nodes[rows]], (-1,) + (1,) * op.dim)

@@ -393,10 +393,10 @@ def check_pointwise_domination(images: list, gstar_images: list, family: TestFam
 
 
 def growth_exponents(p_list) -> list:
-    """p_list as a list, if it holds >= 4 values inside [2, 64]; else a ParameterError."""
+    """p_list as a list, if it holds >= 4 values inside [2, P_MAX]; else a ParameterError."""
     p_list = list(p_list)
-    if len(p_list) < 4 or min(p_list) < 2 or max(p_list) > 64:
-        raise ParameterError("p_list must hold >= 4 values inside [2, 64]")
+    if len(p_list) < 4 or min(p_list) < 2 or max(p_list) > constants.P_MAX:
+        raise ParameterError(f"p_list must hold >= 4 values inside [2, {constants.P_MAX}]")
     return p_list
 
 

@@ -1,5 +1,5 @@
 """The benchmark's stored records hold: one pass of each workload at seeds
-0, 7 and 42, full settings, drifts from benchmarks/reference/ in no
+0, 7, 16 and 42, full settings, drifts from benchmarks/reference/ in no
 operation.  The benchmark's own copies of the auto operator.r rule build
 the grid that ``sqfn run`` builds."""
 

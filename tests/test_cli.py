@@ -509,9 +509,9 @@ def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_o
 @pytest.mark.parametrize("key, value", [
     ("params.lam", "0"), ("params.lam", "1"), ("params.lam", "2"),
     ("params.mu", "1"), ("params.mu", "0.5"), ("params.mu", "inf"),
-    ("params.q", "1"), ("params.q", "0"), ("params.q", "inf"),
-    ("params.p_list", "1.5,1"), ("params.p_list", ""),
-    ("params.ap_p_list", "1,0.5"), ("params.ap_p_list", ""),
+    ("params.q", "1"), ("params.q", "0"), ("params.q", "inf"), ("params.q", "65"),
+    ("params.p_list", "1.5,1"), ("params.p_list", ""), ("params.p_list", "1.5,65"),
+    ("params.ap_p_list", "1,0.5"), ("params.ap_p_list", ""), ("params.ap_p_list", "1,65"),
     ("params.growth_p_list", "2,4,8"), ("params.growth_p_list", "1,2,4,8"),
     ("params.growth_p_list", "2,4,8,128"),
     ("params.kinds", "s_h,nope"), ("params.kinds", ""),
@@ -529,7 +529,8 @@ def test_params_out_of_range_name_their_key(tmp_path, capsys, monkeypatch, key, 
                  "--set", f"output.directory={tmp_path}"]) == 2
     assert capsys.readouterr().err.startswith(f"usage error: {key} must be ")
     assert built == []
-    parse_config(None, {"params.ap_p_list": "1", "params.growth_p_list": "2,2,64,64",
+    parse_config(None, {"params.q": "64", "params.p_list": "1.5,64",
+                        "params.ap_p_list": "1,64", "params.growth_p_list": "2,2,64,64",
                         "params.masks": "1", "params.kinds": ",".join(KINDS),
                         "times.t_min": "5e-324", "times.t_max": "1.7976931348623157e308"})
 
