@@ -42,16 +42,13 @@ from .errors import (
 from .grid import Grid, GridFunction, require_same_grid
 
 
-@functools.lru_cache(maxsize=2)  # hermgauss(128) takes about 9 ms
 def _half_laguerre_rule(n: int) -> tuple:
     """n-node Gauss rule for int_0^inf u^{-1/2} e^{-u} g(u) du (generalized
     Laguerre, alpha = -1/2): with u = x^2 it is int_R e^{-x^2} g(x^2) dx, so the
     nodes are the squared positive nodes of the 2n-node Gauss-Hermite rule and
-    the weights are twice theirs.  The arrays are shared, so read-only."""
+    the weights are twice theirs."""
     x, w = np.polynomial.hermite.hermgauss(2 * n)
-    u, w = x[n:] ** 2, 2.0 * w[n:]
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
+    return x[n:] ** 2, 2.0 * w[n:]
 
 
 def _real_if_close(a: np.ndarray, rtol: float) -> np.ndarray:

@@ -78,6 +78,9 @@ class GrowthFit:
         y = np.asarray(self.y_values, dtype=float)
         if x.size < 4:
             raise ParameterError("growth fits need at least 4 points")
+        for name, v in (("x_values", x), ("y_values", y)):
+            if not np.all((v > 0) & (v < np.inf)):
+                raise ParameterError(f"growth fits need finite positive {name}, got {v.tolist()}")
         if np.max(x) / np.min(x) < 2.0:
             raise ParameterError("growth fits need the x-values to span a real range")
         slope, _ = np.polyfit(np.log(x), np.log(y), 1)
@@ -317,6 +320,8 @@ def propagation_leak(op: SpectralOperator, f: GridFunction, steps, radius: float
     """Worst share, over t = m h for m in steps, of |cos(t sqrt L) f| beyond
     t + radius + SUPPORT_HALO_CELLS h of the origin, for f supported within
     radius of it: finite propagation puts all of it in supp f + B(0, t)."""
+    if not np.any(f.values):
+        raise ParameterError("propagation_leak needs a source f that is not zero")
     g = op.grid
     h = g.spacing
     dist = g.distance_from_origin()

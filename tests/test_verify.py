@@ -13,7 +13,7 @@ from sqfn.verify import (Doubling, GrowthFit, RatioReport, _maximals,
                          check_lp_range, check_pointwise_domination, check_sharp_composite,
                          check_sharp_maximal_domination, check_spectral_identity,
                          check_weak_1_1, check_weighted_l2_mw, default_operator, doubling,
-                         mixed_family, power_weight_family, resolved_family,
+                         mixed_family, power_weight_family, propagation_leak, resolved_family,
                          square_function_operator, weight_suite)
 
 
@@ -96,6 +96,13 @@ def test_growth_fit_guards():
         GrowthFit("few", (1.0, 2.0, 3.0), (1.0, 1.0, 1.0), 0.5, 0.1)
     with pytest.raises(ParameterError):
         GrowthFit("narrow", (1.0, 1.1, 1.2, 1.3), (1.0,) * 4, 0.5, 0.1)
+    # a zero or NaN point would give a NaN slope, not a refusal
+    with pytest.raises(ParameterError, match="finite positive y_values"):
+        GrowthFit("zero", (1.0, 2.0, 4.0, 8.0), (1.0, 0.0, 1.0, 1.0), 0.5, 0.1)
+    with pytest.raises(ParameterError, match="finite positive y_values"):
+        GrowthFit("nan", (1.0, 2.0, 4.0, 8.0), (1.0, np.nan, 1.0, 1.0), 0.5, 0.1)
+    with pytest.raises(ParameterError, match="finite positive x_values"):
+        GrowthFit("zero-x", (0.0, 2.0, 4.0, 8.0), (1.0,) * 4, 0.5, 0.1)
 
 
 def test_mixed_family_stable_across_resolution():
@@ -113,6 +120,12 @@ def test_mixed_family_stable_across_resolution():
         a = a / np.sqrt(np.sum(a**2))
         b = b / np.sqrt(np.sum(b**2))
         np.testing.assert_allclose(a, b, atol=1e-10)
+
+
+def test_propagation_leak_refuses_a_zero_source(torus):
+    zero = GridFunction(torus.grid, np.zeros(torus.grid.shape))
+    with pytest.raises(ParameterError, match="not zero"):
+        propagation_leak(torus, zero, (1, 2), 0.0)
 
 
 def test_mixed_family_rejects_zero_members():
