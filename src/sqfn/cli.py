@@ -65,25 +65,22 @@ def _names(text: str) -> list:
 
 
 def _entries(text: str, each=float) -> list:
-    """The comma-separated entries of text, each parsed by each; none is an error."""
-    values = [each(part) for part in _names(text)]
+    """The comma-separated entries of text, each parsed by each; none, or a repeat, is an error."""
+    parts = _names(text)
+    values = [each(part) for part in parts]
     if not values:
         raise ParameterError("the list is empty")
+    again = [part for i, (part, value) in enumerate(zip(parts, values)) if value in values[:i]]
+    if again:
+        raise ParameterError(f"the entry {again[0]!r} repeats an earlier one; give each once")
     return values
 
 
-def _count(text: str, low: int = 1) -> int:
-    """The int text names, if it is at least low; else a ValueError."""
-    if int(text) < low:
-        raise ValueError(text)
-    return int(text)
-
-
-def _positive(text: str) -> float:
-    """The float text names, if it is finite and > 0; else a ValueError."""
-    if not 0 < float(text) < np.inf:
-        raise ValueError(text)
-    return float(text)
+def _checked(value, ok: bool):
+    """value, if ok; else a ValueError."""
+    if not ok:
+        raise ValueError(value)
+    return value
 
 
 def _exponent(text: str, name: str = "p", closed: bool = False) -> float:
@@ -103,49 +100,52 @@ _OPERATORS = {
 }
 _PAIRS = tuple((name, dim) for name, spec in _OPERATORS.items() for dim in spec.dims)
 
-# Every config key: (default, type), where the type is what a numeric or
-# named value must parse as; a params.* parse also applies the library's own
-# range rule, whose ParameterError the usage error quotes.  None is free text.
+# Every config key: (default, type), the type naming what the value must parse
+# as and the rule that returns the value a run uses (see _Plan); a params.* rule
+# also applies the library's range rule, whose ParameterError the usage error quotes.
+_TEXT = ("text", str)
 _INT = ("an int", int)
+_COUNT = ("an int >= 1", lambda text: _checked(int(text), int(text) >= 1))
 _LIST = "a comma-separated float list"
-_AUTO = ("a float or auto", lambda text: text == "auto" or float(text))
-_TIME = ("auto or a finite float > 0", lambda text: text == "auto" or _positive(text))
+_AUTO = ("a float or auto", lambda text: "auto" if text == "auto" else float(text))
+_TIME = ("auto or a finite float > 0", lambda text: "auto" if text == "auto"
+         else _checked(float(text), 0 < float(text) < np.inf))
 _KEYS = {
-    "operator.name": ("laplacian", (" or ".join(_OPERATORS), list(_OPERATORS).index)),
+    "operator.name": ("laplacian", (" or ".join(_OPERATORS),
+                                    lambda text: _checked(text, text in _OPERATORS))),
     "operator.dim": ("1", _INT),
     "operator.n": ("256", _INT),
     "operator.r": ("auto", _AUTO),
     "operator.truncation": ("128", _INT),
-    "family.seed": ("7", ("an int >= 0", lambda text: _count(text, 0))),
-    "family.count": ("20", ("an int >= 1", _count)),
+    "family.seed": ("7", ("an int >= 0", lambda text: _checked(int(text), int(text) >= 0))),
+    "family.count": ("20", _COUNT),
     "times.t_min": ("auto", _TIME),
     "times.t_max": ("auto", _TIME),
-    "times.per_octave": ("8", ("an int >= 1", _count)),
-    "checks.enabled": ("", None),
+    "times.per_octave": ("8", _COUNT),
+    "checks.enabled": ("", _TEXT),
     "params.mu": ("3.5", ("a float", lambda text: require_exponent("mu", float(text)))),
     "params.kinds": ("s_h,s_p,S_H,S_P,g_star", (f"a comma-separated list of {', '.join(KINDS)}",
-                                                 lambda text: _entries(text, list(KINDS).index))),
+                                                 lambda text: _entries(
+                                                     text, lambda k: _checked(k, k in KINDS)))),
     "params.p_list": ("1.5,2,4", (_LIST, lambda text: _entries(text, _exponent))),
     "params.growth_p_list": ("2,4,8,16,32", (_LIST, lambda text: growth_exponents(_entries(text)))),
     "params.ap_p_list": ("1,2,3", (_LIST, lambda text: _entries(
         text, lambda p: _exponent(p, closed=True)))),
     "params.lam": ("0.25", ("a float", lambda text: sharp_lambda(float(text)))),
     "params.q": ("2", ("a float", lambda text: _exponent(text, "q"))),
-    "params.masks": ("50", ("an int >= 1", _count)),
-    "output.directory": ("sqfn-out", None),
+    "params.masks": ("50", _COUNT),
+    "output.directory": ("sqfn-out", _TEXT),
 }
 
 
 def _check_type(full: str, value: str, where: str) -> str:
     """The value, unchanged, if it parses as its key's type; else a UsageError."""
-    rule = _KEYS[full][1]
-    if rule is not None:
-        name, parse = rule
-        try:
-            parse(value)
-        except ValueError as exc:
-            why = f": {exc}" if isinstance(exc, ParameterError) else ""
-            raise UsageError(f"{where}{full} must be {name}, got {value!r}{why}") from None
+    name, parse = _KEYS[full][1]
+    try:
+        parse(value)
+    except ValueError as exc:
+        why = f": {exc}" if isinstance(exc, ParameterError) else ""
+        raise UsageError(f"{where}{full} must be {name}, got {value!r}{why}") from None
     return value
 
 
@@ -192,52 +192,54 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def _build_operator(cfg: dict):
+def _build_operator(plan: _Plan):
     """The configured operator; one the domain refuses is a UsageError."""
-    name, r = cfg["operator.name"], cfg["operator.r"]
+    name, r = plan["operator.name"], plan["operator.r"]
     try:
-        grid = Grid(int(cfg["operator.dim"]), int(cfg["operator.n"]),
-                    _OPERATORS[name].r if r == "auto" else float(r))
-        return default_operator(name, grid, int(cfg["operator.truncation"]))
+        grid = Grid(plan["operator.dim"], plan["operator.n"], _OPERATORS[name].r if r == "auto" else r)
+        return default_operator(name, grid, plan["operator.truncation"])
     except SqfnError as exc:
-        keys = ", ".join(f"{k} = {cfg[k]}" for k in _KEYS if k.startswith("operator."))
+        keys = ", ".join(f"{k} = {plan.cfg[k]}" for k in _KEYS if k.startswith("operator."))
         raise UsageError(f"{keys}: {exc}") from None
 
 
 class _Plan:
-    """A run's config, the operator it configures (built with the plan) and
-    what its checks share, each made when first asked for and kept on the
-    instance: times(role), the "cone" or "identity" time grid; square(kind,
-    role), kind on that grid (params.mu is read only for g_star); the
-    resolved family; the band-limited family the identity grid captures; the
-    weights, seeded family.seed + 100; and images(kind, role), the role's
-    family's images under square(kind, role) in member order."""
+    """A run's config, read only as plan[key], and what its checks share, each
+    made when first asked for and kept: op, the operator it configures;
+    times(role), the "cone" or "identity" time grid; square(kind, role), kind
+    on that grid (params.mu is read only for g_star); the resolved family; the
+    band-limited family the identity grid captures; the weights, seeded
+    family.seed + 100; and images(kind, role), the role's family's images
+    under square(kind, role) in member order."""
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
-        self.op = _build_operator(cfg)
-        self._times = {}
-        self._built = {}
-        self._images = {}
+        self._times, self._built, self._images = {}, {}, {}
+
+    def __getitem__(self, key: str):
+        """cfg[key] as its key's rule parses it."""
+        return _KEYS[key][1][1](self.cfg[key])
+
+    @functools.cached_property
+    def op(self):
+        return _build_operator(self)
 
     def times(self, role: str) -> TimeGrid:
         """Per-role defaults: identity grids reach below the spacing, cone
         grids start at it; t_max is the operator's (see _OPERATORS)."""
         if role in self._times:
             return self._times[role]
-        cfg, op = self.cfg, self.op
-        t_min, t_max = cfg["times.t_min"], cfg["times.t_max"]
+        op, t_min, t_max = self.op, self["times.t_min"], self["times.t_max"]
         if t_min == "auto":
             t_min = op.grid.spacing / 8.0 if role == "identity" else op.grid.spacing
         if t_max == "auto":
-            t_max = _OPERATORS[cfg["operator.name"]].t_max or op.t_max
-        t_min, t_max = float(t_min), float(t_max)
+            t_max = _OPERATORS[self["operator.name"]].t_max or op.t_max
         if not (0 < t_min < t_max):
             raise ParameterError(
                 f"the {role} time grid needs 0 < t_min < t_max, got t_min = {t_min:g} "
                 f"and t_max = {t_max:g}; set times.t_min and times.t_max, or raise "
                 f"operator.n (auto t_min follows the spacing 2R/operator.n)")
-        times = TimeGrid.geometric(t_min, t_max, int(cfg["times.per_octave"]))
+        times = TimeGrid.geometric(t_min, t_max, self["times.per_octave"])
         if op.trusts(t_max) and not op.trusts(float(times.nodes[-1])):
             # the node count rounds up past a t_max within the budget: drop that node
             times = TimeGrid(times.t_min, times.ratio, times.count - 1)
@@ -248,28 +250,28 @@ class _Plan:
         """Each time grid built so far, by role: its first and last node,
         node count and nodes per octave."""
         return {role: {"t_min": times.t_min, "t_last": float(times.nodes[-1]),
-                       "count": times.count, "per_octave": int(self.cfg["times.per_octave"])}
+                       "count": times.count, "per_octave": self["times.per_octave"]}
                 for role, times in self._times.items()}
 
     def square(self, kind: str, role: str = "cone"):
         if (kind, role) not in self._built:
-            kwargs = {"mu": float(self.cfg["params.mu"])} if kind == "g_star" else {}
+            kwargs = {"mu": self["params.mu"]} if kind == "g_star" else {}
             self._built[kind, role] = square_function_operator(
                 kind, self.op, self.times(role), **kwargs)
         return self._built[kind, role]
 
     @functools.cached_property
     def family(self):
-        return resolved_family(self.op, int(self.cfg["family.seed"]), int(self.cfg["family.count"]))
+        return resolved_family(self.op, self["family.seed"], self["family.count"])
 
     @functools.cached_property
     def weights(self) -> list:
-        return weight_suite(self.op.grid, int(self.cfg["family.seed"]) + 100)
+        return weight_suite(self.op.grid, self["family.seed"] + 100)
 
     @functools.cached_property
     def identity_family(self):
         return band_limited_family(self.op, self.times("identity"),
-                                   int(self.cfg["family.seed"]), int(self.cfg["family.count"]))
+                                   self["family.seed"], self["family.count"])
 
     def images(self, kind: str, role: str = "cone") -> list:
         if (kind, role) not in self._images:
@@ -302,10 +304,8 @@ def _run_spectral_identity(plan: _Plan) -> list:
 
 
 def _run_plancherel(plan: _Plan) -> list:
-    cfg, op = plan.cfg, plan.op
-    fam_cone = band_limited_family(op, plan.times("cone"), int(cfg["family.seed"]),
-                                   int(cfg["family.count"]),
-                                   capture=_OPERATORS[cfg["operator.name"]].capture)
+    fam_cone = band_limited_family(plan.op, plan.times("cone"), plan["family.seed"], plan["family.count"],
+                                   capture=_OPERATORS[plan["operator.name"]].capture)
     rs = [lp_norm(plan.square("s_h")(f), 2) / lp_norm(f, 2) for f in fam_cone.members]
     kap = kappa(square_symbol("s_h"))
     rg = [kap * r for r in _identity_ratios(plan)]
@@ -316,7 +316,7 @@ def _run_plancherel(plan: _Plan) -> list:
 def _run_finite_propagation(plan: _Plan) -> list:
     g = plan.op.grid
     n = g.points_per_axis
-    if plan.cfg["operator.name"] == "laplacian":
+    if plan["operator.name"] == "laplacian":
         vals = np.zeros(g.shape)
         vals[(n // 2,) * g.dim] = 1.0
         f = GridFunction(g, vals)
@@ -348,11 +348,11 @@ def _run_kernel_bounds(plan: _Plan) -> list:
 
 
 def _run_whitney_cz(plan: _Plan) -> list:
-    cfg, g = plan.cfg, plan.op.grid
-    rng = np.random.default_rng(int(cfg["family.seed"]))
+    g = plan.op.grid
+    rng = np.random.default_rng(plan["family.seed"])
     n = g.points_per_axis
     masks = []
-    for _ in range(int(cfg["params.masks"])):
+    for _ in range(plan["params.masks"]):
         mask = np.zeros(g.shape, dtype=bool)
         for _ in range(rng.integers(1, 5)):
             a = rng.integers(0, n, size=g.dim)
@@ -364,7 +364,7 @@ def _run_whitney_cz(plan: _Plan) -> list:
     ratios = cover.distance_ratios()
     exact = cover.covers_exactly()
     worst_lo, worst_hi = float(np.min(ratios, initial=np.inf)), float(np.max(ratios, initial=0.0))
-    fam = mixed_family(g, int(cfg["family.seed"]) + 1, count=8, support_fraction=0.5)
+    fam = mixed_family(g, plan["family.seed"] + 1, count=8, support_fraction=0.5)
     worst_recon, worst_mean, worst_good = 0.0, 0.0, 0.0
     for f in fam.members:
         real = GridFunction(g, np.abs(f.values))
@@ -407,14 +407,14 @@ def _record(rep, **fields) -> dict:
 def _run_weighted_l2_mw(plan: _Plan) -> list:
     return [_record(check_weighted_l2_mw(plan.images(k), plan.family, plan.weights,
                                          tag=f"weighted_l2_mw_{k}"))
-            for k in _names(plan.cfg["params.kinds"])]
+            for k in plan["params.kinds"]]
 
 
 def _run_weak_lp(plan: _Plan) -> list:
     images = plan.images("s_h")
     return [_record(check_weak_1_1(images, plan.family, plan.weights))] + [
         _record(check_lp_range(images, plan.family, plan.weights, p))
-        for p in _entries(plan.cfg["params.p_list"])]
+        for p in plan["params.p_list"]]
 
 
 def _run_pointwise_domination(plan: _Plan) -> list:
@@ -424,20 +424,17 @@ def _run_pointwise_domination(plan: _Plan) -> list:
 
 
 def _run_growth_in_p(plan: _Plan) -> list:
-    p_list = _entries(plan.cfg["params.growth_p_list"])
-    return [_record(check_growth_in_p(plan.images("s_h"), plan.family, p_list))]
+    return [_record(check_growth_in_p(plan.images("s_h"), plan.family, plan["params.growth_p_list"]))]
 
 
 def _run_growth_in_ap(plan: _Plan) -> list:
     return [_record(check_growth_in_ap(plan.images("s_h"), plan.family,
                                        power_weight_family(plan.op.grid, p), p))
-            for p in _entries(plan.cfg["params.ap_p_list"])]
+            for p in plan["params.ap_p_list"]]
 
 
 def _run_rubio_de_francia(plan: _Plan) -> list:
-    cfg, op = plan.cfg, plan.op
-    q = float(cfg["params.q"])
-    base_seed = int(cfg["family.seed"])
+    op, q, base_seed = plan.op, plan["params.q"], plan["family.seed"]
     mnorm = empirical_maximal_norm(op.grid, q)
     phis = [GridFunction(op.grid, np.abs(np.random.default_rng(s).standard_normal(op.grid.shape)))
             for s in range(base_seed, base_seed + 10)]
@@ -454,9 +451,9 @@ def _run_rubio_de_francia(plan: _Plan) -> list:
 
 
 def _run_sharp_maximal(plan: _Plan) -> list:
-    fam = resolved_family(plan.op, int(plan.cfg["family.seed"]),
-                          min(int(plan.cfg["family.count"]), 10), shapes=("band", "bump", "packet"))
-    lam = float(plan.cfg["params.lam"])
+    fam = resolved_family(plan.op, plan["family.seed"], min(plan["family.count"], 10),
+                          shapes=("band", "bump", "packet"))
+    lam = plan["params.lam"]
     gstar = plan.square("g_star")
     return [_record(check_sharp_maximal_domination([gstar(f) for f in fam.members], fam, lam)),
             _record(check_sharp_composite(fam, plan.weights[:3], 4.0, lam))]
@@ -570,13 +567,14 @@ def run(cfg: dict) -> int:
     if not tags:
         raise UsageError("no check to run: name one with --check, or list "
                          "them in checks.enabled")
+    plan = _Plan(cfg)
     for i, tag in enumerate(tags):
-        _require_check(tag, (cfg["operator.name"], int(cfg["operator.dim"])))
+        _require_check(tag, (plan["operator.name"], plan["operator.dim"]))
         if tag in tags[:i]:
             raise UsageError(f"check {tag} is named more than once; name each check once")
-    plan = _Plan(cfg)
+    op = plan.op  # a refused operator ends the run before the output directory is made
     digest = config_hash(cfg)
-    out = cfg["output.directory"]
+    out = plan["output.directory"]
     with _writing(out):
         os.makedirs(out, exist_ok=True)
     all_records = []
@@ -587,9 +585,9 @@ def run(cfg: dict) -> int:
         all_records += [dict(rec, runtime_s=elapsed) for rec in records]
     header = {"config_hash": digest,
               "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-              "operator": {"name": cfg["operator.name"], "dim": plan.op.grid.dim,
-                           "n": plan.op.grid.points_per_axis, "r": plan.op.grid.half_width,
-                           "truncation": getattr(plan.op, "truncation", None)},
+              "operator": {"name": plan["operator.name"], "dim": op.grid.dim,
+                           "n": op.grid.points_per_axis, "r": op.grid.half_width,
+                           "truncation": getattr(op, "truncation", None)},
               "time_grids": plan.time_grids(),
               "python": platform.python_version(), "numpy": np.__version__}
     with open(os.path.join(out, "report.jsonl"), "w") as fh:

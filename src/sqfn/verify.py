@@ -26,7 +26,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import constants
-from .errors import BandError, ParameterError, SingularWeightError
+from .errors import BandError, ParameterError, ResolutionError, SingularWeightError
 from .grid import (Grid, GridFunction, Weight, lp_norm, require_exponent,
                    weighted_lp_norm, weighted_superlevel_measure)
 from .multipliers import kappa, square_symbol
@@ -319,12 +319,18 @@ def check_spectral_identity(images: list, family: TestFamily) -> RatioReport:
 def propagation_leak(op: SpectralOperator, f: GridFunction, steps, radius: float) -> float:
     """Worst share, over t = m h for m in steps, of |cos(t sqrt L) f| beyond
     t + radius + SUPPORT_HALO_CELLS h of the origin, for f supported within
-    radius of it: finite propagation puts all of it in supp f + B(0, t)."""
+    radius of it: finite propagation puts all of it in supp f + B(0, t).
+    Steps that leave no grid point beyond that reach would measure nothing:
+    a ResolutionError."""
     if not np.any(f.values):
         raise ParameterError("propagation_leak needs a source f that is not zero")
     g = op.grid
     h = g.spacing
     dist = g.distance_from_origin()
+    reach = float(min(steps, default=np.inf)) * h + radius + constants.SUPPORT_HALO_CELLS * h
+    if not np.any(dist > reach):
+        raise ResolutionError(f"no grid point lies beyond the least reach t + radius + halo = "
+                              f"{reach:g}; the grid's largest distance is {np.max(dist):g}")
     worst = 0.0
     for m in steps:
         t = float(m) * h
@@ -400,7 +406,7 @@ def check_pointwise_domination(images: list, gstar_images: list, family: TestFam
 def growth_exponents(p_list) -> list:
     """p_list as a list, if it holds >= 4 values inside [2, P_MAX]; else a ParameterError."""
     p_list = list(p_list)
-    if len(p_list) < 4 or min(p_list) < 2 or max(p_list) > constants.P_MAX:
+    if len(p_list) < 4 or not all(2 <= p <= constants.P_MAX for p in p_list):
         raise ParameterError(f"p_list must hold >= 4 values inside [2, {constants.P_MAX}]")
     return p_list
 

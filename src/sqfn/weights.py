@@ -141,7 +141,8 @@ def ap_constant(w: Weight, p: float) -> ApReport:
     if np.min(vals) <= 0.0:
         raise SingularWeightError("A_p constants need a strictly positive weight")
     dim = w.grid.dim
-    dual = vals ** (-1.0 / (p - 1.0)) if p > 1 else None
+    with np.errstate(over="ignore"):  # the refusal below reports an overflow
+        dual = vals ** (-1.0 / (p - 1.0)) if p > 1 else None
     if dual is not None and not np.all(np.isfinite(dual)):
         raise SingularWeightError(
             f"the dual weight w^(-1/(p-1)) overflows for p = {p}"

@@ -17,7 +17,7 @@ from sqfn.cli import _CHECKS, _Plan, _require_check, config_hash, main, parse_co
 from sqfn.decomp import cz_decomposition
 from sqfn.errors import UsageError
 from sqfn.grid import GridFunction
-from sqfn.squarefuncs import KINDS
+from sqfn.squarefuncs import KINDS, TimeGrid
 from sqfn.verify import RatioReport, mixed_family
 
 
@@ -124,6 +124,62 @@ def test_describe_lists_every_key_a_check_reads():
         assert cfg.read, tag
         for key in cfg.read:
             assert any(fnmatch(key, pattern) for pattern in patterns), (tag, key)
+
+
+def test_every_default_parses_under_its_own_rule():
+    """Each _KEYS default passes its key's parse-time check, and plan[key]
+    gives the value a run uses, of the type it uses (written out here
+    independently of the rules)."""
+    for key, (default, _) in cli._KEYS.items():
+        assert cli._check_type(key, default, "") == default
+    want = {"operator.name": "laplacian", "operator.dim": 1, "operator.n": 256,
+            "operator.r": "auto", "operator.truncation": 128, "family.seed": 7,
+            "family.count": 20, "times.t_min": "auto", "times.t_max": "auto",
+            "times.per_octave": 8, "checks.enabled": "", "params.mu": 3.5,
+            "params.kinds": ["s_h", "s_p", "S_H", "S_P", "g_star"],
+            "params.p_list": [1.5, 2.0, 4.0], "params.growth_p_list": [2.0, 4.0, 8.0, 16.0, 32.0],
+            "params.ap_p_list": [1.0, 2.0, 3.0], "params.lam": 0.25, "params.q": 2.0,
+            "params.masks": 50, "output.directory": "sqfn-out"}
+    plan = _Plan(parse_config(None))
+    got = {key: plan[key] for key in cli._KEYS}
+    assert got == want
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        if isinstance(value, list):
+            assert all(type(a) is type(b) for a, b in zip(got[key], value)), key
+
+
+@pytest.mark.parametrize("key, value, entry", [
+    ("params.kinds", "s_h,s_h", "s_h"),
+    ("params.p_list", "2,2.0", "2.0"),
+    ("params.ap_p_list", "2,2", "2"),
+    ("params.growth_p_list", "2,4,8,16,4.0", "4.0"),
+])
+def test_a_repeated_list_entry_is_a_usage_error(tmp_path, capsys, monkeypatch, key, value, entry):
+    """A list entry equal to an earlier one (2 and 2.0 are) would give two
+    records one tag: a usage error (exit 2) naming the key and the entry,
+    raised when the config is parsed, before an operator is built."""
+    built = _no_build(monkeypatch)
+    assert main(["run", "--check", "whitney_cz", "--set", f"{key}={value}",
+                 "--set", f"output.directory={tmp_path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: {key} must be ")
+    assert f"the entry {entry!r} repeats an earlier one" in err
+    assert built == []
+    assert not (tmp_path / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("n, reach", [(8, 1.75), (16, 1.25)])
+def test_finite_propagation_refuses_steps_that_measure_nothing(tmp_path, capsys, n, reach):
+    """On the 1-D torus at N <= 16 every step's reach t + 4h is at least R,
+    the largest distance on the grid, so no point could show a leak: the
+    run ends in an error (exit 1) naming the reach, not a PASS at 0."""
+    assert main(["run", "--check", "finite_propagation", "--set", f"operator.n={n}",
+                 "--set", f"output.directory={tmp_path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: no grid point lies beyond the least reach t + radius + "
+                            f"halo = {reach:g}; the grid's largest distance is 1\n")
+    assert "finite_propagation" not in captured.out
 
 
 def test_config_hash_stable_and_sensitive():
@@ -475,9 +531,10 @@ def test_empty_time_range_names_the_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("r", ["0.7", "1.5"])
 def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, r):
-    """At R = 0.7 and 1.5, R N/8 and R N are not powers of two, so the rounded-up
-    node count would carry the auto grids past the budget t_max = R/4; they end
-    one node earlier."""
+    """At R = 0.7 and 1.5 the auto grids end within the budget t_max = R/4 and
+    a run builds its square functions on them.  With auto t_min and t_max the
+    ratio t_max/t_min is N/8 (cone) or N (identity), a power of two at every
+    R, so these grids never need the plan's node drop; the test below does."""
     settings = {"operator.n": "64", "operator.r": r, "family.count": "4",
                 "params.kinds": "s_h", "times.per_octave": "4"}
     plan = _Plan(parse_config(None, settings))
@@ -491,6 +548,20 @@ def test_auto_time_grids_stay_within_the_budget(tmp_path, capsys, r):
     out = capsys.readouterr().out
     for tag in ("weighted_l2_mw_s_h", "spectral_identity"):
         assert f"PASS {tag}:" in out or f"FAIL {tag}:" in out
+
+
+def test_an_explicit_t_min_drops_the_node_past_the_budget():
+    """At defaults with times.t_min = 0.01, TimeGrid.geometric rounds the node
+    count up to 39, the last node at 0.2691, past the budget t_max = R/4 =
+    0.25; the plan keeps 38 nodes, the last at 0.2468, and builds s_h on them."""
+    plan = _Plan(parse_config(None, {"times.t_min": "0.01"}))
+    full = TimeGrid.geometric(0.01, plan.op.t_max, 8)
+    assert full.count == 39 and not plan.op.trusts(float(full.nodes[-1]))
+    for role in ("cone", "identity"):
+        times = plan.times(role)
+        assert (times.t_min, times.ratio, times.count) == (0.01, full.ratio, 38)
+        assert times.nodes[-1] == pytest.approx(0.24675, abs=1e-5)
+    assert plan.square("s_h").nodes == [float(t) for t in plan.times("cone").nodes]
 
 
 @pytest.mark.parametrize("per_octave", ["0", "-1"])
@@ -513,7 +584,7 @@ def test_per_octave_below_one_names_the_key(tmp_path, capsys, monkeypatch, per_o
     ("params.p_list", "1.5,1"), ("params.p_list", ""), ("params.p_list", "1.5,65"),
     ("params.ap_p_list", "1,0.5"), ("params.ap_p_list", ""), ("params.ap_p_list", "1,65"),
     ("params.growth_p_list", "2,4,8"), ("params.growth_p_list", "1,2,4,8"),
-    ("params.growth_p_list", "2,4,8,128"),
+    ("params.growth_p_list", "2,4,8,128"), ("params.growth_p_list", "2,nan,4,8"),
     ("params.kinds", "s_h,nope"), ("params.kinds", ""),
     ("params.masks", "0"), ("params.masks", "-3"),
     ("times.t_max", "inf"), ("times.t_max", "nan"), ("times.t_max", "0"),
@@ -530,7 +601,7 @@ def test_params_out_of_range_name_their_key(tmp_path, capsys, monkeypatch, key, 
     assert capsys.readouterr().err.startswith(f"usage error: {key} must be ")
     assert built == []
     parse_config(None, {"params.q": "64", "params.p_list": "1.5,64",
-                        "params.ap_p_list": "1,64", "params.growth_p_list": "2,2,64,64",
+                        "params.ap_p_list": "1,64", "params.growth_p_list": "2,3,63,64",
                         "params.masks": "1", "params.kinds": ",".join(KINDS),
                         "times.t_min": "5e-324", "times.t_max": "1.7976931348623157e308"})
 

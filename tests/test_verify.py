@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sqfn.errors import BandError, ParameterError
+from sqfn.errors import BandError, ParameterError, ResolutionError
 from sqfn.grid import Grid, GridFunction, Weight, weighted_lp_norm
 from sqfn.spectral import LaplacianTorus
 from sqfn.squarefuncs import ConeQuadrature, TimeGrid, area_integral, g_function
@@ -126,6 +126,34 @@ def test_propagation_leak_refuses_a_zero_source(torus):
     zero = GridFunction(torus.grid, np.zeros(torus.grid.shape))
     with pytest.raises(ParameterError, match="not zero"):
         propagation_leak(torus, zero, (1, 2), 0.0)
+
+
+def _delta_and_run_steps(n):
+    """The 1-D torus at N with a delta at the origin, and sqfn run's steps."""
+    op = LaplacianTorus(Grid(1, n, 1.0))
+    vals = np.zeros(n)
+    vals[n // 2] = 1.0
+    return op, GridFunction(op.grid, vals), np.linspace(6, min(100, int(0.8 * n // 2)), 10).astype(int)
+
+
+@pytest.mark.parametrize("n, empty", [(8, False), (16, False), (128, True)])
+def test_propagation_leak_refuses_steps_that_measure_nothing(n, empty):
+    """At N = 8 and 16 every one of sqfn run's steps reaches t + 4h >= R,
+    the grid's largest distance, and an empty step set reaches nowhere: a
+    ResolutionError naming the least reach and that distance."""
+    op, f, steps = _delta_and_run_steps(n)
+    reach = np.inf if empty else (min(steps) + 4) * op.grid.spacing
+    with pytest.raises(ResolutionError, match=f"least reach t \\+ radius \\+ halo = {reach:g}; "
+                                              "the grid's largest distance is 1$"):
+        propagation_leak(op, f, [] if empty else steps, 0.0)
+
+
+def test_propagation_leak_measures_once_a_step_leaves_points_beyond_it():
+    """At N = 32 the longest of sqfn run's steps reaches R, but the shorter
+    ones leave points beyond their reach, so the leak is measured."""
+    op, f, steps = _delta_and_run_steps(32)
+    assert (max(steps) + 4) * op.grid.spacing == 1.0
+    assert propagation_leak(op, f, steps, 0.0) < 1e-12
 
 
 def test_mixed_family_rejects_zero_members():
