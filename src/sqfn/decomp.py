@@ -62,14 +62,16 @@ class WhitneyCover:
         """dist(Q, F) / diam(Q) for every cube."""
         out = np.empty(len(self.sides))
         for m, chosen, idx in self._by_side():
-            dist = _blocks(self.distance, m, self.grid.dim).min(axis=self.grid.axes)[idx]
+            dist = _blocks(self.distance, m, self.grid.dim)[idx].min(axis=self.grid.axes)
             out[chosen] = dist / (m * self.grid.spacing * np.sqrt(self.grid.dim))
         return out
 
     def covers_exactly(self) -> bool:
         """True iff the cubes tile every open set exactly and disjointly: each
-        cell lies in one cube on its open set and in none on its F."""
-        count = np.zeros(self.mask.shape, dtype=int)
+        cell lies in one cube on its open set and in none on its F.  A cell
+        lies in one aligned block per side, so int8 counts wrap only if one
+        cube is listed over 100 times."""
+        count = np.zeros(self.mask.shape, dtype=np.int8)
         for m, _, idx in self._by_side():
             np.add.at(_blocks(count, m, self.grid.dim), idx, 1)
         return bool(np.array_equal(count, self.mask))

@@ -8,7 +8,9 @@ K_j is a delta (g-functions), the ball {|y| < t_j} over t_j^n (area
 integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
 ``SquareFunction`` says this once.  Built once, it keeps phi as a real
 table on the (time node x distinct sqrt(L)) grid, from one call, with
-its subnormal entries set to 0, and stacks the kernel FFTs.  Applied, it
+its subnormal entries set to 0, and stacks the kernel FFTs; a cone
+grid's ball stack is built once per operator, kept read-only on it and
+shared by s_h, s_p, S_H and S_P (g*'s stack is one per build).  Applied, it
 transforms f once, then takes the nodes in blocks of ``_BLOCK_ELEMENTS``
 entries: the rows' spectrum gathered from the table by the operator's
 level map, one batched inverse, one FFT convolution, and the rows added
@@ -137,10 +139,15 @@ class SquareFunction:
         return GridFunction(op.grid, np.sqrt(np.maximum(acc, 0.0)))
 
 
-# The spatial kernel FFTs stacked on a leading node axis.
+# The spatial kernel FFTs stacked on a leading node axis; each ball stack
+# is kept on op, so it lives exactly as long as the operator.
 def _ball(op: SpectralOperator, times: TimeGrid, mu: float):
     ConeQuadrature(op.grid, times)  # refuses cross-sections below the spacing
-    return _transformed(op, times, lambda t, dist: dist < t)
+    balls = vars(op).setdefault("_balls", {})
+    if times not in balls:
+        balls[times] = _transformed(op, times, lambda t, dist: dist < t)
+        balls[times].flags.writeable = False
+    return balls[times]
 
 
 def _g_star_weight(op: SpectralOperator, times: TimeGrid, mu: float):

@@ -379,3 +379,20 @@ def test_whitney_works_in_bounded_chunks(runner_masks):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_cover_checks_copy_no_distance_stack(runner_masks):
+    """distance_ratios and covers_exactly on the check's 50 masks each trace
+    under 1 MiB: the cubes are indexed before their minimum is taken, and
+    the overlap count is int8 (a float64 block minimum of the whole distance
+    stack and an int64 count peaked near 2 MiB)."""
+    grid, masks = runner_masks
+    cover = whitney(grid, masks)
+    for name in ("distance_ratios", "covers_exactly"):
+        tracemalloc.start()
+        try:
+            getattr(cover, name)()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{name} peak {peak / 2**20:.2f} MiB"

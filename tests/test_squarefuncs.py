@@ -1,4 +1,6 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -333,3 +335,75 @@ def test_g_star_build_calls_psi_once(torus, monkeypatch):
     times = TimeGrid.geometric(torus.grid.spacing, torus.t_max)
     square_function_operator("g_star", torus, times)
     assert shapes == [(times.count, torus.spectral_nodes().size)]
+
+
+# ---------------------------------------------------------------------------
+# One ball stack per operator and cone grid
+# ---------------------------------------------------------------------------
+
+CONE_KINDS = ("s_h", "s_p", "S_H", "S_P")
+
+
+def _cone_grid(op):
+    """The run's cone grid: from the spacing, 8 nodes per octave, to the last
+    node within the trust budget."""
+    times = TimeGrid.geometric(op.grid.spacing, op.t_max)
+    return TimeGrid(times.t_min, times.ratio, times.count - (not op.trusts(times.nodes[-1])))
+
+
+@pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
+def test_cone_kinds_share_one_read_only_ball_stack(op):
+    """s_h, s_p, S_H and S_P built on one operator and cone grid hold the
+    same ball stack, read-only and equal to a freshly built one; g*'s
+    stack is its own."""
+    times = _cone_grid(op)
+    stacks = [square_function_operator(kind, op, times).kernels for kind in CONE_KINDS]
+    assert all(stack is stacks[0] for stack in stacks[1:])
+    assert not stacks[0].flags.writeable
+    with pytest.raises(ValueError):
+        stacks[0][0] = 0.0
+    fresh = squarefuncs._transformed(op, times, lambda t, dist: dist < t)
+    assert np.array_equal(stacks[0], fresh)
+    weight = square_function_operator("g_star", op, times).kernels
+    assert weight is not stacks[0] and not np.shares_memory(weight, stacks[0])
+
+
+def test_refused_cone_grids_leave_no_stack():
+    """The trust-budget and cross-section refusals run before any ball stack
+    is built or looked up: a refused grid leaves nothing on the operator."""
+    op = LaplacianTorus(Grid(1, 64, 1.0))
+    g = op.grid
+    refused = (TimeGrid(g.spacing, 2.0, 40), TimeGrid(g.spacing / 4, 2.0, 3))
+    for times in refused:
+        with pytest.raises((ParameterError, ResolutionError)):
+            square_function_operator("s_h", op, times)
+    assert not vars(op).get("_balls")
+
+
+def test_cone_kinds_hold_one_ball_stack():
+    """Building s_h, s_p, S_H and S_P on a 2-D N=64 torus at the cone grid
+    holds, and peaks at, no more than 1.25 ball stacks plus the four symbol
+    tables (four stacks, one per kind, were about 4.0)."""
+    op = LaplacianTorus(Grid(2, 64, 1.0))
+    times = _cone_grid(op)
+    tracemalloc.start()
+    try:
+        built = [square_function_operator(kind, op, times) for kind in CONE_KINDS]
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stack = times.count * op.grid.size * np.dtype(np.complex128).itemsize
+    tables = sum(T.table.nbytes for T in built)
+    assert held <= tables + 1.25 * stack, f"held {(held - tables) / stack:.2f} stacks"
+    assert peak <= tables + 1.25 * stack, f"peak {(peak - tables) / stack:.2f} stacks"
+
+
+def test_ball_stack_dies_with_its_operator():
+    """The shared ball stack lives exactly as long as its operator: once the
+    operator and its square functions are gone, nothing keeps the stack."""
+    op = LaplacianTorus(Grid(2, 32, 1.0))
+    built = [square_function_operator(kind, op, _cone_grid(op)) for kind in CONE_KINDS]
+    stack = weakref.ref(built[0].kernels)
+    del op, built
+    gc.collect()
+    assert stack() is None
