@@ -19,6 +19,7 @@ rule's values at the Chebyshev points, interpolated barycentrically.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -223,6 +224,11 @@ def square_symbol(kind: str):
     return _SQUARE_SYMBOLS[kind]
 
 
+# kappa's 64-node Gauss-Legendre rule (an eigvalsh and a legval), built once
+# per process on the first call; kappa only reads it
+_legendre_64 = functools.cache(lambda: np.polynomial.legendre.leggauss(64))
+
+
 def kappa(psi) -> float:
     """kappa = (integral_0^inf |psi(t)|^2 dt/t)^(1/2): 68 equal panels of 64
     Gauss-Legendre nodes on the log axis v = log t in [-34, 34], at both ends
@@ -233,7 +239,7 @@ def kappa(psi) -> float:
         raise DecayClassError(
             "profile lacks the decay/vanishing needed for the dt/t integral to converge"
         )
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = _legendre_64()
     half = (hi - lo) / (2 * panels)
     mids = np.linspace(lo + half, hi - half, panels)
     total = half * (np.tile(w, panels) @ integrand((mids[:, None] + half * x).ravel()))

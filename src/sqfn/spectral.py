@@ -20,7 +20,7 @@ square function can transform f once per call; both inverses take a
 leading node axis.  The oscillator's eigenbasis matrices are real and its
 data complex, so each of its products views the data as (re, im) float64
 pairs and runs one real matmul per vector or row (``_rows``), never a
-complex cast of the matrix.
+complex cast of the matrix; inverse_gradient's three products are one matrix.
 """
 
 from __future__ import annotations
@@ -350,11 +350,14 @@ class HermiteOscillator1D(SpectralOperator):
     def inverse(self, coeffs: np.ndarray) -> np.ndarray:
         return self._rows(self._band, coeffs)
 
+    @functools.cached_property
+    def _reprojected_deriv(self) -> np.ndarray:  # built on the first vertical density
+        return self._basis_deriv @ (self._band.T @ self._band * self.grid.spacing)
+
     def inverse_gradient(self, coeffs: np.ndarray) -> tuple:
-        """Differentiates the re-projected synthesis, as gradient() of it
-        would: the sampled basis is orthonormal only to its Gram defect."""
-        c = self._rows(self._band.T, self.inverse(coeffs)) * self.grid.spacing
-        return (self._rows(self._basis_deriv, c),)
+        """The derivative of the re-projected synthesis (the sampled basis is orthonormal
+        only to its Gram defect), one product per row with deriv @ (band.T @ band * h)."""
+        return (self._rows(self._reprojected_deriv, coeffs),)
 
     def apply_function(self, profile, f: GridFunction) -> GridFunction:
         c = self.coefficients(f)

@@ -10,19 +10,19 @@ integrals) or (t_j/(t_j+|y|))^(n mu) over t_j^n (g*), applied by FFT.
 table on the (time node x distinct sqrt(L)) grid, from one call, with
 its subnormal entries set to 0, and stacks the kernel FFTs; a cone
 grid's ball stack is built once per operator, kept read-only on it and
-shared by s_h, s_p, S_H and S_P (g*'s stack is one per build).  Applied, it
-transforms f once, then takes the nodes in blocks of ``_BLOCK_ELEMENTS``
-entries: the rows' spectrum gathered from the table by the operator's
-level map, one batched inverse, one FFT convolution, and the rows added
-in node order.  The oscillator's batched inverse is one real product of
-its band with each row's (re, im) pairs, batched in one matmul, as a
-GEMM over all rows would move the last bits.  Which phi, which density
-and which K_j each of the nine kinds takes is one table, ``KINDS``, and
-``square_function_operator``, the one factory that reads it, is the only
-way to build a square function.  It refuses a time grid whose largest
-node passes the operator's trust budget t_max before it builds any
-kernel; ``area_integral``, ``g_function`` and ``g_star`` are one call
-into it.
+shared by s_h, s_p, S_H and S_P (g*'s stack is one per build).  Applied,
+it transforms f once, then takes the nodes in blocks of
+``_BLOCK_ELEMENTS`` entries: the rows' spectrum gathered from the table
+by the operator's level map, one batched inverse, one FFT convolution,
+and the weighted rows summed by one reduction in node order.  The
+oscillator's batched inverse is one real product per row's (re, im)
+pairs, batched in one matmul, as a GEMM over all rows would move the
+last bits.  Which phi, which density and which K_j each of the nine
+kinds takes is one table, ``KINDS``, and ``square_function_operator``,
+the one factory that reads it, is the only way to build a square
+function.  It refuses a time grid whose largest node passes the
+operator's trust budget t_max before it builds any kernel;
+``area_integral``, ``g_function`` and ``g_star`` are one call into it.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class SquareFunction:
         self.table[np.abs(self.table) < np.finfo(float).tiny] = 0.0
         self.kernels = kernels
         g, dt = op.grid, times.log_weight
-        self.weights = [dt if kernels is None else g.cell_volume * dt / t**g.dim
-                        for t in self.nodes]
+        self.weights = np.array([dt if kernels is None else g.cell_volume * dt / t**g.dim
+                                 for t in self.nodes])
         self.block = max(1, _BLOCK_ELEMENTS // g.size)
 
     def __call__(self, f: GridFunction) -> GridFunction:
@@ -134,8 +134,9 @@ class SquareFunction:
             if self.kernels is not None:
                 dens = np.fft.ifftn(np.fft.fftn(dens, axes=axes) * self.kernels[rows],
                                     axes=axes).real
-            for j, row in enumerate(dens, lo):
-                acc += row * self.weights[j]
+            dens *= self.weights[rows].reshape((-1,) + (1,) * op.dim)
+            dens[0] += acc  # then acc + w_0 row_0 + w_1 row_1 + ..., in node order
+            np.add.reduce(dens, axis=0, out=acc)
         return GridFunction(op.grid, np.sqrt(np.maximum(acc, 0.0)))
 
 

@@ -143,6 +143,17 @@ def test_kappa_of_s_h_is_pinned():
     assert kappa(square_symbol("s_h")) == 0.35355339059327373
 
 
+def test_kappa_builds_its_rule_once_and_only_reads_it():
+    """kappa calls share one 64-node Gauss-Legendre rule, built on the first
+    call, and leave it equal to a fresh build."""
+    multipliers._legendre_64.cache_clear()
+    for psi in (square_symbol("s_h"), square_symbol("s_p"), psi_vanishing(1)):
+        kappa(psi)
+    assert multipliers._legendre_64.cache_info().misses == 1
+    for got, fresh in zip(multipliers._legendre_64(), np.polynomial.legendre.leggauss(64)):
+        assert np.array_equal(got, fresh)
+
+
 def test_kappa_rejects_nonvanishing_profile():
     with pytest.raises(DecayClassError):
         kappa(lambda s: np.ones_like(s))

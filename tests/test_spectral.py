@@ -364,8 +364,8 @@ def _per_row_transforms(op, c):
             pairs = matrix @ np.stack([row.real, row.imag], axis=-1)
             return pairs[:, 0] + 1j * pairs[:, 1]
 
-        u = times(op._band, c)
-        return u, (times(op._basis_deriv, times(op._band.T, u) * op.grid.spacing),)
+        reprojected_deriv = op._basis_deriv @ (op._band.T @ op._band * op.grid.spacing)
+        return times(op._band, c), (times(reprojected_deriv, c),)
     g = op.grid
     n = g.points_per_axis
     xi = np.pi * (np.fft.fftfreq(n) * n) / g.half_width

@@ -267,6 +267,47 @@ def test_node_blocks_change_no_bits(op, monkeypatch):
         assert all(np.array_equal(results[0], other) for other in results[1:]), kind
 
 
+def _row_by_row(T, f):
+    """T(f) with the node sum written as a loop, acc += row * w_j, one row at
+    a time in node order; the rest as SquareFunction.__call__ does it."""
+    op = T.op
+    coeffs = op.forward(f)
+    acc = np.zeros(op.grid.shape)
+    for lo in range(0, len(T.nodes), T.block):
+        rows = slice(lo, lo + T.block)
+        part = op.spread(T.table[rows]) * coeffs
+        if T.vertical:
+            dens = sum(np.abs(c) ** 2 for c in op.inverse_gradient(part))
+            dens *= np.reshape([t**2 for t in T.nodes[rows]], (-1,) + (1,) * op.dim)
+        else:
+            dens = np.abs(op.inverse(part)) ** 2
+        if T.kernels is not None:
+            dens = np.fft.ifftn(np.fft.fftn(dens, axes=op.grid.axes) * T.kernels[rows],
+                                axes=op.grid.axes).real
+        for j, row in enumerate(dens, lo):
+            acc += row * T.weights[j]
+    return np.sqrt(np.maximum(acc, 0.0))
+
+
+@pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
+def test_node_reduction_is_the_row_loop(op, monkeypatch):
+    """The weighted node rows summed by one reduction over the node axis give
+    the bits of the loop acc += row * w_j, for every kind, in one block and in
+    blocks of three; the 2-D kernel kinds reduce a strided .real view."""
+    g = op.grid
+    rng = np.random.default_rng(13)
+    if isinstance(op, HermiteOscillator1D):
+        f = op.synthesize(rng.standard_normal(op.truncation))
+    else:
+        f = GridFunction(g, rng.standard_normal(g.shape))
+    times = TimeGrid(g.spacing, (0.99 * op.t_max / g.spacing) ** (1 / 6), 7)
+    for per_block in (7, 3):
+        monkeypatch.setattr(squarefuncs, "_BLOCK_ELEMENTS", per_block * g.size)
+        for kind in ORACLE_KINDS:
+            T = square_function_operator(kind, op, times, mu=ORACLE_MU)
+            assert np.array_equal(T(f).values, _row_by_row(T, f)), (kind, per_block)
+
+
 @pytest.mark.parametrize("op", BLOCK_OPS, ids=["torus1d", "torus2d", "oscillator"])
 def test_one_call_table_equals_per_row_tables(op):
     """The symbol tabulated on the whole (node x level) grid in one call,
