@@ -14,12 +14,14 @@ one call: np.cumsum adds in order, so one prefix sum along the first
 grid axis serves every side below N with that side's own bits (the full
 side keeps its np.sum).  So M of a function does not depend on its
 stack, and a stack of more than ``_STACK_CELLS`` cells runs in balanced
-chunks.  The local sharp maximal function sorts the samples of the
+chunks; A_p constants share their prefix sums the same way.  The local
+sharp maximal function sorts the 16-bit rank keys (np.unique) of the
 windows of a side in cache-sized chunks of ``_SORT_CHUNK`` samples, or
 one window where a window is larger (gathered from a sliding view of the
-wrap-padded array), and takes half the least spread of consecutive order
-statistics.  The full side is one cube, whose value holds at every
-point, so one sort or sum serves it.
+wrap-padded keys), and takes half the least spread of consecutive order
+statistics, read back as values: the same two floats as a float sort's.
+The full side is one cube, whose value holds at every point, so one sort
+or sum serves it.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .errors import ConvergenceError, ParameterError, SingularWeightError
 from .grid import Grid, GridFunction, Weight, lp_norm, require_exponent, require_same_grid
 
 
-# Samples sorted per chunk: 256 KiB of float64 stays in cache; rows sort alone, so no value moves.
+# Samples per sort: 64 KiB of uint16 keys (levels: 2 x 256 KiB); rows sort alone, so no value moves.
 _SORT_CHUNK = 2**15
 # Cells per stack chunk (_by_chunks), 256 KiB of float64: 2**16 outgrew glibc's heap trim in 2-D.
 _STACK_CELLS = 2**15
@@ -150,10 +152,12 @@ def ap_constant(w: Weight, p: float) -> ApReport:
     best = -np.inf
     best_cube = (1, (0,) * dim)
     low = vals  # p = 1: the least w on each cube, by lowest corner
+    cs = _prefix_sums(vals, w.grid.points_per_axis // 2, -dim)  # every side below N
+    cs_dual = _prefix_sums(dual, w.grid.points_per_axis // 2, -dim) if p > 1 else None
     for m in _dyadic_sides(w.grid):
-        mean_w = _window_sums(vals, m, dim) / float(m) ** dim
+        mean_w = _window_sums(vals, m, dim, cs) / float(m) ** dim
         if p > 1:
-            field = mean_w * (_window_sums(dual, m, dim) / float(m) ** dim) ** (p - 1.0)
+            field = mean_w * (_window_sums(dual, m, dim, cs_dual) / float(m) ** dim) ** (p - 1.0)
         else:
             low = _doubled(low, -(m // 2), dim, np.minimum)  # a shift of 0 at m = 1
             field = mean_w / low
@@ -244,6 +248,12 @@ def sharp_lambda(lam: float) -> float:
     return lam
 
 
+def _rank_keys(vals: np.ndarray) -> tuple:
+    """The sorted distinct values, and each value's index in them (uint32 past 2**16)."""
+    levels, keys = np.unique(vals, return_inverse=True)
+    return levels, keys.reshape(vals.shape).astype(np.uint16 if len(levels) <= 2**16 else np.uint32)
+
+
 def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
     """Local sharp maximal M#_lam f: sup over cubes containing x of
     inf_c ((f - c) chi_Q)*(lam |Q|).
@@ -255,22 +265,26 @@ def local_sharp_maximal(f: GridFunction, lam: float) -> GridFunction:
     sharp_lambda(lam)
     if np.max(np.abs(f.values.imag)) != 0.0:
         raise ParameterError("the local sharp maximal function is defined for real inputs")
-    vals = f.values.real
+    levels, keys = _rank_keys(f.values.real)
     g = f.grid
     best = np.zeros(g.shape)
     for m in _dyadic_sides(g)[:0:-1]:  # N down to 2; one cell has no spread
         count = m**g.dim
         q = count - int(np.floor(lam * count))
         if q > 1:  # else every cube oscillation at this side is zero
-            windows = sliding_window_view(np.pad(vals, (0, m - 1), mode="wrap"), (m,) * g.dim)
+            windows = sliding_window_view(np.pad(keys, (0, m - 1), mode="wrap"), (m,) * g.dim)
             # At m = N every window is the whole torus, so one sort serves every start.
             starts = 1 if m == g.points_per_axis else g.size
-            rows = max(1, _SORT_CHUNK // count)
+            rows = min(max(1, _SORT_CHUNK // count), starts)
+            top, bottom = np.empty((2, rows, count - q + 1))
             per_start = np.empty(starts)
             for lo in range(0, starts, rows):
                 idx = np.unravel_index(np.arange(lo, min(lo + rows, starts)), g.shape)
-                s = np.sort(windows[idx].reshape(-1, count), axis=1)
-                per_start[lo : lo + rows] = 0.5 * np.min(s[:, q - 1 :] - s[:, : count - q + 1], axis=1)
+                s = windows[idx].reshape(-1, count)
+                s.sort(axis=1)
+                hi = np.take(levels, s[:, q - 1 :], out=top[: len(s)])
+                low = np.take(levels, s[:, : count - q + 1], out=bottom[: len(s)])
+                per_start[lo : lo + rows] = 0.5 * np.min(np.subtract(hi, low, out=hi), axis=1)
             best = np.maximum(per_start.reshape(g.shape) if starts > 1 else per_start[0], best)
         best = _doubled(best, m // 2, g.dim, np.maximum)  # moves nothing at m = N
     return GridFunction(g, best)

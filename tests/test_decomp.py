@@ -9,7 +9,8 @@ from scipy.ndimage import distance_transform_edt
 
 from sqfn import cli, weights
 from sqfn.cli import _Plan, parse_config
-from sqfn.decomp import WhitneyCover, _distance_to_complement, cz_decomposition, whitney
+from sqfn.decomp import (WhitneyCover, _blocks, _distance_to_complement, cz_decomposition,
+                         whitney)
 from sqfn.errors import GridMismatchError, ParameterError
 from sqfn.grid import Grid, GridFunction
 from sqfn.weights import maximal
@@ -396,3 +397,49 @@ def test_cover_checks_copy_no_distance_stack(runner_masks):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, f"{name} peak {peak / 2**20:.2f} MiB"
+
+
+def _strided_sweep(grid, mask):
+    """The per-side sweep that whitney made before its pyramids: at each side,
+    largest first, .all() and .min() over the strided _blocks views of the
+    free cells and the distance, clearing the accepted blocks of free."""
+    edt = _distance_to_complement(grid, mask)
+    free = mask.copy()
+    lead = mask.ndim - grid.dim
+    starts, sides = [], []
+    for m in weights._dyadic_sides(grid)[::-1]:
+        blocks = _blocks(free, m, grid.dim)
+        accept = blocks.all(axis=grid.axes)
+        if m > 1:
+            diam = m * grid.spacing * np.sqrt(grid.dim)
+            accept &= _blocks(edt, m, grid.dim).min(axis=grid.axes) >= diam
+        blocks[accept] = False
+        starts.append(np.argwhere(accept) * ((1,) * lead + (m,) * grid.dim))
+        sides.append(np.full(len(starts[-1]), m))
+    return np.concatenate(starts), np.concatenate(sides), edt
+
+
+def _assert_strided_sweeps_bits(grid, masks):
+    cover = whitney(grid, masks)
+    for name, old in zip(("starts", "sides", "distance"), _strided_sweep(grid, masks)):
+        new = getattr(cover, name)
+        assert new.dtype == old.dtype and new.shape == old.shape, name
+        assert new.tobytes() == old.tobytes(), name
+
+
+def test_pyramid_sweep_keeps_the_strided_sweeps_bits_on_the_check(runner_masks):
+    """The 50 masks of the 2-D N=64 whitney_cz check, as one stack."""
+    _assert_strided_sweeps_bits(*runner_masks)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 64), (1, 256), (2, 8), (2, 16), (2, 64)])
+def test_pyramid_sweep_keeps_the_strided_sweeps_bits(dim, n):
+    """Random stacks with an all-closed and a one-cell mask among the oracle's."""
+    g = Grid(dim, n, 1.0)
+    rng = np.random.default_rng(31 * n + dim)
+    closed, one_cell = np.zeros(g.shape, dtype=bool), np.zeros(g.shape, dtype=bool)
+    one_cell.flat[int(rng.integers(g.size))] = True
+    masks = np.stack(_oracle_masks(dim, n, rng) + [closed, one_cell])
+    _assert_strided_sweeps_bits(g, masks)
+    _assert_strided_sweeps_bits(g, masks[-2])
+    _assert_strided_sweeps_bits(g, masks[-12:].reshape((3, 4) + g.shape))

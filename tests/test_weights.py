@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
-from sqfn import constants, weights
+from sqfn import constants, verify, weights
 from sqfn.errors import GridMismatchError, ParameterError, SingularWeightError
 from sqfn.grid import Grid, GridFunction, Weight, lp_norm
 from sqfn.weights import (ap_constant, empirical_maximal_norm,
@@ -367,6 +368,43 @@ def test_a1_constant_equals_the_per_side_minimum_filter(dim, n):
         best, side * g.spacing, tuple(int(i) for i in start))
 
 
+def _per_side_ap(w, p):
+    """ap_constant as each side's own prefix sums give it: constant, witness
+    side in cells and witness start, the first strict maximum winning."""
+    n, dim = w.shape[0], w.ndim
+    dual = w ** (-1.0 / (p - 1.0)) if p > 1 else None
+    best, cube = -np.inf, None
+    low = w
+    for m in weights._dyadic_sides(Grid(dim, n, 1.0)):
+        mean_w = weights._window_sums(w, m, dim) / float(m) ** dim
+        if p > 1:
+            field = mean_w * (weights._window_sums(dual, m, dim) / float(m) ** dim) ** (p - 1.0)
+        else:
+            low = weights._doubled(low, -(m // 2), dim, np.minimum)
+            field = mean_w / low
+        idx = int(np.argmax(field))
+        if field.reshape(-1)[idx] > best:
+            best, cube = float(field.reshape(-1)[idx]), (m, np.unravel_index(idx, field.shape))
+    return best, cube[0], tuple(int(i) for i in cube[1])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 256), (2, 16), (2, 64)])
+def test_ap_constant_shared_prefix_sums_keep_the_per_side_bits(dim, n, p):
+    """One prefix sum per weight and per dual weight serves every side below N:
+    constant, witness side and witness start are the per-side route's, on the
+    weight suite and, in 1-D, the power-weight family."""
+    g = Grid(dim, n, 1.0)
+    family = verify.weight_suite(g, 107)
+    if dim == 1:
+        family += verify.power_weight_family(g, p)
+    for k, w in enumerate(family):
+        rep = ap_constant(w, p)
+        constant, side, start = _per_side_ap(w.values, p)
+        assert rep.constant == constant, k
+        assert (rep.witness_side, rep.witness_start) == (side * g.spacing, start), k
+
+
 def test_local_sharp_maximal_works_in_cache_sized_chunks(monkeypatch):
     """At 2-D N=64 the call's traced peak stays under 2 MB (an 8 MiB chunk
     peaks near 24 MB), and the chunk size changes no bit."""
@@ -381,6 +419,89 @@ def test_local_sharp_maximal_works_in_cache_sized_chunks(monkeypatch):
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     monkeypatch.setattr(weights, "_SORT_CHUNK", 1 << 20)
     assert np.array_equal(chunked, local_sharp_maximal(f, 0.25).values)
+
+
+def _float_sort_sharp(vals, lam):
+    """M#_lam by the float route: the samples of each chunk of windows
+    sorted as float64 and the spread taken between the sorted floats."""
+    g = Grid(vals.ndim, vals.shape[0], 1.0)
+    best = np.zeros(g.shape)
+    for m in weights._dyadic_sides(g)[:0:-1]:
+        count = m**g.dim
+        q = count - int(np.floor(lam * count))
+        if q > 1:
+            windows = sliding_window_view(np.pad(vals, (0, m - 1), mode="wrap"), (m,) * g.dim)
+            starts = 1 if m == g.points_per_axis else g.size
+            rows = max(1, weights._SORT_CHUNK // count)
+            per_start = np.empty(starts)
+            for lo in range(0, starts, rows):
+                idx = np.unravel_index(np.arange(lo, min(lo + rows, starts)), g.shape)
+                s = np.sort(windows[idx].reshape(-1, count), axis=1)
+                per_start[lo : lo + rows] = 0.5 * np.min(s[:, q - 1 :] - s[:, : count - q + 1], axis=1)
+            best = np.maximum(per_start.reshape(g.shape) if starts > 1 else per_start[0], best)
+        best = weights._doubled(best, m // 2, g.dim, np.maximum)
+    return best
+
+
+def _sharp_inputs(shape, rng):
+    """Ties, two levels, a constant, negatives, signed zeros and a spike."""
+    zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    zeros[rng.random(shape) < 0.2] = 1.0
+    spike = np.zeros(shape)
+    spike.flat[int(rng.integers(spike.size))] = 3.0
+    return {"ties": np.round(2.0 * rng.standard_normal(shape)) / 2.0,
+            "two-level": np.where(rng.random(shape) < 0.3, 1.5, -0.25),
+            "constant": np.full(shape, 7.0),
+            "negative": -np.exp(rng.standard_normal(shape)),
+            "signed-zeros": zeros,
+            "spike": spike}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim, n", [(1, 8), (1, 128), (1, 256), (2, 8), (2, 32), (2, 64)])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 0.5, 0.7, 0.99])
+def test_local_sharp_maximal_rank_keys_keep_the_float_sorts_bits(dim, n, lam):
+    """Sorting 16-bit rank keys and reading the levels back gives every value
+    the bits of sorting the floats, signed zeros included."""
+    g = Grid(dim, n, 1.0)
+    for kind, vals in _sharp_inputs(g.shape, np.random.default_rng(n + dim)).items():
+        fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
+        assert _same_bits(fast, _float_sort_sharp(vals, lam)), kind
+
+
+def test_rank_keys_widen_past_16_bits_only():
+    """2**16 distinct values fit uint16 keys, one more needs uint32; either way
+    levels are the sorted distinct values and levels[keys] has the input's bits."""
+    rng = np.random.default_rng(5)
+    for size, dtype in ((2**16, np.uint16), (2**16 + 1, np.uint32)):
+        vals = rng.permutation(np.arange(size) - 0.5 * size) / 7.0
+        vals = vals.reshape(1, -1) if size % 2 else vals.reshape(4, -1)
+        levels, keys = weights._rank_keys(vals)
+        assert keys.dtype == dtype and keys.shape == vals.shape
+        assert np.all(np.diff(levels) > 0) and len(levels) == size
+        assert _same_bits(levels[keys], vals)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 128), (2, 32)])
+def test_local_sharp_maximal_keeps_its_bits_with_32_bit_keys(dim, n, monkeypatch):
+    """The uint32 keys of a grid with more than 2**16 distinct values, forced
+    here on small grids, give the float route's bits too."""
+    g = Grid(dim, n, 1.0)
+    inputs = _sharp_inputs(g.shape, np.random.default_rng(9))
+    narrow = weights._rank_keys
+
+    def wide(vals):
+        levels, keys = narrow(vals)
+        return levels, keys.astype(np.uint32)
+
+    monkeypatch.setattr(weights, "_rank_keys", wide)
+    for kind, vals in inputs.items():
+        for lam in (0.25, 0.7):
+            fast = local_sharp_maximal(GridFunction(g, vals), lam).values.real
+            assert _same_bits(fast, _float_sort_sharp(vals, lam)), (kind, lam)
 
 
 def test_local_sharp_kills_constants():
